@@ -1,42 +1,14 @@
 """Significant discriminative pattern mining on two-class transaction data."""
 
 from .dataset import (
-    Dataset,
     DatasetFormatError,
-    ReducedDataset,
     Tidset,
     TwoClassDataset,
-    bit_positions,
-    dump_transactions,
     from_transactions,
-    generate_synthetic,
     load_genotype_matrix,
     load_transactions,
-    reduced_dataset,
-    tidset_from_masks,
-    tidset_mask,
 )
-from .galois import (
-    closure_full,
-    closure_neg,
-    closure_pos,
-    common_items,
-    supporting_case_tids,
-    supporting_control_tids,
-    supporting_tids,
-)
-from .measures import (
-    ContingencyTable,
-    ScoreSet,
-    Thresholds,
-    association_pvalue,
-    check_significance,
-    confidence_intervals,
-    contingency_from_tidset,
-    discriminance,
-    relational_support,
-    score_set,
-)
+from .measures import Thresholds
 from .miner import (
     InternalInvariantError,
     MinerConfig,
@@ -45,50 +17,24 @@ from .miner import (
     TraceNode,
     mine,
 )
-from .oracle import InstanceTooLargeError, enumerate_closed, mine_oracle
+from .oracle import mine_oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContingencyTable",
-    "Dataset",
     "DatasetFormatError",
-    "InstanceTooLargeError",
     "InternalInvariantError",
     "MineStats",
     "MinerConfig",
     "PatternRecord",
-    "ReducedDataset",
-    "ScoreSet",
     "Thresholds",
     "Tidset",
     "TraceNode",
     "TwoClassDataset",
-    "association_pvalue",
-    "bit_positions",
-    "check_significance",
-    "closure_full",
-    "closure_neg",
-    "closure_pos",
-    "common_items",
-    "confidence_intervals",
-    "contingency_from_tidset",
-    "discriminance",
-    "dump_transactions",
-    "enumerate_closed",
     "from_transactions",
-    "generate_synthetic",
     "load_genotype_matrix",
     "load_transactions",
     "mine",
     "mine_oracle",
-    "reduced_dataset",
-    "relational_support",
-    "score_set",
-    "supporting_case_tids",
-    "supporting_control_tids",
-    "supporting_tids",
-    "tidset_from_masks",
-    "tidset_mask",
     "__version__",
 ]

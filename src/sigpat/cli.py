@@ -19,12 +19,10 @@ import csv
 import json
 import logging
 import math
-import os
 import sys
 from typing import IO, Iterator, Optional, Sequence
 
 from .dataset import (
-    Dataset,
     DatasetFormatError,
     TwoClassDataset,
     dump_transactions,
@@ -89,8 +87,10 @@ def _open_out(path: str) -> Iterator[IO[str]]:
             yield fh
 
 
-def write_csv(records: Sequence[PatternRecord], dataset: Dataset, out: IO[str]) -> None:
-    names = dict(zip(dataset.item_ids, dataset.items))
+def write_csv(
+    records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
+) -> None:
+    names = dataset.items
     ext = dataset.external_ids
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
@@ -117,8 +117,10 @@ def write_csv(records: Sequence[PatternRecord], dataset: Dataset, out: IO[str]) 
         )
 
 
-def write_json(records: Sequence[PatternRecord], dataset: Dataset, out: IO[str]) -> None:
-    names = dict(zip(dataset.item_ids, dataset.items))
+def write_json(
+    records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
+) -> None:
+    names = dataset.items
     ext = dataset.external_ids
     payload = []
     for r in records:
@@ -147,7 +149,7 @@ def write_json(records: Sequence[PatternRecord], dataset: Dataset, out: IO[str])
 
 
 def _write_records(
-    records: Sequence[PatternRecord], dataset: Dataset, path: str, fmt: str
+    records: Sequence[PatternRecord], dataset: TwoClassDataset, path: str, fmt: str
 ) -> None:
     with _open_out(path) as out:
         if fmt == "json":
@@ -206,12 +208,6 @@ def build_parser() -> _Parser:
         "--no-prune",
         action="store_true",
         help="disable threshold pruning (output is unchanged, runs slower)",
-    )
-    mine_p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads; defaults to SSDPS_THREADS or 1",
     )
     _add_output_flags(mine_p)
     mine_p.add_argument(
@@ -285,27 +281,11 @@ def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
     return dataset
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("SSDPS_THREADS")
-        if raw is None:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise _UsageError(f"SSDPS_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise _UsageError(f"--threads must be at least 1, got {threads}")
-    return threads
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     config = MinerConfig(
         thresholds=_build_thresholds(args),
         prune=not args.no_prune,
-        threads=_resolve_threads(args),
     )
     records, stats = mine(dataset, config)
     _write_records(records, dataset, args.output, args.output_format)

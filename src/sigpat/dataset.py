@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -83,63 +83,8 @@ class TwoClassDataset:
     def control_mask(self) -> int:
         return ((1 << self.n) - 1) ^ self.case_mask
 
-    @property
-    def item_ids(self) -> tuple[int, ...]:
-        """Row index -> original item id (the identity for a full dataset)."""
-        return tuple(range(len(self.items)))
 
-    def row_of(self, item_id: int) -> int:
-        return self.rows[item_id]
-
-    def name_of(self, item_id: int) -> str:
-        return self.items[item_id]
-
-
-@dataclass(frozen=True)
-class ReducedDataset:
-    """A dataset restricted to the item rows shared by some tidset.
-
-    Columns (transactions) are untouched; ``item_ids`` maps each retained row
-    back to the item id in the original dataset.
-    """
-
-    items: tuple[str, ...]
-    n_case: int
-    n_control: int
-    rows: tuple[int, ...]
-    external_ids: tuple[str, ...]
-    item_ids: tuple[int, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {orig: k for k, orig in enumerate(self.item_ids)})
-
-    @property
-    def n(self) -> int:
-        return self.n_case + self.n_control
-
-    @property
-    def case_mask(self) -> int:
-        return (1 << self.n_case) - 1
-
-    @property
-    def control_mask(self) -> int:
-        return ((1 << self.n) - 1) ^ self.case_mask
-
-    def row_of(self, item_id: int) -> int:
-        try:
-            return self.rows[self._index[item_id]]
-        except KeyError:
-            raise KeyError(f"item id {item_id} was dropped by the reduction") from None
-
-    def name_of(self, item_id: int) -> str:
-        return self.items[self._index[item_id]]
-
-
-Dataset = Union[TwoClassDataset, ReducedDataset]
-
-
-def tidset_mask(q: Tidset, dataset: Dataset) -> int:
+def tidset_mask(q: Tidset, dataset: TwoClassDataset) -> int:
     """Bitmask over internal tids for ``q``, validating the class split."""
     n_case, n = dataset.n_case, dataset.n
     mask = 0
@@ -159,12 +104,17 @@ def tidset_from_masks(pos_mask: int, neg_mask: int) -> Tidset:
 
 
 def _read_text(source: Source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    """Whole input as text; UTF-8 with an optional byte order mark."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8-sig")
+        data = source.read()
+        if isinstance(data, bytes):
+            return data.decode("utf-8-sig")
+        return data
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        raise DatasetFormatError(f"{name}: not valid UTF-8 ({exc})") from None
 
 
 def _build(
@@ -241,7 +191,7 @@ def from_transactions(
     return _build(list(item_ids), tx, len(case))
 
 
-def dump_transactions(dataset: Dataset, dest: Union[str, Path, IO[str]]) -> None:
+def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]]) -> None:
     """Serialize to the transaction text format, cases first."""
     lines = []
     m = len(dataset.items)
@@ -339,23 +289,6 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
             rows[base + cells[col]] |= 1 << j
     external = tuple(individuals[col] for col in order)
     return TwoClassDataset(items, n_case, len(order) - n_case, tuple(rows), external)
-
-
-def reduced_dataset(q: Tidset, dataset: Dataset) -> ReducedDataset:
-    """Keep only the item rows present in every transaction of ``q``."""
-    mask = tidset_mask(q, dataset)
-    names: list[str] = []
-    rows: list[int] = []
-    ids: list[int] = []
-    for orig, name, row in zip(dataset.item_ids, dataset.items, dataset.rows):
-        if row & mask == mask:
-            ids.append(orig)
-            names.append(name)
-            rows.append(row)
-    return ReducedDataset(
-        tuple(names), dataset.n_case, dataset.n_control, tuple(rows),
-        dataset.external_ids, tuple(ids),
-    )
 
 
 def generate_synthetic(

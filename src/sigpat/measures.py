@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dataset import Dataset, Tidset
+from .dataset import Tidset, TwoClassDataset
 
 Z_95 = 1.96
 
@@ -82,7 +82,7 @@ class Thresholds:
         )
 
 
-def contingency_from_tidset(q: Tidset, dataset: Dataset) -> ContingencyTable:
+def contingency_from_tidset(q: Tidset, dataset: TwoClassDataset) -> ContingencyTable:
     """Table whose present-counts are the sizes of the two tidset parts."""
     a, c = len(q.pos), len(q.neg)
     if a > dataset.n_case or c > dataset.n_control:

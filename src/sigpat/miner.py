@@ -20,19 +20,18 @@ controls joining, which re-triggers the zero-cell correction) also fails,
 so pruning never loses a valid pattern.
 
 Scores, prune verdicts, and interval floors depend only on the two tidset
-part sizes, so they are memoised per search; the row list shrinks with the
-node exactly as in a dataset-reduction scheme, since the itemset of a node
-is the itemset of its surviving rows.
+part sizes, so they are memoised once and shared by all roots; the row list
+shrinks with the node exactly as in a dataset-reduction scheme, since the
+itemset of a node is the itemset of its surviving rows.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .dataset import Dataset, Tidset, bit_positions
+from .dataset import Tidset, TwoClassDataset, bit_positions
 from .measures import (
     ContingencyTable,
     ScoreSet,
@@ -54,7 +53,6 @@ class MinerConfig:
     #: None resolves to (n_control >= 5) at mine time; forcing True on a
     #: smaller control class may lose patterns and exists for experiments.
     lci_gr_prune_guard: Optional[bool] = None
-    threads: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,34 +80,29 @@ class TraceNode(NamedTuple):
 
 
 class _Search:
-    """Per-root search state; rows are (original item id, bit row) pairs."""
+    """Search state shared by all roots; rows are (item id, bit row) pairs."""
 
     __slots__ = (
         "n_case", "n_control", "case_mask", "control_mask",
         "thresholds", "prune", "lci_gr_prunes",
-        "min_sd", "min_gr", "min_ors", "min_lci_gr", "min_lci_ors",
         "records", "trace", "nodes_visited", "nodes_pruned",
         "_floors", "_hope", "_scored",
     )
 
-    def __init__(self, n_case: int, n_control: int, cfg: MinerConfig, traced: bool):
+    def __init__(
+        self, n_case: int, n_control: int, cfg: MinerConfig, trace: list[TraceNode] | None
+    ):
         self.n_case = n_case
         self.n_control = n_control
         n = n_case + n_control
         self.case_mask = (1 << n_case) - 1
         self.control_mask = ((1 << n) - 1) ^ self.case_mask
-        th = cfg.thresholds
-        self.thresholds = th
-        self.prune = cfg.prune and th.has_any
+        self.thresholds = cfg.thresholds
+        self.prune = cfg.prune and cfg.thresholds.has_any
         guard = cfg.lci_gr_prune_guard
         self.lci_gr_prunes = (n_control >= 5) if guard is None else guard
-        self.min_sd = th.min_sd
-        self.min_gr = th.min_gr
-        self.min_ors = th.min_ors
-        self.min_lci_gr = th.min_lci_gr
-        self.min_lci_ors = th.min_lci_ors
         self.records: list[PatternRecord] = []
-        self.trace: list[TraceNode] | None = [] if traced else None
+        self.trace = trace
         self.nodes_visited = 0
         self.nodes_pruned = 0
         self._floors: dict[int, tuple[float, float]] = {}
@@ -231,42 +224,35 @@ class _Search:
 
     def _keeps_hope(self, a: int, c: int) -> bool:
         """False when no descendant of a node with tidset counts (a, c) can pass."""
+        th = self.thresholds
         n1 = self.n_case
         n2 = self.n_control
         b = n1 - a
         d = n2 - c
         s1 = a / n1
         s2 = c / n2
-        if self.min_sd is not None and s1 - s2 < self.min_sd:
+        if th.min_sd is not None and s1 - s2 < th.min_sd:
             return False
-        if self.min_gr is not None and s1 / s2 < self.min_gr:
+        if th.min_gr is not None and s1 / s2 < th.min_gr:
             return False
-        if self.min_ors is not None:
+        if th.min_ors is not None:
             bc = b * c
-            if bc and a * d / bc < self.min_ors:
+            if bc and a * d / bc < th.min_ors:
                 return False
-        check_ors = self.min_lci_ors is not None and b
-        check_gr = self.min_lci_gr is not None and b and self.lci_gr_prunes
+        check_ors = th.min_lci_ors is not None and b
+        check_gr = th.min_lci_gr is not None and b and self.lci_gr_prunes
         if check_ors or check_gr:
             cis = confidence_intervals(ContingencyTable(a, b, c, d))
             gr_floor, ors_floor = self._floor_bounds(a)
-            if (
-                check_ors
-                and cis[2] <= self.min_lci_ors
-                and ors_floor <= self.min_lci_ors
-            ):
+            if check_ors and cis[2] <= th.min_lci_ors and ors_floor <= th.min_lci_ors:
                 return False
-            if (
-                check_gr
-                and cis[0] <= self.min_lci_gr
-                and gr_floor <= self.min_lci_gr
-            ):
+            if check_gr and cis[0] <= th.min_lci_gr and gr_floor <= th.min_lci_gr:
                 return False
         return True
 
 
 def mine(
-    dataset: Dataset,
+    dataset: TwoClassDataset,
     config: MinerConfig | None = None,
     trace: list[TraceNode] | None = None,
 ) -> tuple[list[PatternRecord], MineStats]:
@@ -274,42 +260,27 @@ def mine(
 
     Returns the records sorted by itemset (lexicographic on item ids) plus
     search statistics. ``trace``, when given a list, receives every visited
-    node; the output is identical for any thread count.
+    node in visiting order, root by root.
     """
     cfg = config if config is not None else MinerConfig()
     if dataset.n_case < 1 or dataset.n_control < 1:
         raise ValueError("mining needs at least one case and one control transaction")
-    if cfg.threads < 1:
-        raise ValueError("threads must be >= 1")
     start = time.perf_counter()
-    base_rows = tuple(zip(dataset.item_ids, dataset.rows))
-    traced = trace is not None
-
-    def run_root(e: int) -> _Search:
-        search = _Search(dataset.n_case, dataset.n_control, cfg, traced)
+    base_rows = tuple(enumerate(dataset.rows))
+    search = _Search(dataset.n_case, dataset.n_control, cfg, trace)
+    for e in range(dataset.n_case):
         search.expand_case(0, e, base_rows)
-        return search
-
-    roots = range(dataset.n_case)
-    if cfg.threads == 1:
-        searches = [run_root(e) for e in roots]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            searches = list(pool.map(run_root, roots))
-    records: list[PatternRecord] = []
-    stats = MineStats()
-    for search in searches:
-        records.extend(search.records)
-        stats.nodes_visited += search.nodes_visited
-        stats.nodes_pruned += search.nodes_pruned
-        if traced:
-            trace.extend(search.trace)
+    records = search.records
     records.sort(key=lambda r: r.itemset)
     for first, second in zip(records, records[1:]):
         if first.itemset == second.itemset:
             raise InternalInvariantError(
                 f"closed pattern emitted twice: {first.itemset}"
             )
-    stats.patterns_emitted = len(records)
-    stats.wall_time_seconds = time.perf_counter() - start
+    stats = MineStats(
+        nodes_visited=search.nodes_visited,
+        nodes_pruned=search.nodes_pruned,
+        patterns_emitted=len(records),
+        wall_time_seconds=time.perf_counter() - start,
+    )
     return records, stats

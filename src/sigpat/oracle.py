@@ -9,7 +9,7 @@ are capped hard because the walk is exponential in the item count.
 
 from __future__ import annotations
 
-from .dataset import Dataset, Tidset, bit_positions, tidset_from_masks
+from .dataset import Tidset, TwoClassDataset, bit_positions, tidset_from_masks
 from .measures import check_significance, contingency_from_tidset, score_set
 from .miner import MinerConfig, PatternRecord
 
@@ -21,7 +21,7 @@ class InstanceTooLargeError(ValueError):
     """The dataset exceeds the brute-force size caps."""
 
 
-def _check_size(dataset: Dataset) -> None:
+def _check_size(dataset: TwoClassDataset) -> None:
     m = len(dataset.items)
     if dataset.n > MAX_TRANSACTIONS or m > MAX_ITEMS:
         raise InstanceTooLargeError(
@@ -30,7 +30,7 @@ def _check_size(dataset: Dataset) -> None:
         )
 
 
-def enumerate_closed(dataset: Dataset) -> list[tuple[tuple[int, ...], Tidset]]:
+def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], Tidset]]:
     """All non-empty closed itemsets with their supporting tidsets, sorted.
 
     Works over itemset bitmasks: the support of a mask is the intersection
@@ -52,7 +52,6 @@ def enumerate_closed(dataset: Dataset) -> list[tuple[tuple[int, ...], Tidset]]:
             row ^= low
     support = [full_tids] * (1 << m)
     closed: list[tuple[tuple[int, ...], Tidset]] = []
-    ids = dataset.item_ids
     case_mask = dataset.case_mask
     control_mask = dataset.control_mask
     for mask in range(1, 1 << m):
@@ -68,7 +67,7 @@ def enumerate_closed(dataset: Dataset) -> list[tuple[tuple[int, ...], Tidset]]:
             shared &= columns[lowt.bit_length() - 1]
             t ^= lowt
         if shared == mask:
-            itemset = tuple(ids[j] for j in bit_positions(mask))
+            itemset = bit_positions(mask)
             closed.append(
                 (itemset, tidset_from_masks(tids & case_mask, tids & control_mask))
             )
@@ -77,7 +76,7 @@ def enumerate_closed(dataset: Dataset) -> list[tuple[tuple[int, ...], Tidset]]:
 
 
 def mine_oracle(
-    dataset: Dataset, config: MinerConfig | None = None
+    dataset: TwoClassDataset, config: MinerConfig | None = None
 ) -> list[PatternRecord]:
     """Reference answer for :func:`sigpat.miner.mine` on a small dataset."""
     cfg = config if config is not None else MinerConfig()

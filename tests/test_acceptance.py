@@ -11,18 +11,10 @@ import time
 
 import pytest
 
-from sigpat import (
-    ContingencyTable,
-    MinerConfig,
-    Thresholds,
-    TraceNode,
-    confidence_intervals,
-    discriminance,
-    generate_synthetic,
-    mine,
-    mine_oracle,
-)
+from sigpat import MinerConfig, Thresholds, TraceNode, mine, mine_oracle
 from sigpat.cli import main
+from sigpat.dataset import generate_synthetic
+from sigpat.measures import ContingencyTable, confidence_intervals, discriminance
 
 from conftest import planted_genotype_matrix, random_dataset, random_thresholds
 
@@ -257,28 +249,3 @@ def test_08_planted_pair_pipeline(tmp_path, capsys, report):
         and any(planted <= items for items in emitted)
     )
     report(8, "planted SNP pair survives filter and mining", ok)
-
-
-def test_09_thread_determinism(table1_path, tmp_path, capsys, report):
-    fixtures = [str(table1_path)]
-    for seed, shape in ((23, ("7", "6", "12")), (11, ("10", "8", "18"))):
-        path = tmp_path / f"gen{seed}.tct"
-        assert main([
-            "gen", "--cases", shape[0], "--controls", shape[1], "--items", shape[2],
-            "--density", "0.4", "--seed", str(seed), "--output", str(path),
-        ]) == 0
-        fixtures.append(str(path))
-    ok = True
-    for k, fixture in enumerate(fixtures):
-        for fmt in ("csv", "json"):
-            for extra in ((), ("--min-ors", "1.5")):
-                single = tmp_path / f"t1_{k}_{fmt}{len(extra)}.out"
-                many = tmp_path / f"t8_{k}_{fmt}{len(extra)}.out"
-                rc1 = main(["mine", "--input", fixture, "--threads", "1",
-                            "--output-format", fmt, "--output", str(single), *extra])
-                rc2 = main(["mine", "--input", fixture, "--threads", "8",
-                            "--output-format", fmt, "--output", str(many), *extra])
-                ok = ok and rc1 == rc2 == 0
-                ok = ok and single.read_bytes() == many.read_bytes()
-    capsys.readouterr()
-    report(9, "thread count never changes output bytes", ok)

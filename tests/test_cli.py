@@ -134,25 +134,6 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert stats["wall_time_seconds"] >= 0.0
 
 
-def test_mine_threads_flag_and_env(table1_path, capsys, monkeypatch):
-    _, base, _ = run(capsys, "mine", "--input", str(table1_path))
-    rc, out, _ = run(capsys, "mine", "--input", str(table1_path), "--threads", "4")
-    assert rc == 0 and out == base
-    monkeypatch.setenv("SSDPS_THREADS", "3")
-    rc, out, _ = run(capsys, "mine", "--input", str(table1_path))
-    assert rc == 0 and out == base
-    monkeypatch.setenv("SSDPS_THREADS", "junk")
-    rc, _, err = run(capsys, "mine", "--input", str(table1_path))
-    assert rc == 1
-    assert "SSDPS_THREADS" in err
-
-
-def test_mine_invalid_threads(table1_path, capsys):
-    rc, _, err = run(capsys, "mine", "--input", str(table1_path), "--threads", "0")
-    assert rc == 1
-    assert "threads" in err
-
-
 def test_mine_negative_threshold_rejected(table1_path, capsys):
     rc, _, err = run(capsys, "mine", "--input", str(table1_path), "--min-gr", "-1")
     assert rc == 1
@@ -177,6 +158,14 @@ def test_exit_code_malformed_input(tmp_path, capsys):
     rc, _, err = run(capsys, "mine", "--input", str(bad))
     assert rc == 2
     assert "label" in err
+
+
+def test_exit_code_invalid_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "bad.tct"
+    bad.write_bytes(b"1 a \xff b\n0 a\n")
+    rc, _, err = run(capsys, "mine", "--input", str(bad))
+    assert rc == 2
+    assert "UTF-8" in err
 
 
 def test_exit_code_single_class(tmp_path, capsys):

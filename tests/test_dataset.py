@@ -3,7 +3,7 @@ import logging
 
 import pytest
 
-from sigpat import (
+from sigpat.dataset import (
     DatasetFormatError,
     Tidset,
     bit_positions,
@@ -12,7 +12,6 @@ from sigpat import (
     generate_synthetic,
     load_genotype_matrix,
     load_transactions,
-    reduced_dataset,
     tidset_from_masks,
     tidset_mask,
 )
@@ -59,12 +58,12 @@ def test_load_transactions_table1(table1):
     assert d.items == ("a", "b", "c", "f", "i", "j", "e", "g", "h", "d")
     assert len(d.rows) == 10
     # item "b" occurs in every transaction except case 5 and control 9
-    b_row = d.row_of(d.items.index("b"))
+    b_row = d.rows[d.items.index("b")]
     assert bit_positions(b_row) == (0, 1, 2, 3, 5, 6, 7)
     assert d.case_mask == 0b000011111
     assert d.control_mask == 0b111100000
     assert d.external_ids == tuple(str(k) for k in range(1, 10))
-    assert d.name_of(0) == "a"
+    assert d.items[0] == "a"
 
 
 def test_load_transactions_control_lines_reordered():
@@ -72,7 +71,7 @@ def test_load_transactions_control_lines_reordered():
     assert d.n_case == 2 and d.n_control == 1
     # cases first internally, external ids keep the file positions
     assert d.external_ids == ("2", "3", "1")
-    assert bit_positions(d.row_of(d.items.index("x"))) == (1, 2)
+    assert bit_positions(d.rows[d.items.index("x")]) == (1, 2)
 
 
 def test_load_transactions_comments_and_blank_lines():
@@ -85,7 +84,7 @@ def test_load_transactions_comments_and_blank_lines():
 def test_load_transactions_duplicate_items_collapse():
     d = load_transactions(io.StringIO("1 a a b\n0 b\n"))
     assert d.items == ("a", "b")
-    assert bit_positions(d.row_of(0)) == (0,)
+    assert bit_positions(d.rows[0]) == (0,)
 
 
 def test_load_transactions_bad_label():
@@ -99,6 +98,25 @@ def test_load_transactions_empty_input():
         load_transactions(io.StringIO("# nothing\n"))
 
 
+def test_load_transactions_utf8_bom(tmp_path):
+    text = "1 a b\n0 b\n"
+    path = tmp_path / "bom.tct"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    plain = load_transactions(io.StringIO(text))
+    for source in (path, str(path), io.BytesIO(path.read_bytes())):
+        d = load_transactions(source)
+        assert (d.items, d.rows, d.n_case) == (plain.items, plain.rows, plain.n_case)
+
+
+def test_load_transactions_invalid_utf8_names_source(tmp_path):
+    path = tmp_path / "bad.tct"
+    path.write_bytes(b"1 a \xff b\n0 a\n")
+    with pytest.raises(DatasetFormatError, match="bad.tct"):
+        load_transactions(path)
+    with pytest.raises(DatasetFormatError, match="UTF-8"):
+        load_transactions(io.BytesIO(path.read_bytes()))
+
+
 def test_load_transactions_empty_transaction_logs_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="sigpat.dataset"):
         d = load_transactions(io.StringIO("1 a\n1\n0 a\n"))
@@ -110,7 +128,7 @@ def test_from_transactions_ordering():
     d = from_transactions([["x", "y"], ["y"]], [["z"]])
     assert d.n_case == 2 and d.n_control == 1
     assert d.items == ("x", "y", "z")
-    assert bit_positions(d.row_of(d.items.index("z"))) == (2,)
+    assert bit_positions(d.rows[d.items.index("z")]) == (2,)
     assert d.external_ids == ("1", "2", "3")
 
 
@@ -128,12 +146,12 @@ def test_dump_transactions_roundtrip(table1):
     orig = {
         (name, t)
         for i, name in enumerate(table1.items)
-        for t in bit_positions(table1.row_of(i))
+        for t in bit_positions(table1.rows[i])
     }
     back = {
         (name, t)
         for i, name in enumerate(again.items)
-        for t in bit_positions(again.row_of(i))
+        for t in bit_positions(again.rows[i])
     }
     assert orig == back
 
@@ -154,13 +172,13 @@ def test_load_genotype_matrix():
     # cases first: bob, kim then controls eve, sam
     assert d.external_ids == ("bob", "kim", "eve", "sam")
     idx = {name: i for i, name in enumerate(d.items)}
-    assert bit_positions(d.row_of(idx["rs1_0"])) == (0,)
-    assert bit_positions(d.row_of(idx["rs1_2"])) == (1, 3)
-    assert bit_positions(d.row_of(idx["rs2_1"])) == (0, 2)
+    assert bit_positions(d.rows[idx["rs1_0"]]) == (0,)
+    assert bit_positions(d.rows[idx["rs1_2"]]) == (1, 3)
+    assert bit_positions(d.rows[idx["rs2_1"]]) == (0, 2)
     # each individual holds exactly one item per SNP
     for j in range(d.n):
         for snp in ("rs1", "rs2"):
-            held = sum(d.row_of(idx[f"{snp}_{v}"]) >> j & 1 for v in range(3))
+            held = sum(d.rows[idx[f"{snp}_{v}"]] >> j & 1 for v in range(3))
             assert held == 1
 
 
@@ -192,24 +210,14 @@ def test_load_genotype_matrix_duplicate_snp():
         load_genotype_matrix(io.StringIO(matrix), io.StringIO(labels))
 
 
-def test_reduced_dataset(table1):
-    red = reduced_dataset(Tidset((0, 1), ()), table1)
-    # items common to case transactions 1 and 2
-    assert red.items == ("a", "b", "c", "i")
-    assert red.item_ids == tuple(table1.items.index(x) for x in "abci")
-    assert red.n == table1.n
-    assert red.row_of(table1.items.index("b")) == table1.row_of(table1.items.index("b"))
-    with pytest.raises(KeyError):
-        red.row_of(table1.items.index("d"))
-
-
-def test_reduced_dataset_composes(table1):
-    once = reduced_dataset(Tidset((0,), ()), table1)
-    twice = reduced_dataset(Tidset((0, 1), ()), once)
-    direct = reduced_dataset(Tidset((0, 1), ()), table1)
-    assert twice.items == direct.items
-    assert twice.item_ids == direct.item_ids
-    assert twice.rows == direct.rows
+def test_load_genotype_matrix_bom_labels(tmp_path):
+    matrix = "snp,bob,eve\nrs1,0,1\n"
+    labels = b"\xef\xbb\xbfbob,1\neve,0\n"
+    labels_path = tmp_path / "labels.csv"
+    labels_path.write_bytes(labels)
+    for source in (labels_path, io.BytesIO(labels)):
+        d = load_genotype_matrix(io.StringIO(matrix), source)
+        assert d.external_ids == ("bob", "eve")
 
 
 def test_generate_synthetic_deterministic():

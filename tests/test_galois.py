@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpat import (
-    Tidset,
+from sigpat.dataset import Tidset, tidset_mask
+from sigpat.galois import (
     closure_full,
     closure_neg,
     closure_pos,
@@ -13,7 +13,6 @@ from sigpat import (
     supporting_case_tids,
     supporting_control_tids,
     supporting_tids,
-    tidset_mask,
 )
 
 from conftest import random_dataset
@@ -34,7 +33,7 @@ def test_common_items_case_pair(table1):
 
 
 def test_common_items_empty_tidset(table1):
-    assert common_items(Tidset(), table1) == table1.item_ids
+    assert common_items(Tidset(), table1) == tuple(range(len(table1.items)))
 
 
 def test_supporting_tids(table1):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpat import (
+from sigpat.dataset import Tidset
+from sigpat.measures import (
     ContingencyTable,
     Thresholds,
-    Tidset,
     association_pvalue,
     check_significance,
     confidence_intervals,

@@ -8,12 +8,11 @@ from sigpat import (
     Thresholds,
     Tidset,
     TraceNode,
-    common_items,
     from_transactions,
     mine,
     mine_oracle,
-    supporting_tids,
 )
+from sigpat.galois import common_items, supporting_tids
 
 from conftest import random_dataset, random_thresholds
 
@@ -117,22 +116,10 @@ def test_mine_trace_contains_closure_jumps(table1):
     assert nodes[(1,), (5, 7, 8)] == ids("e")
 
 
-def test_mine_thread_count_does_not_change_output(table1):
-    base_records, base_stats = mine(table1, MinerConfig(threads=1))
-    for threads in (2, 4, 8):
-        records, stats = mine(table1, MinerConfig(threads=threads))
-        assert records == base_records
-        assert stats.nodes_visited == base_stats.nodes_visited
-        assert stats.nodes_pruned == base_stats.nodes_pruned
-
-
 def test_mine_input_validation():
     single = from_transactions([["a"], ["b"]], [])
     with pytest.raises(ValueError):
         mine(single)
-    both = from_transactions([["a"]], [["b"]])
-    with pytest.raises(ValueError):
-        mine(both, MinerConfig(threads=0))
 
 
 def test_mine_trivial_dataset():

@@ -2,18 +2,10 @@ import random
 
 import pytest
 
-from sigpat import (
-    MinerConfig,
-    InstanceTooLargeError,
-    Thresholds,
-    Tidset,
-    common_items,
-    enumerate_closed,
-    from_transactions,
-    generate_synthetic,
-    mine_oracle,
-    supporting_tids,
-)
+from sigpat import MinerConfig, Thresholds, Tidset, from_transactions, mine_oracle
+from sigpat.dataset import generate_synthetic
+from sigpat.galois import common_items, supporting_tids
+from sigpat.oracle import InstanceTooLargeError, enumerate_closed
 
 from conftest import random_dataset
 
