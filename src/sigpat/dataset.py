@@ -111,7 +111,7 @@ def _read_text(source: Source) -> str:
         data = source.read()
         if isinstance(data, bytes):
             return data.decode("utf-8-sig")
-        return data
+        return data.removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise DatasetFormatError(f"{name}: not valid UTF-8 ({exc})") from None

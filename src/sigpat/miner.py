@@ -17,7 +17,10 @@ lower-bound pruning switches off for control classes smaller than 5, where
 the decrease does not hold for every table, and each interval-based prune
 additionally requires that the most extreme reachable table (all remaining
 controls joining, which re-triggers the zero-cell correction) also fails,
-so pruning never loses a valid pattern.
+so pruning never loses a valid pattern. All control children of a node
+share one (case count, control count) key, so the parent decides the
+verdict once for all of them: a hopeless key counts them as visited and
+pruned without scanning rows for any of them.
 
 Scores, prune verdicts, and interval floors depend only on the two tidset
 part sizes, so they are memoised once and shared by all roots; the row list
@@ -146,6 +149,8 @@ class _Search:
             free ^= low
             self.expand_case(tpos, low.bit_length() - 1, sub)
         ctl = union & self.control_mask
+        if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
+            return
         while ctl:
             low = ctl & -ctl
             ctl ^= low
@@ -168,15 +173,6 @@ class _Search:
         self.nodes_visited += 1
         if self.trace is not None:
             self._log(tpos, tneg, sub)
-        if self.prune:
-            key = (a, tneg.bit_count())
-            hope = self._hope.get(key)
-            if hope is None:
-                hope = self._keeps_hope(*key)
-                self._hope[key] = hope
-            if not hope:
-                self.nodes_pruned += 1
-                return
         ext = inter & self.control_mask & ~tneg
         if ext:
             if ext >= ebit:
@@ -188,10 +184,34 @@ class _Search:
         if inter & self.case_mask == tpos:
             self._emit(tpos, tneg, a, sub)
         free = union & self.control_mask & ~tneg & (ebit - 1)
+        if self.prune and free and self._children_pruned(tpos, a, tneg, free, sub):
+            return
         while free:
             low = free & -free
             free ^= low
             self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
+
+    def _children_pruned(self, tpos: int, a: int, tneg: int, tids: int, rows) -> bool:
+        """Whether the children adding one control tid of ``tids`` are all pruned.
+
+        Each tid lies in the parent's row union, so every child has rows and
+        counts as visited; a hopeless key counts (and traces) them at once.
+        """
+        key = (a, tneg.bit_count() + 1)
+        hope = self._hope.get(key)
+        if hope is None:
+            hope = self._hope[key] = self._keeps_hope(*key)
+        if hope:
+            return False
+        n = tids.bit_count()
+        self.nodes_visited += n
+        self.nodes_pruned += n
+        if self.trace is not None:
+            while tids:
+                low = tids & -tids
+                tids ^= low
+                self._log(tpos, tneg | low, [ir for ir in rows if ir[1] & low])
+        return True
 
     def _emit(self, tpos: int, tneg: int, a: int, rows) -> None:
         key = (a, tneg.bit_count())

@@ -1,12 +1,8 @@
 import json
 
-import pytest
-
-from sigpat import MinerConfig, Thresholds, mine
+from sigpat import mine
 from sigpat.cli import main
 from sigpat.miner import InternalInvariantError
-
-from conftest import TABLE1_TEXT
 
 GENO_MATRIX = "snp,bob,eve,kim,sam,ana,joe\nrs1,2,0,2,1,2,0\nrs2,1,0,1,2,1,0\nrs3,0,0,1,0,2,1\n"
 GENO_LABELS = "bob,1\neve,0\nkim,1\nsam,0\nana,1\njoe,0\n"

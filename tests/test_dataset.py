@@ -108,6 +108,13 @@ def test_load_transactions_utf8_bom(tmp_path):
         assert (d.items, d.rows, d.n_case) == (plain.items, plain.rows, plain.n_case)
 
 
+def test_load_transactions_utf8_bom_text_stream():
+    text = "1 a\n0 a\n"
+    d = load_transactions(io.StringIO("\ufeff" + text))
+    plain = load_transactions(io.StringIO(text))
+    assert (d.items, d.rows, d.n_case) == (plain.items, plain.rows, plain.n_case)
+
+
 def test_load_transactions_invalid_utf8_names_source(tmp_path):
     path = tmp_path / "bad.tct"
     path.write_bytes(b"1 a \xff b\n0 a\n")

@@ -100,6 +100,37 @@ def test_mine_trace_soundness(table1):
         assert common_items(q, table1) == node.items
 
 
+def test_mine_trace_soundness_with_pruning(table1):
+    # pruned children are counted and traced by their parent without a row scan
+    trace: list[TraceNode] = []
+    _, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)), trace=trace)
+    assert len(trace) == stats.nodes_visited == 137
+    assert stats.nodes_pruned == 41
+    for node in trace:
+        assert common_items(Tidset(node.pos, node.neg), table1) == node.items
+
+
+@pytest.mark.parametrize(
+    "thresholds, counts",
+    [
+        (Thresholds(), (5517, 0, 501)),
+        (Thresholds(min_ors=2.0), (3128, 1442, 121)),
+        (Thresholds(min_ors=2.0, min_lci_ors=1.0), (1527, 1159, 0)),
+        (Thresholds(min_sd=0.2, min_lci_gr=1.0), (1523, 1179, 0)),
+    ],
+)
+def test_mine_pinned_counters(thresholds, counts):
+    rng = random.Random(5)
+    names = [f"i{k}" for k in range(24)]
+    case = [[x for x in names if rng.random() < 0.4] for _ in range(12)]
+    control = [[x for x in names if rng.random() < 0.4] for _ in range(12)]
+    d = from_transactions(case, control)
+    records, stats = mine(d, MinerConfig(thresholds=thresholds))
+    assert (stats.nodes_visited, stats.nodes_pruned, stats.patterns_emitted) == counts
+    unpruned, _ = mine(d, MinerConfig(thresholds=thresholds, prune=False))
+    assert records == unpruned
+
+
 def test_mine_trace_contains_closure_jumps(table1):
     def ids(names):
         return tuple(sorted(table1.items.index(x) for x in names))
