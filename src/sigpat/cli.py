@@ -87,32 +87,50 @@ def _open_out(path: str) -> Iterator[IO[str]]:
             yield fh
 
 
+def _fields(r: PatternRecord, dataset: TwoClassDataset) -> tuple:
+    """The values of one pattern in ``COLUMNS`` order, before encoding.
+
+    Item names, the two tid counts, nine float scores, the correction flag,
+    then the external ids of the case and the control tids.
+    """
+    names = dataset.items
+    ext = dataset.external_ids
+    s = r.scores
+    return (
+        [names[i] for i in r.itemset],
+        len(r.tidset.pos),
+        len(r.tidset.neg),
+        r.table.a / r.table.n_case,
+        r.table.c / r.table.n_control,
+        s.sd,
+        s.gr,
+        s.ors,
+        s.lci_gr,
+        s.uci_gr,
+        s.lci_ors,
+        s.uci_ors,
+        s.corrected_ci,
+        [ext[t] for t in r.tidset.pos],
+        [ext[t] for t in r.tidset.neg],
+    )
+
+
 def write_csv(
     records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
 ) -> None:
-    names = dataset.items
-    ext = dataset.external_ids
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
     for r in records:
-        s = r.scores
+        items, n_pos, n_neg, *scores, corrected, pos, neg = _fields(r, dataset)
         writer.writerow(
             (
-                ";".join(names[i] for i in r.itemset),
-                len(r.tidset.pos),
-                len(r.tidset.neg),
-                _fmt(r.table.a / r.table.n_case),
-                _fmt(r.table.c / r.table.n_control),
-                _fmt(s.sd),
-                _fmt(s.gr),
-                _fmt(s.ors),
-                _fmt(s.lci_gr),
-                _fmt(s.uci_gr),
-                _fmt(s.lci_ors),
-                _fmt(s.uci_ors),
-                "true" if s.corrected_ci else "false",
-                ";".join(ext[t] for t in r.tidset.pos),
-                ";".join(ext[t] for t in r.tidset.neg),
+                ";".join(items),
+                n_pos,
+                n_neg,
+                *map(_fmt, scores),
+                "true" if corrected else "false",
+                ";".join(pos),
+                ";".join(neg),
             )
         )
 
@@ -120,30 +138,11 @@ def write_csv(
 def write_json(
     records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
 ) -> None:
-    names = dataset.items
-    ext = dataset.external_ids
     payload = []
     for r in records:
-        s = r.scores
-        payload.append(
-            {
-                "items": [names[i] for i in r.itemset],
-                "n_case_tids": len(r.tidset.pos),
-                "n_control_tids": len(r.tidset.neg),
-                "sup_case": r.table.a / r.table.n_case,
-                "sup_control": r.table.c / r.table.n_control,
-                "sd": _json_float(s.sd),
-                "gr": _json_float(s.gr),
-                "ors": _json_float(s.ors),
-                "lci_gr": _json_float(s.lci_gr),
-                "uci_gr": _json_float(s.uci_gr),
-                "lci_ors": _json_float(s.lci_ors),
-                "uci_ors": _json_float(s.uci_ors),
-                "ci_corrected": s.corrected_ci,
-                "case_tids": [ext[t] for t in r.tidset.pos],
-                "control_tids": [ext[t] for t in r.tidset.neg],
-            }
-        )
+        items, n_pos, n_neg, *scores, corrected, pos, neg = _fields(r, dataset)
+        values = (items, n_pos, n_neg, *map(_json_float, scores), corrected, pos, neg)
+        payload.append(dict(zip(COLUMNS, values)))
     json.dump(payload, out, indent=2)
     out.write("\n")
 

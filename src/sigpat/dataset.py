@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
-
-import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +102,10 @@ def tidset_from_masks(pos_mask: int, neg_mask: int) -> Tidset:
     return Tidset(bit_positions(pos_mask), bit_positions(neg_mask))
 
 
+def _source_name(source: Source) -> str:
+    return str(source) if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+
+
 def _read_text(source: Source) -> str:
     """Whole input as text; UTF-8 with an optional byte order mark."""
     try:
@@ -113,8 +116,25 @@ def _read_text(source: Source) -> str:
             return data.decode("utf-8-sig")
         return data.removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
-        raise DatasetFormatError(f"{name}: not valid UTF-8 ({exc})") from None
+        raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
+
+
+def _csv_rows(source: Source, what: str) -> list[list[str]]:
+    """CSV rows of ``source`` without blank rows and ``#`` comment rows."""
+    text = _read_text(source)
+    try:
+        return [
+            row
+            for row in csv.reader(io.StringIO(text))
+            if row and not row[0].strip().startswith("#")
+        ]
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{what} {_source_name(source)}: {exc}") from None
+
+
+def _intern(names: Iterable[str], item_ids: dict[str, int]) -> list[int]:
+    """Ids of ``names`` in first-appearance order without repeats; new names get fresh ids."""
+    return list(dict.fromkeys(item_ids.setdefault(name, len(item_ids)) for name in names))
 
 
 def _build(
@@ -154,15 +174,8 @@ def load_transactions(source: Source) -> TwoClassDataset:
             raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {label!r}")
         if len(tokens) == 1:
             logger.warning("line %d: transaction has no items", lineno)
-        ids: list[int] = []
-        seen: set[int] = set()
-        for tok in tokens[1:]:
-            iid = item_ids.setdefault(tok, len(item_ids))
-            if iid not in seen:
-                seen.add(iid)
-                ids.append(iid)
         seq += 1
-        (case if label == "1" else control).append((str(seq), ids))
+        (case if label == "1" else control).append((str(seq), _intern(tokens[1:], item_ids)))
     if not case and not control:
         raise DatasetFormatError("empty dataset: no transactions found")
     return _build(list(item_ids), case + control, len(case))
@@ -177,15 +190,8 @@ def from_transactions(
     item_ids: dict[str, int] = {}
     tx: list[tuple[str, list[int]]] = []
     for k, names in enumerate(list(case) + list(control)):
-        ids: list[int] = []
-        seen: set[int] = set()
-        for name in names:
-            iid = item_ids.setdefault(name, len(item_ids))
-            if iid not in seen:
-                seen.add(iid)
-                ids.append(iid)
         ext = external_ids[k] if external_ids is not None else str(k + 1)
-        tx.append((ext, ids))
+        tx.append((ext, _intern(names, item_ids)))
     if not tx:
         raise DatasetFormatError("empty dataset: no transactions found")
     return _build(list(item_ids), tx, len(case))
@@ -206,12 +212,10 @@ def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]])
         dest.write(text)
 
 
-def _parse_labels(text: str) -> dict[str, str]:
+def _parse_labels(rows: list[list[str]]) -> dict[str, str]:
     labels: dict[str, str] = {}
     first = True
-    for row in csv.reader(io.StringIO(text)):
-        if not row or (row[0].strip().startswith("#")):
-            continue
+    for row in rows:
         if len(row) != 2:
             raise DatasetFormatError(f"labels: expected 'individual,label', got {row!r}")
         ind, label = row[0].strip(), row[1].strip()
@@ -238,12 +242,8 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     individual holds exactly one of them. The labels stream maps individual
     ids to 1 (case) or 0 (control).
     """
-    labels = _parse_labels(_read_text(labels_source))
-    rows_iter = [
-        row
-        for row in csv.reader(io.StringIO(_read_text(matrix_source)))
-        if row and not row[0].strip().startswith("#")
-    ]
+    labels = _parse_labels(_csv_rows(labels_source, "labels"))
+    rows_iter = _csv_rows(matrix_source, "genotype matrix")
     if not rows_iter:
         raise DatasetFormatError("genotype matrix: empty input")
     header = [cell.strip() for cell in rows_iter[0]]
@@ -294,18 +294,26 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
 def generate_synthetic(
     n_case: int, n_control: int, n_items: int, density: float, seed: int
 ) -> TwoClassDataset:
-    """Random dataset where every (item, transaction) bit is Bernoulli(density)."""
+    """Random dataset where every (item, transaction) bit is Bernoulli(density).
+
+    Bits come from ``random.Random(seed)``, item by item and, within an item,
+    transaction by transaction.
+    """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be within [0, 1], got {density}")
     if min(n_case, n_control, n_items) < 0:
         raise ValueError("counts must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = n_case + n_control
-    rng = np.random.default_rng(seed)
-    bits = rng.random((n_items, n)) < density
-    rows = tuple(
-        int.from_bytes(np.packbits(bits[i], bitorder="little").tobytes(), "little")
-        for i in range(n_items)
-    )
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_items):
+        row = 0
+        for j in range(n):
+            if rng.random() < density:
+                row |= 1 << j
+        rows.append(row)
     items = tuple(f"i{k}" for k in range(n_items))
     external = tuple(str(j + 1) for j in range(n))
-    return TwoClassDataset(items, n_case, n_control, rows, external)
+    return TwoClassDataset(items, n_case, n_control, tuple(rows), external)

@@ -90,14 +90,6 @@ def contingency_from_tidset(q: Tidset, dataset: TwoClassDataset) -> ContingencyT
     return ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
 
 
-def relational_support(count_present: int, class_size: int) -> float:
-    if class_size < 1:
-        raise ValueError("class size must be at least 1")
-    if not 0 <= count_present <= class_size:
-        raise ValueError("count must lie within [0, class size]")
-    return count_present / class_size
-
-
 def discriminance(table: ContingencyTable) -> tuple[float, float, float]:
     """(support difference, growth rate, odds ratio) with the 0/inf conventions.
 
@@ -183,11 +175,10 @@ def check_significance(
     return True
 
 
-def association_pvalue(table: ContingencyTable, yates: bool = False) -> float:
+def association_pvalue(table: ContingencyTable) -> float:
     """Upper-tail Pearson chi-square p-value (1 dof) for class association.
 
-    Returns 1.0 when any margin is empty. ``yates`` applies the continuity
-    correction |ad - bc| -> max(0, |ad - bc| - n/2).
+    Returns 1.0 when any margin is empty.
     """
     a, b, c, d = table.a, table.b, table.c, table.d
     n = a + b + c + d
@@ -195,7 +186,5 @@ def association_pvalue(table: ContingencyTable, yates: bool = False) -> float:
     if 0 in (r1, r2, c1, c2):
         return 1.0
     diff = abs(a * d - b * c)
-    if yates:
-        diff = max(0.0, diff - n / 2.0)
     stat = n * diff * diff / (r1 * r2 * c1 * c2)
     return math.erfc(math.sqrt(stat / 2.0))

@@ -207,6 +207,19 @@ def test_gen_deterministic(tmp_path, capsys):
     lines = a.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 10
     assert [line.split()[0] for line in lines] == ["1"] * 6 + ["0"] * 4
+    # random.Random(seed).random() draws, item by item, each over all transactions
+    assert a.read_bytes() == (
+        b"1 i1 i2 i4 i5 i6\n"
+        b"1 i1 i2 i4 i5 i6\n"
+        b"1 i1 i4 i7 i8\n"
+        b"1 i2 i4\n"
+        b"1 i2 i6 i7 i8\n"
+        b"1 i1 i2 i3 i5 i6 i8\n"
+        b"0 i0 i2 i5 i6 i7\n"
+        b"0 i4 i6\n"
+        b"0 i7 i8\n"
+        b"0 i5 i6 i7\n"
+    )
 
 
 def test_gen_rejects_bad_density(capsys):
@@ -226,6 +239,30 @@ def test_gen_then_mine_pipeline(tmp_path, capsys):
     rc, reference, _ = run(capsys, "oracle", *args)
     assert rc == 0
     assert mined == reference
+
+
+def test_filter_genotypes_oversized_matrix_field(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    labels = tmp_path / "l.csv"
+    matrix.write_text(GENO_MATRIX + "rs4," + "0" * 200_000 + "\n", encoding="utf-8")
+    labels.write_text(GENO_LABELS, encoding="utf-8")
+    rc, _, err = run(capsys, "filter-genotypes", "--input", str(matrix),
+                     "--labels", str(labels))
+    assert rc == 2
+    assert "field larger than field limit" in err and str(matrix) in err
+    assert "Traceback" not in err
+
+
+def test_mine_genotype_oversized_labels_field(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    labels = tmp_path / "l.csv"
+    matrix.write_text(GENO_MATRIX, encoding="utf-8")
+    labels.write_text(GENO_LABELS + "x" * 200_000 + ",1\n", encoding="utf-8")
+    rc, _, err = run(capsys, "mine", "--format", "genotype", "--input", str(matrix),
+                     "--labels", str(labels))
+    assert rc == 2
+    assert "field larger than field limit" in err and str(labels) in err
+    assert "Traceback" not in err
 
 
 def test_filter_genotypes(tmp_path, capsys):

@@ -242,6 +242,8 @@ def test_generate_synthetic_validation():
         generate_synthetic(2, 2, 5, 1.5, seed=1)
     with pytest.raises(ValueError):
         generate_synthetic(-1, 2, 5, 0.5, seed=1)
+    with pytest.raises(ValueError):
+        generate_synthetic(2, 2, 5, 0.5, seed=-1)
 
 
 def test_generate_synthetic_density_extremes():

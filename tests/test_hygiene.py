@@ -1,10 +1,12 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "sigpat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "sigpat").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -45,3 +47,40 @@ def test_unused_imports_detects_and_allows():
         "print(os.sep)\n"
     )
     assert unused_imports(tree) == ["line 2: osp", "line 3: dumps"]
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Imports of modules outside the standard library.
+
+    Relative imports (the package's own modules) and ``__future__`` are
+    allowed; a dotted name counts by its first part.
+    """
+    names: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.lineno, node.module))
+    return [
+        f"line {line}: {name}"
+        for line, name in names
+        if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_stdlib(path):
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_foreign_imports_detects_and_allows():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import dataset\n"
+        "from .miner import mine\n"
+        "from collections import abc\n"
+        "def f():\n"
+        "    import scipy.stats\n"
+    )
+    assert foreign_imports(tree) == ["line 2: numpy", "line 7: scipy.stats"]

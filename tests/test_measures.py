@@ -13,7 +13,6 @@ from sigpat.measures import (
     confidence_intervals,
     contingency_from_tidset,
     discriminance,
-    relational_support,
     score_set,
 )
 
@@ -33,15 +32,6 @@ def test_contingency_from_tidset(table1):
     assert t == ContingencyTable(2, 3, 1, 3)
     with pytest.raises(ValueError):
         contingency_from_tidset(Tidset((0, 1, 2, 3, 4, 5), ()), table1)
-
-
-def test_relational_support():
-    assert relational_support(2, 5) == pytest.approx(0.4, abs=EXACT)
-    assert relational_support(0, 4) == 0.0
-    with pytest.raises(ValueError):
-        relational_support(5, 4)
-    with pytest.raises(ValueError):
-        relational_support(0, 0)
 
 
 def test_discriminance_worked_values():
@@ -159,9 +149,6 @@ def test_check_significance_accepts_precomputed_scores():
 def test_association_pvalue_worked_values():
     t = ContingencyTable(3, 2, 1, 3)
     assert association_pvalue(t) == pytest.approx(0.29371811275179194, abs=EXACT)
-    assert association_pvalue(t, yates=True) == pytest.approx(
-        0.7076604666545524, abs=EXACT
-    )
     perfect = ContingencyTable(20, 0, 0, 20)
     assert association_pvalue(perfect) == pytest.approx(2.53962858947086e-10, rel=1e-9)
 
