@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import sys
+import time
 from typing import IO, Iterator, Optional, Sequence
 
 from .dataset import (
@@ -281,13 +282,17 @@ def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     dataset = _load_dataset(args)
+    load_seconds = time.perf_counter() - start
     config = MinerConfig(
         thresholds=_build_thresholds(args),
         prune=not args.no_prune,
     )
     records, stats = mine(dataset, config)
+    start = time.perf_counter()
     _write_records(records, dataset, args.output, args.output_format)
+    write_seconds = time.perf_counter() - start
     if args.stats:
         with _open_out(args.stats) as out:
             json.dump(
@@ -296,6 +301,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                     "nodes_pruned": stats.nodes_pruned,
                     "patterns_emitted": stats.patterns_emitted,
                     "wall_time_seconds": stats.wall_time_seconds,
+                    "load_seconds": load_seconds,
+                    "write_seconds": write_seconds,
                 },
                 out,
                 indent=2,

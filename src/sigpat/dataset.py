@@ -119,13 +119,17 @@ def _read_text(source: Source) -> str:
         raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
 
 
-def _csv_rows(source: Source, what: str) -> list[list[str]]:
-    """CSV rows of ``source`` without blank rows and ``#`` comment rows."""
+def _csv_rows(source: Source, what: str) -> list[tuple[int, list[str]]]:
+    """``(file line, row)`` pairs of ``source`` without blank rows and ``#`` comment rows.
+
+    The line is the one a row ends on, counted from 1 in the decoded text.
+    """
     text = _read_text(source)
+    reader = csv.reader(io.StringIO(text))
     try:
         return [
-            row
-            for row in csv.reader(io.StringIO(text))
+            (reader.line_num, row)
+            for row in reader
             if row and not row[0].strip().startswith("#")
         ]
     except csv.Error as exc:
@@ -199,12 +203,13 @@ def from_transactions(
 
 def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]]) -> None:
     """Serialize to the transaction text format, cases first."""
-    lines = []
-    m = len(dataset.items)
-    for j in range(dataset.n):
-        label = "1" if j < dataset.n_case else "0"
-        names = [dataset.items[i] for i in range(m) if dataset.rows[i] >> j & 1]
-        lines.append(" ".join([label] + names))
+    names: list[list[str]] = [[] for _ in range(dataset.n)]
+    for name, row in zip(dataset.items, dataset.rows):
+        for j in bit_positions(row):
+            names[j].append(name)
+    lines = [
+        " ".join(["1" if j < dataset.n_case else "0", *held]) for j, held in enumerate(names)
+    ]
     text = "\n".join(lines) + "\n"
     if isinstance(dest, (str, Path)):
         Path(dest).write_text(text, encoding="utf-8")
@@ -212,20 +217,24 @@ def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]])
         dest.write(text)
 
 
-def _parse_labels(rows: list[list[str]]) -> dict[str, str]:
+def _parse_labels(rows: list[tuple[int, list[str]]]) -> dict[str, str]:
     labels: dict[str, str] = {}
     first = True
-    for row in rows:
+    for lineno, row in rows:
         if len(row) != 2:
-            raise DatasetFormatError(f"labels: expected 'individual,label', got {row!r}")
+            raise DatasetFormatError(
+                f"labels line {lineno}: expected 'individual,label', got {row!r}"
+            )
         ind, label = row[0].strip(), row[1].strip()
         if label not in ("0", "1"):
             if first:
                 first = False
                 continue  # header line
-            raise DatasetFormatError(f"labels: label for {ind!r} must be 0 or 1, got {label!r}")
+            raise DatasetFormatError(
+                f"labels line {lineno}: label for {ind!r} must be 0 or 1, got {label!r}"
+            )
         if ind in labels:
-            raise DatasetFormatError(f"labels: duplicate individual id {ind!r}")
+            raise DatasetFormatError(f"labels line {lineno}: duplicate individual id {ind!r}")
         labels[ind] = label
         first = False
     if not labels:
@@ -233,20 +242,28 @@ def _parse_labels(rows: list[list[str]]) -> dict[str, str]:
     return labels
 
 
+#: The valid genotype cells, after stripping surrounding spaces.
+_GENOTYPES = frozenset("012")
+
+#: ``str.translate`` tables: ``_ONE_HOT[v]`` maps the digit v to "1" and the other two to "0".
+_ONE_HOT = (str.maketrans("012", "100"), str.maketrans("012", "010"), str.maketrans("012", "001"))
+
+
 def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoClassDataset:
     """Expand a SNP genotype matrix into a two-class transaction dataset.
 
     The matrix is CSV with a header row naming the individuals; each data row
-    is a SNP id followed by one genotype cell in {0,1,2} per individual. Every
-    SNP s contributes the three items ``s_0``, ``s_1``, ``s_2`` and each
-    individual holds exactly one of them. The labels stream maps individual
-    ids to 1 (case) or 0 (control).
+    is a SNP id followed by one genotype cell in {0,1,2} per individual, which
+    may be padded with spaces. Every SNP s contributes the three items
+    ``s_0``, ``s_1``, ``s_2`` and each individual holds exactly one of them.
+    The labels stream maps individual ids to 1 (case) or 0 (control). Error
+    messages name the file line of the offending row.
     """
     labels = _parse_labels(_csv_rows(labels_source, "labels"))
-    rows_iter = _csv_rows(matrix_source, "genotype matrix")
-    if not rows_iter:
+    matrix = _csv_rows(matrix_source, "genotype matrix")
+    if not matrix:
         raise DatasetFormatError("genotype matrix: empty input")
-    header = [cell.strip() for cell in rows_iter[0]]
+    header = [cell.strip() for cell in matrix[0][1]]
     individuals = header[1:]
     if not individuals:
         raise DatasetFormatError("genotype matrix: no individual columns")
@@ -254,10 +271,16 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
         raise DatasetFormatError("genotype matrix: duplicate individual id in header")
     if set(individuals) != set(labels):
         raise DatasetFormatError("labels do not match the matrix columns")
+    order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
+    n_case = len(order)
+    order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
+    # Row columns of internal tids n-1 .. 0: joined cells read as a binary
+    # number put internal tid j on bit j.
+    cols = [k + 1 for k in reversed(order)]
     snps: list[str] = []
     seen_snps: set[str] = set()
-    genotypes: list[list[int]] = []
-    for lineno, row in enumerate(rows_iter[1:], start=2):
+    rows: list[int] = []
+    for lineno, row in matrix[1:]:
         snp = row[0].strip()
         if snp in seen_snps:
             raise DatasetFormatError(f"genotype matrix row {lineno}: duplicate SNP id {snp!r}")
@@ -266,27 +289,18 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
             raise DatasetFormatError(
                 f"genotype matrix row {lineno}: expected {len(individuals)} cells, got {len(row) - 1}"
             )
-        cells = []
-        for cell in row[1:]:
-            value = cell.strip()
-            if value not in ("0", "1", "2"):
-                raise DatasetFormatError(
-                    f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {value!r}"
-                )
-            cells.append(int(value))
+        cells = [row[k].strip() for k in cols]
+        if not _GENOTYPES.issuperset(cells):
+            bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
+            raise DatasetFormatError(
+                f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+            )
+        bits = "".join(cells)
+        rows += [int(bits.translate(table), 2) for table in _ONE_HOT]
         snps.append(snp)
-        genotypes.append(cells)
     if not snps:
         raise DatasetFormatError("genotype matrix: no SNP rows")
-    order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
-    n_case = len(order)
-    order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
     items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))
-    rows = [0] * len(items)
-    for s, cells in enumerate(genotypes):
-        base = 3 * s
-        for j, col in enumerate(order):
-            rows[base + cells[col]] |= 1 << j
     external = tuple(individuals[col] for col in order)
     return TwoClassDataset(items, n_case, len(order) - n_case, tuple(rows), external)
 

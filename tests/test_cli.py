@@ -128,6 +128,8 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert stats["nodes_pruned"] == 41
     assert stats["patterns_emitted"] == 15
     assert stats["wall_time_seconds"] >= 0.0
+    assert stats["load_seconds"] >= 0.0
+    assert stats["write_seconds"] >= 0.0
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):
@@ -263,6 +265,17 @@ def test_mine_genotype_oversized_labels_field(tmp_path, capsys):
     assert rc == 2
     assert "field larger than field limit" in err and str(labels) in err
     assert "Traceback" not in err
+
+
+def test_filter_genotypes_error_names_file_line(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    labels = tmp_path / "l.csv"
+    matrix.write_text("snp,bob,eve\n# comment\n\nrs1,0,1\nrs2,0,7\n", encoding="utf-8")
+    labels.write_text("bob,1\neve,0\n", encoding="utf-8")
+    rc, _, err = run(capsys, "filter-genotypes", "--input", str(matrix),
+                     "--labels", str(labels))
+    assert rc == 2
+    assert err == "error: genotype matrix row 5: genotype must be 0, 1 or 2, got '7'\n"
 
 
 def test_filter_genotypes(tmp_path, capsys):

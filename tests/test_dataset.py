@@ -1,11 +1,16 @@
+import csv
 import io
 import logging
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigpat.dataset import (
     DatasetFormatError,
     Tidset,
+    TwoClassDataset,
     bit_positions,
     dump_transactions,
     from_transactions,
@@ -251,3 +256,127 @@ def test_generate_synthetic_density_extremes():
     assert all(row == 0b1111 for row in full.rows)
     empty = generate_synthetic(2, 2, 6, 0.0, seed=3)
     assert all(row == 0 for row in empty.rows)
+
+
+def reference_genotype_matrix(matrix_text, labels_text):
+    """The per-cell genotype loader the row-at-a-time one replaced.
+
+    It keeps only the cell checks, and numbers rows as file lines, so it
+    serves matrices without blank rows, ``#`` rows, duplicate SNP ids or
+    short rows, and labels files without a header.
+    """
+    labels = {}
+    for ind, label in (row for row in csv.reader(io.StringIO(labels_text)) if row):
+        labels[ind.strip()] = label.strip()
+    rows = list(csv.reader(io.StringIO(matrix_text)))
+    individuals = [cell.strip() for cell in rows[0]][1:]
+    snps, genotypes = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        cells = []
+        for cell in row[1:]:
+            value = cell.strip()
+            if value not in ("0", "1", "2"):
+                raise DatasetFormatError(
+                    f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {value!r}"
+                )
+            cells.append(int(value))
+        snps.append(row[0].strip())
+        genotypes.append(cells)
+    order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
+    n_case = len(order)
+    order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
+    items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))
+    out = [0] * len(items)
+    for s, cells in enumerate(genotypes):
+        for j, col in enumerate(order):
+            out[3 * s + cells[col]] |= 1 << j
+    external = tuple(individuals[col] for col in order)
+    return TwoClassDataset(items, n_case, len(order) - n_case, tuple(out), external)
+
+
+def _padded(draw, value):
+    """``value`` as a CSV field, maybe space-padded, maybe quoted."""
+    value = " " * draw(st.integers(0, 2)) + value + " " * draw(st.integers(0, 2))
+    return f'"{value}"' if draw(st.booleans()) else value
+
+
+@st.composite
+def genotype_inputs(draw):
+    n = draw(st.integers(1, 6))
+    individuals = [f"p{k}" for k in range(n)]
+    labels = [(ind, draw(st.sampled_from("01"))) for ind in individuals]
+    labels = draw(st.permutations(labels))
+    cell = st.sampled_from(["0", "1", "2"] * 8 + ["", "3", "12", "x", "0 1"])
+    lines = [",".join(["snp"] + [_padded(draw, ind) for ind in individuals])]
+    for s in range(draw(st.integers(1, 5))):
+        lines.append(",".join([f"rs{s}"] + [_padded(draw, draw(cell)) for _ in individuals]))
+    matrix = "\n".join(lines) + "\n"
+    labels_text = "".join(f"{ind},{label}\n" for ind, label in labels)
+    return matrix, labels_text
+
+
+def _load_text(matrix, labels):
+    return load_genotype_matrix(io.StringIO(matrix), io.StringIO(labels))
+
+
+def _outcome(load, matrix, labels):
+    """The dataset ``load`` builds from the two texts, or its error message."""
+    try:
+        d = load(matrix, labels)
+    except DatasetFormatError as exc:
+        return str(exc)
+    return (d.items, d.n_case, d.n_control, d.rows, d.external_ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(genotype_inputs())
+def test_load_genotype_matrix_matches_per_cell_reference(inputs):
+    matrix, labels = inputs
+    assert _outcome(_load_text, matrix, labels) == _outcome(
+        reference_genotype_matrix, matrix, labels
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix, labels, bad",
+    [
+        ("snp,bob,eve\nrs1,,12\n", "bob,1\neve,0\n", "''"),  # joins to two valid digits
+        ("snp,bob\nrs1,12\n", "bob,1\n", "'12'"),
+        ("snp,bob,eve\nrs1,0,7\n", "bob,1\neve,0\n", "'7'"),
+        ("snp,bob,eve\nrs0,0,1\nrs1,1,\n", "bob,1\neve,0\n", "''"),  # empty cell
+        ("snp,bob,eve\nrs0,0,1\nrs1,1, \n", "bob,1\neve,0\n", "''"),  # blank cell
+    ],
+)
+def test_load_genotype_matrix_rejects_cells(matrix, labels, bad):
+    message = f"genotype matrix row {matrix.count(chr(10))}: genotype must be 0, 1 or 2, got {bad}"
+    assert _outcome(_load_text, matrix, labels) == message
+    assert _outcome(reference_genotype_matrix, matrix, labels) == message
+
+
+def test_genotype_errors_name_file_lines():
+    labels = "bob,1\neve,0\n"
+    matrix = "snp,bob,eve\n# comment\n\nrs1,0,1\nrs1,0,1\n"
+    with pytest.raises(DatasetFormatError, match="^genotype matrix row 5: duplicate SNP id 'rs1'$"):
+        _load_text(matrix, labels)
+    matrix = "snp,bob,eve\n\nrs1,0\n"
+    with pytest.raises(DatasetFormatError, match="^genotype matrix row 3: expected 2 cells, got 1$"):
+        _load_text(matrix, labels)
+    bad_labels = [
+        ("# ids\n\nbob,1,x\n", "labels line 3: expected 'individual,label'"),
+        ("individual,label\n\nbob,1\neve,7\n", "labels line 4: label for 'eve' must be 0 or 1"),
+        ("bob,1\n# again\nbob,0\n", "labels line 3: duplicate individual id 'bob'"),
+    ]
+    for text, message in bad_labels:
+        with pytest.raises(DatasetFormatError, match="^" + re.escape(message)):
+            _load_text("snp,bob,eve\nrs1,0,1\n", text)
+
+
+def test_dump_transactions_many_items_exact():
+    d = generate_synthetic(5, 4, 70, 0.4, seed=11)
+    buf = io.StringIO()
+    dump_transactions(d, buf)
+    expected = []
+    for j in range(d.n):
+        names = [d.items[i] for i in range(70) if d.rows[i] >> j & 1]
+        expected.append(" ".join(["1" if j < d.n_case else "0"] + names))
+    assert buf.getvalue() == "\n".join(expected) + "\n"
