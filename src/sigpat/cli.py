@@ -21,11 +21,12 @@ import logging
 import math
 import sys
 import time
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterator, Optional, Sequence
 
 from .dataset import (
     DatasetFormatError,
     TwoClassDataset,
+    bit_positions,
     dump_transactions,
     generate_synthetic,
     load_genotype_matrix,
@@ -88,32 +89,50 @@ def _open_out(path: str) -> Iterator[IO[str]]:
             yield fh
 
 
-def _fields(r: PatternRecord, dataset: TwoClassDataset) -> tuple:
-    """The values of one pattern in ``COLUMNS`` order, before encoding.
+def _rows(
+    records: Sequence[PatternRecord],
+    dataset: TwoClassDataset,
+    encode_key: Callable[[int, int, tuple[float, ...], bool], tuple],
+    encode_names: Callable[[Iterator[str]], object],
+) -> Iterator[tuple]:
+    """The values of each pattern in ``COLUMNS`` order, encoded.
 
-    Item names, the two tid counts, nine float scores, the correction flag,
-    then the external ids of the case and the control tids.
+    The two tid counts, nine float scores and the correction flag depend on
+    the record's table and scores alone, so ``encode_key`` runs on them once
+    per distinct (table, scores) pair; ``encode_names`` runs on the item
+    names of every record and once per distinct tid mask on its external ids.
     """
     names = dataset.items
     ext = dataset.external_ids
-    s = r.scores
-    return (
-        [names[i] for i in r.itemset],
-        len(r.tidset.pos),
-        len(r.tidset.neg),
-        r.table.a / r.table.n_case,
-        r.table.c / r.table.n_control,
-        s.sd,
-        s.gr,
-        s.ors,
-        s.lci_gr,
-        s.uci_gr,
-        s.lci_ors,
-        s.uci_ors,
-        s.corrected_ci,
-        [ext[t] for t in r.tidset.pos],
-        [ext[t] for t in r.tidset.neg],
-    )
+    keyed: dict[tuple, tuple] = {}
+    masked: dict[int, object] = {}
+    for r in records:
+        key = (r.table, r.scores)
+        cols = keyed.get(key)
+        if cols is None:
+            t, s = key
+            cols = keyed[key] = encode_key(
+                t.a,
+                t.c,
+                (t.a / t.n_case, t.c / t.n_control, s.sd, s.gr, s.ors,
+                 s.lci_gr, s.uci_gr, s.lci_ors, s.uci_ors),
+                s.corrected_ci,
+            )
+        tids = []
+        for mask in (r.pos_mask, r.neg_mask):
+            ids = masked.get(mask)
+            if ids is None:
+                ids = masked[mask] = encode_names(map(ext.__getitem__, bit_positions(mask)))
+            tids.append(ids)
+        yield (encode_names(map(names.__getitem__, r.itemset)), *cols, *tids)
+
+
+def _csv_key(a: int, c: int, scores: tuple[float, ...], corrected: bool) -> tuple:
+    return (str(a), str(c), *map(_fmt, scores), "true" if corrected else "false")
+
+
+def _json_key(a: int, c: int, scores: tuple[float, ...], corrected: bool) -> tuple:
+    return (a, c, *map(_json_float, scores), corrected)
 
 
 def write_csv(
@@ -121,30 +140,14 @@ def write_csv(
 ) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
-    for r in records:
-        items, n_pos, n_neg, *scores, corrected, pos, neg = _fields(r, dataset)
-        writer.writerow(
-            (
-                ";".join(items),
-                n_pos,
-                n_neg,
-                *map(_fmt, scores),
-                "true" if corrected else "false",
-                ";".join(pos),
-                ";".join(neg),
-            )
-        )
+    writer.writerows(_rows(records, dataset, _csv_key, ";".join))
 
 
 def write_json(
     records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
 ) -> None:
-    payload = []
-    for r in records:
-        items, n_pos, n_neg, *scores, corrected, pos, neg = _fields(r, dataset)
-        values = (items, n_pos, n_neg, *map(_json_float, scores), corrected, pos, neg)
-        payload.append(dict(zip(COLUMNS, values)))
-    json.dump(payload, out, indent=2)
+    rows = _rows(records, dataset, _json_key, list)
+    json.dump([dict(zip(COLUMNS, row)) for row in rows], out, indent=2)
     out.write("\n")
 
 
@@ -297,6 +300,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         with _open_out(args.stats) as out:
             json.dump(
                 {
+                    "schema": 1,
                     "nodes_visited": stats.nodes_visited,
                     "nodes_pruned": stats.nodes_pruned,
                     "patterns_emitted": stats.patterns_emitted,

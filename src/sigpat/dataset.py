@@ -20,9 +20,6 @@ logger = logging.getLogger(__name__)
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
-#: An itemset is a strictly increasing tuple of internal item ids.
-ItemSet = tuple[int, ...]
-
 
 class DatasetFormatError(ValueError):
     """Input text does not conform to the expected file format."""
@@ -54,10 +51,6 @@ class Tidset:
             if any(part[i] >= part[i + 1] for i in range(len(part) - 1)):
                 raise ValueError("tids must be strictly increasing")
 
-    @classmethod
-    def of(cls, pos: Iterable[int] = (), neg: Iterable[int] = ()) -> "Tidset":
-        return cls(tuple(sorted(set(pos))), tuple(sorted(set(neg))))
-
     def __len__(self) -> int:
         return len(self.pos) + len(self.neg)
 
@@ -81,25 +74,6 @@ class TwoClassDataset:
     @property
     def control_mask(self) -> int:
         return ((1 << self.n) - 1) ^ self.case_mask
-
-
-def tidset_mask(q: Tidset, dataset: TwoClassDataset) -> int:
-    """Bitmask over internal tids for ``q``, validating the class split."""
-    n_case, n = dataset.n_case, dataset.n
-    mask = 0
-    for t in q.pos:
-        if not 0 <= t < n_case:
-            raise ValueError(f"case tid {t} out of range [0, {n_case})")
-        mask |= 1 << t
-    for t in q.neg:
-        if not n_case <= t < n:
-            raise ValueError(f"control tid {t} out of range [{n_case}, {n})")
-        mask |= 1 << t
-    return mask
-
-
-def tidset_from_masks(pos_mask: int, neg_mask: int) -> Tidset:
-    return Tidset(bit_positions(pos_mask), bit_positions(neg_mask))
 
 
 def _source_name(source: Source) -> str:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dataset import Tidset, TwoClassDataset
-
 Z_95 = 1.96
 
 
@@ -80,14 +78,6 @@ class Thresholds:
             getattr(self, name) is not None
             for name in ("min_sd", "min_gr", "min_ors", "min_lci_gr", "min_lci_ors")
         )
-
-
-def contingency_from_tidset(q: Tidset, dataset: TwoClassDataset) -> ContingencyTable:
-    """Table whose present-counts are the sizes of the two tidset parts."""
-    a, c = len(q.pos), len(q.neg)
-    if a > dataset.n_case or c > dataset.n_control:
-        raise ValueError("tidset does not fit the dataset class sizes")
-    return ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
 
 
 def discriminance(table: ContingencyTable) -> tuple[float, float, float]:

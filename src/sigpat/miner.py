@@ -26,6 +26,10 @@ Scores, prune verdicts, and interval floors depend only on the two tidset
 part sizes, so they are memoised once and shared by all roots; the row list
 shrinks with the node exactly as in a dataset-reduction scheme, since the
 itemset of a node is the itemset of its surviving rows.
+
+An emitted record keeps the node's two tid masks and the memoised table and
+scores of its key as they are; its ``tidset`` is built from the masks only
+when a caller reads it.
 """
 
 from __future__ import annotations
@@ -60,10 +64,23 @@ class MinerConfig:
 
 @dataclass(frozen=True, slots=True)
 class PatternRecord:
+    """One pattern: its items, its tids as bit masks, its table and scores.
+
+    Bit t of ``pos_mask`` (``neg_mask``) is set when case (control) tid t
+    supports the pattern. Records of one run share their table and scores
+    objects with every record of the same (case count, control count).
+    """
+
     itemset: tuple[int, ...]
-    tidset: Tidset
+    pos_mask: int
+    neg_mask: int
     table: ContingencyTable
     scores: ScoreSet
+
+    @property
+    def tidset(self) -> Tidset:
+        """The supporting tidset, built from the masks on each access."""
+        return Tidset(bit_positions(self.pos_mask), bit_positions(self.neg_mask))
 
 
 @dataclass(slots=True)
@@ -223,12 +240,7 @@ class _Search:
             self._scored[key] = scored
         if scored[2]:
             self.records.append(
-                PatternRecord(
-                    tuple(i for i, _ in rows),
-                    Tidset(bit_positions(tpos), bit_positions(tneg)),
-                    scored[0],
-                    scored[1],
-                )
+                PatternRecord(tuple([i for i, _ in rows]), tpos, tneg, scored[0], scored[1])
             )
 
     def _floor_bounds(self, a: int) -> tuple[float, float]:

@@ -9,8 +9,8 @@ are capped hard because the walk is exponential in the item count.
 
 from __future__ import annotations
 
-from .dataset import Tidset, TwoClassDataset, bit_positions, tidset_from_masks
-from .measures import check_significance, contingency_from_tidset, score_set
+from .dataset import TwoClassDataset, bit_positions
+from .measures import ContingencyTable, check_significance, score_set
 from .miner import MinerConfig, PatternRecord
 
 MAX_TRANSACTIONS = 24
@@ -30,8 +30,8 @@ def _check_size(dataset: TwoClassDataset) -> None:
         )
 
 
-def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], Tidset]]:
-    """All non-empty closed itemsets with their supporting tidsets, sorted.
+def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], int, int]]:
+    """All non-empty closed itemsets with their case and control tid masks, sorted.
 
     Works over itemset bitmasks: the support of a mask is the intersection
     of its items' supports (memoised bottom-up), and a mask is closed when
@@ -51,7 +51,7 @@ def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], Ti
             columns[low.bit_length() - 1] |= bit
             row ^= low
     support = [full_tids] * (1 << m)
-    closed: list[tuple[tuple[int, ...], Tidset]] = []
+    closed: list[tuple[tuple[int, ...], int, int]] = []
     case_mask = dataset.case_mask
     control_mask = dataset.control_mask
     for mask in range(1, 1 << m):
@@ -67,11 +67,8 @@ def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], Ti
             shared &= columns[lowt.bit_length() - 1]
             t ^= lowt
         if shared == mask:
-            itemset = bit_positions(mask)
-            closed.append(
-                (itemset, tidset_from_masks(tids & case_mask, tids & control_mask))
-            )
-    closed.sort(key=lambda pair: pair[0])
+            closed.append((bit_positions(mask), tids & case_mask, tids & control_mask))
+    closed.sort(key=lambda triple: triple[0])
     return closed
 
 
@@ -82,14 +79,16 @@ def mine_oracle(
     cfg = config if config is not None else MinerConfig()
     thresholds = cfg.thresholds
     records: list[PatternRecord] = []
-    for itemset, tidset in enumerate_closed(dataset):
+    for itemset, pos_mask, neg_mask in enumerate_closed(dataset):
         # the mining task targets patterns of the case class that also occur
         # in controls, so both tidset parts must be non-empty
-        if not tidset.pos or not tidset.neg:
+        if not pos_mask or not neg_mask:
             continue
-        table = contingency_from_tidset(tidset, dataset)
+        a = pos_mask.bit_count()
+        c = neg_mask.bit_count()
+        table = ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
         scores = score_set(table)
         if check_significance(table, thresholds, scores):
-            records.append(PatternRecord(itemset, tidset, table, scores))
+            records.append(PatternRecord(itemset, pos_mask, neg_mask, table, scores))
     records.sort(key=lambda r: r.itemset)
     return records

@@ -124,6 +124,7 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     )
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert next(iter(stats.items())) == ("schema", 1)
     assert stats["nodes_visited"] == 137
     assert stats["nodes_pruned"] == 41
     assert stats["patterns_emitted"] == 15

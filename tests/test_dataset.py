@@ -17,11 +17,10 @@ from sigpat.dataset import (
     generate_synthetic,
     load_genotype_matrix,
     load_transactions,
-    tidset_from_masks,
-    tidset_mask,
 )
 
 from conftest import TABLE1_TEXT
+from reference import tidset_from_masks, tidset_mask, tidset_of
 
 
 def test_bit_positions():
@@ -31,7 +30,7 @@ def test_bit_positions():
 
 
 def test_tidset_validation():
-    t = Tidset.of([2, 0], [5])
+    t = tidset_of([2, 0], [5])
     assert t.pos == (0, 2)
     assert t.neg == (5,)
     assert len(t) == 3

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpat.dataset import Tidset, tidset_mask
-from sigpat.galois import (
+from sigpat.dataset import Tidset
+
+from conftest import random_dataset
+from reference import (
     closure_full,
     closure_neg,
     closure_pos,
@@ -13,9 +15,8 @@ from sigpat.galois import (
     supporting_case_tids,
     supporting_control_tids,
     supporting_tids,
+    tidset_mask,
 )
-
-from conftest import random_dataset
 
 
 def ids_of(dataset, names):

@@ -11,10 +11,11 @@ from sigpat.measures import (
     association_pvalue,
     check_significance,
     confidence_intervals,
-    contingency_from_tidset,
     discriminance,
     score_set,
 )
+
+from reference import contingency_from_tidset
 
 EXACT = 1e-9
 

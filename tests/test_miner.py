@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,9 +13,9 @@ from sigpat import (
     mine,
     mine_oracle,
 )
-from sigpat.galois import common_items, supporting_tids
 
 from conftest import random_dataset, random_thresholds
+from reference import common_items, supporting_tids, tidset_mask
 
 THRESHOLD_SETS = [
     Thresholds(),
@@ -174,3 +175,36 @@ def test_mine_matches_oracle_random_sweep():
 def test_mine_stats_type():
     assert MineStats().nodes_visited == 0
     assert MineStats().wall_time_seconds == 0.0
+
+
+def check_records_api(records, dataset):
+    assert records == mine_oracle(dataset)
+    for r in records:
+        q = r.tidset
+        assert type(q) is Tidset
+        assert q == supporting_tids(r.itemset, dataset)
+        assert r.pos_mask | r.neg_mask == tidset_mask(q, dataset)
+        assert r.pos_mask & dataset.control_mask == 0
+        assert r.neg_mask & dataset.case_mask == 0
+    assert len(set(records)) == len(records)
+
+
+def test_records_carry_masks_and_build_tidsets(table1):
+    records, _ = mine(table1)
+    check_records_api(records, table1)
+    rng = random.Random(606)
+    for _ in range(30):
+        d = random_dataset(rng, max_case=7, max_control=7, max_items=11)
+        check_records_api(mine(d)[0], d)
+
+
+def test_records_are_frozen_and_hashable(table1):
+    r = mine(table1)[0][0]
+    same = mine_oracle(table1)[0]
+    assert r == same and r.table is not same.table
+    assert hash(r) == hash(same)
+    for field in dataclasses.fields(r):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, field.name, None)
+    with pytest.raises(ValueError):
+        Tidset((2, 1), (5,))

@@ -4,18 +4,26 @@ import pytest
 
 from sigpat import MinerConfig, Thresholds, Tidset, from_transactions, mine_oracle
 from sigpat.dataset import generate_synthetic
-from sigpat.galois import common_items, supporting_tids
 from sigpat.oracle import InstanceTooLargeError, enumerate_closed
 
 from conftest import random_dataset
+from reference import common_items, supporting_tids, tidset_from_masks
 
 
 def ids_of(dataset, names):
     return tuple(sorted(dataset.items.index(x) for x in names))
 
 
+def closed_tidsets(dataset):
+    """``enumerate_closed`` with each pair of tid masks as a ``Tidset``."""
+    return [
+        (itemset, tidset_from_masks(pos, neg))
+        for itemset, pos, neg in enumerate_closed(dataset)
+    ]
+
+
 def test_enumerate_closed_contains_known_sets(table1):
-    closed = dict(enumerate_closed(table1))
+    closed = dict(closed_tidsets(table1))
     abci = ids_of(table1, "abci")
     assert closed[abci] == Tidset((0, 1), ())
     bc = ids_of(table1, "bc")
@@ -30,36 +38,33 @@ def test_enumerate_closed_contains_known_sets(table1):
 
 
 def test_enumerate_closed_soundness(table1):
-    for itemset, tidset in enumerate_closed(table1):
+    for itemset, tidset in closed_tidsets(table1):
         assert supporting_tids(itemset, table1) == tidset
         assert common_items(tidset, table1) == itemset
         assert len(tidset) > 0
 
 
 def test_enumerate_closed_sorted_unique(table1):
-    closed = enumerate_closed(table1)
-    keys = [itemset for itemset, _ in closed]
+    keys = [itemset for itemset, _, _ in enumerate_closed(table1)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
 
 def test_enumerate_closed_single_transaction():
     d = from_transactions([["x", "y"]], [[]])
-    closed = enumerate_closed(d)
-    assert closed == [((0, 1), Tidset((0,), ()))]
+    assert enumerate_closed(d) == [((0, 1), 0b1, 0)]
 
 
 def test_enumerate_closed_identical_transactions():
     d = from_transactions([["x", "y"], ["x", "y"]], [["x", "y"]])
-    closed = enumerate_closed(d)
-    assert closed == [((0, 1), Tidset((0, 1), (2,)))]
+    assert closed_tidsets(d) == [((0, 1), Tidset((0, 1), (2,)))]
 
 
 def test_enumerate_closed_random_cross_check():
     rng = random.Random(417)
     for _ in range(25):
         d = random_dataset(rng, max_case=6, max_control=6, max_items=10)
-        closed = enumerate_closed(d)
+        closed = closed_tidsets(d)
         seen = set()
         for itemset, tidset in closed:
             assert supporting_tids(itemset, d) == tidset
