@@ -303,6 +303,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                     "schema": 1,
                     "nodes_visited": stats.nodes_visited,
                     "nodes_pruned": stats.nodes_pruned,
+                    "nodes_duplicate": stats.nodes_duplicate,
                     "patterns_emitted": stats.patterns_emitted,
                     "wall_time_seconds": stats.wall_time_seconds,
                     "load_seconds": load_seconds,

@@ -22,6 +22,16 @@ share one (case count, control count) key, so the parent decides the
 verdict once for all of them: a hopeless key counts them as visited and
 pruned without scanning rows for any of them.
 
+Most duplicates are found in the parent too. Two candidate tids of one class
+that lie in exactly the same rows of the parent are twins: the closure of the
+lower one adds the higher one, so each child below the top tid of its twin
+class is a duplicate. The parent splits its candidates (its row union minus
+its tidset, including tids above its own opening tid) into twin classes by
+refining them with each row, and counts and traces the lower twins as
+visited duplicates without scanning rows for them. It refines only when it
+has more children than rows, because with few children the refinement costs
+more than the scans it saves.
+
 Scores, prune verdicts, and interval floors depend only on the two tidset
 part sizes, so they are memoised once and shared by all roots; the row list
 shrinks with the node exactly as in a dataset-reduction scheme, since the
@@ -87,6 +97,8 @@ class PatternRecord:
 class MineStats:
     nodes_visited: int = 0
     nodes_pruned: int = 0
+    #: visited nodes whose closure reaches a higher tid, scanned or not
+    nodes_duplicate: int = 0
     patterns_emitted: int = 0
     wall_time_seconds: float = 0.0
 
@@ -105,7 +117,7 @@ class _Search:
     __slots__ = (
         "n_case", "n_control", "case_mask", "control_mask",
         "thresholds", "prune", "lci_gr_prunes",
-        "records", "trace", "nodes_visited", "nodes_pruned",
+        "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate",
         "_floors", "_hope", "_scored",
     )
 
@@ -125,6 +137,7 @@ class _Search:
         self.trace = trace
         self.nodes_visited = 0
         self.nodes_pruned = 0
+        self.nodes_duplicate = 0
         self._floors: dict[int, tuple[float, float]] = {}
         self._hope: dict[tuple[int, int], bool] = {}
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
@@ -154,24 +167,38 @@ class _Search:
         ext = inter & self.case_mask & ~tpos
         if ext:
             if ext >= ebit:
+                self.nodes_duplicate += 1
                 return  # closure reaches a tid >= e: this branch is a duplicate
             tpos |= ext
             self.nodes_visited += 1
             if self.trace is not None:
                 self._log(tpos, 0, sub)
         a = tpos.bit_count()
-        free = union & ~tpos & (ebit - 1)
+        cand = union & self.case_mask & ~tpos
+        free = cand & (ebit - 1)
+        twins = self._twins(cand, free, sub) if free.bit_count() > len(sub) else 0
+        if self.trace is None:
+            free ^= twins
         while free:
             low = free & -free
             free ^= low
-            self.expand_case(tpos, low.bit_length() - 1, sub)
+            if low & twins:
+                self._log(tpos | low, 0, [ir for ir in sub if ir[1] & low])
+            else:
+                self.expand_case(tpos, low.bit_length() - 1, sub)
         ctl = union & self.control_mask
         if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
             return
+        twins = self._twins(ctl, ctl, sub) if ctl.bit_count() > len(sub) else 0
+        if self.trace is None:
+            ctl ^= twins
         while ctl:
             low = ctl & -ctl
             ctl ^= low
-            self.expand_control(tpos, a, 0, low.bit_length() - 1, sub)
+            if low & twins:
+                self._log(tpos, low, [ir for ir in sub if ir[1] & low])
+            else:
+                self.expand_control(tpos, a, 0, low.bit_length() - 1, sub)
 
     def expand_control(self, tpos: int, a: int, tneg: int, e: int, rows) -> None:
         ebit = 1 << e
@@ -193,6 +220,7 @@ class _Search:
         ext = inter & self.control_mask & ~tneg
         if ext:
             if ext >= ebit:
+                self.nodes_duplicate += 1
                 return
             tneg |= ext
             self.nodes_visited += 1
@@ -200,13 +228,54 @@ class _Search:
                 self._log(tpos, tneg, sub)
         if inter & self.case_mask == tpos:
             self._emit(tpos, tneg, a, sub)
-        free = union & self.control_mask & ~tneg & (ebit - 1)
+        cand = union & self.control_mask & ~tneg
+        free = cand & (ebit - 1)
         if self.prune and free and self._children_pruned(tpos, a, tneg, free, sub):
             return
+        twins = self._twins(cand, free, sub) if free.bit_count() > len(sub) else 0
+        if self.trace is None:
+            free ^= twins
         while free:
             low = free & -free
             free ^= low
-            self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
+            if low & twins:
+                self._log(tpos, tneg | low, [ir for ir in sub if ir[1] & low])
+            else:
+                self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
+
+    def _twins(self, cand: int, free: int, rows) -> int:
+        """The children in ``free`` whose rows equal those of a higher tid of ``cand``.
+
+        ``cand`` holds every tid of the child's class that is in the parent's
+        row union and not yet in its tidset. Refining it by each row splits it
+        into classes of tids held by exactly the same rows; only classes of two
+        or more tids are carried. Each child below the top of its class is a
+        duplicate, so it is counted (visited, duplicate) here without a scan.
+        """
+        classes = [cand]
+        for _, r in rows:
+            split = []
+            for c in classes:
+                x = c & r
+                if x and x != c:
+                    y = c ^ x
+                    if x & (x - 1):
+                        split.append(x)
+                    if y & (y - 1):
+                        split.append(y)
+                else:
+                    split.append(c)
+            if not split:
+                return 0
+            classes = split
+        twins = 0
+        for c in classes:
+            twins |= c ^ (1 << (c.bit_length() - 1))
+        twins &= free
+        n = twins.bit_count()
+        self.nodes_visited += n
+        self.nodes_duplicate += n
+        return twins
 
     def _children_pruned(self, tpos: int, a: int, tneg: int, tids: int, rows) -> bool:
         """Whether the children adding one control tid of ``tids`` are all pruned.
@@ -312,6 +381,7 @@ def mine(
     stats = MineStats(
         nodes_visited=search.nodes_visited,
         nodes_pruned=search.nodes_pruned,
+        nodes_duplicate=search.nodes_duplicate,
         patterns_emitted=len(records),
         wall_time_seconds=time.perf_counter() - start,
     )

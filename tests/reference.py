@@ -9,14 +9,20 @@ one-sided closures restrict the closure to a single class: the case-side
 closure applies before any control transaction joins a candidate tidset,
 and the control-side closure keeps the case part fixed while saturating the
 control part.
+
+``reference_mine`` runs the search with every child scanning its parent's
+rows, so a duplicate child is only found by its own closure; the engine finds
+most of them in the parent instead, and must count, trace and emit the same.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable
 
 from sigpat.dataset import Tidset, TwoClassDataset, bit_positions
 from sigpat.measures import ContingencyTable
+from sigpat.miner import MinerConfig, MineStats, PatternRecord, TraceNode, _Search
 
 #: An itemset is a strictly increasing tuple of internal item ids.
 ItemSet = tuple[int, ...]
@@ -99,3 +105,105 @@ def closure_neg(q: Tidset, dataset: TwoClassDataset) -> Tidset:
     if not q.neg:
         raise ValueError("closure_neg requires a non-empty control part")
     return Tidset(q.pos, supporting_control_tids(common_items(q, dataset), dataset))
+
+
+class ReferenceSearch(_Search):
+    """The search with one row scan per child: duplicates end at their closure."""
+
+    def expand_case(self, tpos: int, e: int, rows) -> None:
+        ebit = 1 << e
+        sub = []
+        inter = -1
+        union = 0
+        for ir in rows:
+            r = ir[1]
+            if r & ebit:
+                sub.append(ir)
+                inter &= r
+                union |= r
+        if not sub:
+            return
+        tpos |= ebit
+        self.nodes_visited += 1
+        if self.trace is not None:
+            self._log(tpos, 0, sub)
+        ext = inter & self.case_mask & ~tpos
+        if ext:
+            if ext >= ebit:
+                self.nodes_duplicate += 1
+                return
+            tpos |= ext
+            self.nodes_visited += 1
+            if self.trace is not None:
+                self._log(tpos, 0, sub)
+        a = tpos.bit_count()
+        free = union & ~tpos & (ebit - 1)
+        while free:
+            low = free & -free
+            free ^= low
+            self.expand_case(tpos, low.bit_length() - 1, sub)
+        ctl = union & self.control_mask
+        if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
+            return
+        while ctl:
+            low = ctl & -ctl
+            ctl ^= low
+            self.expand_control(tpos, a, 0, low.bit_length() - 1, sub)
+
+    def expand_control(self, tpos: int, a: int, tneg: int, e: int, rows) -> None:
+        ebit = 1 << e
+        sub = []
+        inter = -1
+        union = 0
+        for ir in rows:
+            r = ir[1]
+            if r & ebit:
+                sub.append(ir)
+                inter &= r
+                union |= r
+        if not sub:
+            return
+        tneg |= ebit
+        self.nodes_visited += 1
+        if self.trace is not None:
+            self._log(tpos, tneg, sub)
+        ext = inter & self.control_mask & ~tneg
+        if ext:
+            if ext >= ebit:
+                self.nodes_duplicate += 1
+                return
+            tneg |= ext
+            self.nodes_visited += 1
+            if self.trace is not None:
+                self._log(tpos, tneg, sub)
+        if inter & self.case_mask == tpos:
+            self._emit(tpos, tneg, a, sub)
+        free = union & self.control_mask & ~tneg & (ebit - 1)
+        if self.prune and free and self._children_pruned(tpos, a, tneg, free, sub):
+            return
+        while free:
+            low = free & -free
+            free ^= low
+            self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
+
+
+def reference_mine(
+    dataset: TwoClassDataset,
+    config: MinerConfig,
+    trace: list[TraceNode] | None = None,
+) -> tuple[list[PatternRecord], MineStats]:
+    """``mine`` over ``ReferenceSearch``: the same roots, order and statistics."""
+    start = time.perf_counter()
+    base_rows = tuple(enumerate(dataset.rows))
+    search = ReferenceSearch(dataset.n_case, dataset.n_control, config, trace)
+    for e in range(dataset.n_case):
+        search.expand_case(0, e, base_rows)
+    records = sorted(search.records, key=lambda r: r.itemset)
+    stats = MineStats(
+        nodes_visited=search.nodes_visited,
+        nodes_pruned=search.nodes_pruned,
+        nodes_duplicate=search.nodes_duplicate,
+        patterns_emitted=len(records),
+        wall_time_seconds=time.perf_counter() - start,
+    )
+    return records, stats

@@ -127,6 +127,7 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert next(iter(stats.items())) == ("schema", 1)
     assert stats["nodes_visited"] == 137
     assert stats["nodes_pruned"] == 41
+    assert stats["nodes_duplicate"] == 19
     assert stats["patterns_emitted"] == 15
     assert stats["wall_time_seconds"] >= 0.0
     assert stats["load_seconds"] >= 0.0

@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigpat import (
     MinerConfig,
@@ -13,9 +15,10 @@ from sigpat import (
     mine,
     mine_oracle,
 )
+from sigpat.miner import _Search
 
 from conftest import random_dataset, random_thresholds
-from reference import common_items, supporting_tids, tidset_mask
+from reference import common_items, reference_mine, supporting_tids, tidset_mask
 
 THRESHOLD_SETS = [
     Thresholds(),
@@ -39,12 +42,14 @@ def test_mine_worked_table_counts(table1):
     assert stats.patterns_emitted == 50
     assert stats.nodes_visited == 184
     assert stats.nodes_pruned == 0
+    assert stats.nodes_duplicate == 36
     assert stats.wall_time_seconds >= 0.0
 
     records, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)))
     assert len(records) == 15
     assert stats.nodes_visited == 137
     assert stats.nodes_pruned == 41
+    assert stats.nodes_duplicate == 19
 
 
 def test_mine_output_invariants(table1):
@@ -170,6 +175,56 @@ def test_mine_matches_oracle_random_sweep():
         assert records == mine_oracle(d, cfg)
         unpruned, _ = mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))
         assert records == unpruned
+
+
+@st.composite
+def twin_heavy_datasets(draw):
+    """Datasets over 1-5 items whose transactions repeat a few item sets."""
+    names = [f"i{k}" for k in range(draw(st.integers(1, 5)))]
+    pool = draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=4))
+    case = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    control = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return from_transactions(case, control)
+
+
+def counters(stats: MineStats) -> MineStats:
+    return dataclasses.replace(stats, wall_time_seconds=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_heavy_datasets())
+def test_mine_matches_row_scanning_reference(d):
+    # twins are skipped in the parent, with and without a trace; counters,
+    # traces and records must equal those of the search that scans rows for
+    # every child
+    for thresholds in THRESHOLD_SETS:
+        for prune in (True, False):
+            cfg = MinerConfig(thresholds=thresholds, prune=prune)
+            trace: list[TraceNode] = []
+            ref_trace: list[TraceNode] = []
+            records, stats = mine(d, cfg, trace=trace)
+            ref_records, ref_stats = reference_mine(d, cfg, trace=ref_trace)
+            untraced_records, untraced_stats = mine(d, cfg)
+            assert trace == ref_trace
+            assert records == ref_records == untraced_records
+            assert counters(stats) == counters(ref_stats) == counters(untraced_stats)
+
+
+def test_twins_above_the_parent_tid_are_not_scanned():
+    # case tids 0-6 all hold x and only tid 3 holds y: below root 3, children
+    # 0, 1 and 2 share their rows with 4, 5 and 6, which lie above the root
+    d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]])
+    scanned = []
+
+    class Counting(_Search):
+        def expand_case(self, tpos, e, rows):
+            scanned.append(e)
+            super().expand_case(tpos, e, rows)
+
+    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
+    search.expand_case(0, 3, tuple(enumerate(d.rows)))
+    assert scanned == [3]
+    assert (search.nodes_visited, search.nodes_duplicate) == (5, 3)
 
 
 def test_mine_stats_type():
