@@ -305,6 +305,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                     "nodes_pruned": stats.nodes_pruned,
                     "nodes_duplicate": stats.nodes_duplicate,
                     "patterns_emitted": stats.patterns_emitted,
+                    "min_case_support": stats.min_case_support,
                     "wall_time_seconds": stats.wall_time_seconds,
                     "load_seconds": load_seconds,
                     "write_seconds": write_seconds,

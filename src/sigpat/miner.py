@@ -22,14 +22,28 @@ share one (case count, control count) key, so the parent decides the
 verdict once for all of them: a hopeless key counts them as visited and
 pruned without scanning rows for any of them.
 
+The thresholds also fix a least case count. A pattern with a case tids has
+at least one control tid, so it can pass only if the key (a, 1) keeps hope;
+the least such a at or above a given count is found by walking a upward
+through the memoised verdicts. A descendant of a case child t adds only
+candidate case tids below t, and each of its rows holds all of its case tids,
+so the child can reach no more case tids than its parent's a, plus one, plus
+the most candidates below t that a single row holding t also holds. The
+parent cuts each case child that cannot reach the least hopeful count above
+a, and counts and traces it as visited and pruned without scanning rows for
+it. The roots are the case children of the empty tidset and go through the
+same cut. This is CARPENTER's row-enumeration bound (Pan et al., KDD 2003)
+with a support floor set by the thresholds instead of a minimum support.
+
 Most duplicates are found in the parent too. Two candidate tids of one class
 that lie in exactly the same rows of the parent are twins: the closure of the
 lower one adds the higher one, so each child below the top tid of its twin
 class is a duplicate. The parent splits its candidates (its row union minus
 its tidset, including tids above its own opening tid) into twin classes by
 refining them with each row, and counts and traces the lower twins as
-visited duplicates without scanning rows for them. It refines only when it
-has more children than rows, because with few children the refinement costs
+visited duplicates without scanning rows for them. Among case children it
+refines only those the case-count cut keeps, and only when it has more
+children than rows, because with few children the refinement costs
 more than the scans it saves.
 
 Scores, prune verdicts, and interval floors depend only on the two tidset
@@ -101,6 +115,9 @@ class MineStats:
     nodes_duplicate: int = 0
     patterns_emitted: int = 0
     wall_time_seconds: float = 0.0
+    #: the least case count a pattern needs to pass the thresholds; None
+    #: without pruning or when no case count passes
+    min_case_support: Optional[int] = None
 
 
 class TraceNode(NamedTuple):
@@ -118,7 +135,7 @@ class _Search:
         "n_case", "n_control", "case_mask", "control_mask",
         "thresholds", "prune", "lci_gr_prunes",
         "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate",
-        "_floors", "_hope", "_scored",
+        "_floors", "_hope", "_least", "_scored",
     )
 
     def __init__(
@@ -140,6 +157,7 @@ class _Search:
         self.nodes_duplicate = 0
         self._floors: dict[int, tuple[float, float]] = {}
         self._hope: dict[tuple[int, int], bool] = {}
+        self._least: dict[int, int] = {}
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
 
     def _log(self, tpos: int, tneg: int, rows) -> None:
@@ -175,17 +193,7 @@ class _Search:
                 self._log(tpos, 0, sub)
         a = tpos.bit_count()
         cand = union & self.case_mask & ~tpos
-        free = cand & (ebit - 1)
-        twins = self._twins(cand, free, sub) if free.bit_count() > len(sub) else 0
-        if self.trace is None:
-            free ^= twins
-        while free:
-            low = free & -free
-            free ^= low
-            if low & twins:
-                self._log(tpos | low, 0, [ir for ir in sub if ir[1] & low])
-            else:
-                self.expand_case(tpos, low.bit_length() - 1, sub)
+        self._case_children(tpos, a, cand, cand & (ebit - 1), sub)
         ctl = union & self.control_mask
         if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
             return
@@ -243,6 +251,54 @@ class _Search:
             else:
                 self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
 
+    def run(self, rows) -> None:
+        """Search every root: the case children of the empty tidset."""
+        union = 0
+        for _, r in rows:
+            union |= r
+        cand = union & self.case_mask
+        self._case_children(0, 0, cand, cand, rows)
+
+    def _case_children(self, tpos: int, a: int, cand: int, free: int, rows) -> None:
+        """Expand the children adding one case tid of ``free`` to ``tpos``.
+
+        A child whose subtree cannot reach the least hopeful case count is
+        cut first; the children left are split into twins. Cut children and
+        twins are counted (and traced in child order) without a row scan.
+        """
+        cut = 0
+        k = self._least_hopeful(a + 1) - a
+        if k > 1 and free:
+            # a descendant of child t adds only tids of free below t, and each
+            # of its rows holds all of its case tids: keep t only if some row
+            # holds t and k - 1 tids of free below t
+            kept = 0
+            drops = range(k - 1)
+            for _, r in rows:
+                x = r & free
+                if x.bit_count() >= k:
+                    for _ in drops:
+                        x &= x - 1
+                    kept |= x
+            cut = free ^ kept
+            n = cut.bit_count()
+            self.nodes_visited += n
+            self.nodes_pruned += n
+            free = kept
+        skip = self._twins(cand, free, rows) if free.bit_count() > len(rows) else 0
+        if self.trace is None:
+            free ^= skip
+        else:
+            free |= cut
+            skip |= cut
+        while free:
+            low = free & -free
+            free ^= low
+            if low & skip:
+                self._log(tpos | low, 0, [ir for ir in rows if ir[1] & low])
+            else:
+                self.expand_case(tpos, low.bit_length() - 1, rows)
+
     def _twins(self, cand: int, free: int, rows) -> int:
         """The children in ``free`` whose rows equal those of a higher tid of ``cand``.
 
@@ -283,11 +339,7 @@ class _Search:
         Each tid lies in the parent's row union, so every child has rows and
         counts as visited; a hopeless key counts (and traces) them at once.
         """
-        key = (a, tneg.bit_count() + 1)
-        hope = self._hope.get(key)
-        if hope is None:
-            hope = self._hope[key] = self._keeps_hope(*key)
-        if hope:
+        if self._hoping(a, tneg.bit_count() + 1):
             return False
         n = tids.bit_count()
         self.nodes_visited += n
@@ -298,6 +350,36 @@ class _Search:
                 tids ^= low
                 self._log(tpos, tneg | low, [ir for ir in rows if ir[1] & low])
         return True
+
+    def _hoping(self, a: int, c: int) -> bool:
+        """The memoised ``_keeps_hope`` verdict of the key (a, c)."""
+        key = (a, c)
+        hope = self._hope.get(key)
+        if hope is None:
+            hope = self._hope[key] = self._keeps_hope(a, c)
+        return hope
+
+    def _least_hopeful(self, m: int) -> int:
+        """The least a >= m whose key (a, 1) keeps hope, or n_case + 1 if none does.
+
+        A pattern with a case tids has at least one control tid, so it can
+        pass only if (a, 1) keeps hope; without pruning every count does.
+        """
+        least = self._least.get(m)
+        if least is None:
+            least = m
+            if self.prune:
+                while least <= self.n_case and not self._hoping(least, 1):
+                    least += 1
+            self._least[m] = least
+        return least
+
+    def min_case_support(self) -> int | None:
+        """``_least_hopeful(1)``, or None without pruning or when no count passes."""
+        if not self.prune:
+            return None
+        m = self._least_hopeful(1)
+        return m if m <= self.n_case else None
 
     def _emit(self, tpos: int, tneg: int, a: int, rows) -> None:
         key = (a, tneg.bit_count())
@@ -367,10 +449,8 @@ def mine(
     if dataset.n_case < 1 or dataset.n_control < 1:
         raise ValueError("mining needs at least one case and one control transaction")
     start = time.perf_counter()
-    base_rows = tuple(enumerate(dataset.rows))
     search = _Search(dataset.n_case, dataset.n_control, cfg, trace)
-    for e in range(dataset.n_case):
-        search.expand_case(0, e, base_rows)
+    search.run(tuple(enumerate(dataset.rows)))
     records = search.records
     records.sort(key=lambda r: r.itemset)
     for first, second in zip(records, records[1:]):
@@ -384,5 +464,6 @@ def mine(
         nodes_duplicate=search.nodes_duplicate,
         patterns_emitted=len(records),
         wall_time_seconds=time.perf_counter() - start,
+        min_case_support=search.min_case_support(),
     )
     return records, stats

@@ -13,6 +13,8 @@ control part.
 ``reference_mine`` runs the search with every child scanning its parent's
 rows, so a duplicate child is only found by its own closure; the engine finds
 most of them in the parent instead, and must count, trace and emit the same.
+Both cut the case children that cannot reach the least hopeful case count,
+the reference by testing each child's rows on their own.
 """
 
 from __future__ import annotations
@@ -137,11 +139,8 @@ class ReferenceSearch(_Search):
             if self.trace is not None:
                 self._log(tpos, 0, sub)
         a = tpos.bit_count()
-        free = union & ~tpos & (ebit - 1)
-        while free:
-            low = free & -free
-            free ^= low
-            self.expand_case(tpos, low.bit_length() - 1, sub)
+        cand = union & self.case_mask & ~tpos
+        self._case_children(tpos, a, cand, cand & (ebit - 1), sub)
         ctl = union & self.control_mask
         if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
             return
@@ -149,6 +148,22 @@ class ReferenceSearch(_Search):
             low = ctl & -ctl
             ctl ^= low
             self.expand_control(tpos, a, 0, low.bit_length() - 1, sub)
+
+    def _case_children(self, tpos: int, a: int, cand: int, free: int, rows) -> None:
+        # child t is cut unless a row holding t holds k - 1 tids of free below t
+        k = self._least_hopeful(a + 1) - a
+        todo = free
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            held = [ir for ir in rows if ir[1] & low]
+            if any((r & free & (low - 1)).bit_count() >= k - 1 for _, r in held):
+                self.expand_case(tpos, low.bit_length() - 1, rows)
+            else:
+                self.nodes_visited += 1
+                self.nodes_pruned += 1
+                if self.trace is not None:
+                    self._log(tpos | low, 0, held)
 
     def expand_control(self, tpos: int, a: int, tneg: int, e: int, rows) -> None:
         ebit = 1 << e
@@ -194,10 +209,8 @@ def reference_mine(
 ) -> tuple[list[PatternRecord], MineStats]:
     """``mine`` over ``ReferenceSearch``: the same roots, order and statistics."""
     start = time.perf_counter()
-    base_rows = tuple(enumerate(dataset.rows))
     search = ReferenceSearch(dataset.n_case, dataset.n_control, config, trace)
-    for e in range(dataset.n_case):
-        search.expand_case(0, e, base_rows)
+    search.run(tuple(enumerate(dataset.rows)))
     records = sorted(search.records, key=lambda r: r.itemset)
     stats = MineStats(
         nodes_visited=search.nodes_visited,
@@ -205,5 +218,6 @@ def reference_mine(
         nodes_duplicate=search.nodes_duplicate,
         patterns_emitted=len(records),
         wall_time_seconds=time.perf_counter() - start,
+        min_case_support=search.min_case_support(),
     )
     return records, stats

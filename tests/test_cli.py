@@ -125,13 +125,31 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
     assert next(iter(stats.items())) == ("schema", 1)
-    assert stats["nodes_visited"] == 137
-    assert stats["nodes_pruned"] == 41
+    assert stats["nodes_visited"] == 133
+    assert stats["nodes_pruned"] == 38
     assert stats["nodes_duplicate"] == 19
     assert stats["patterns_emitted"] == 15
+    assert stats["min_case_support"] == 2
     assert stats["wall_time_seconds"] >= 0.0
     assert stats["load_seconds"] >= 0.0
     assert stats["write_seconds"] >= 0.0
+    rc, _, _ = run(
+        capsys,
+        "mine",
+        "--input",
+        str(table1_path),
+        "--min-ors",
+        "2",
+        "--no-prune",
+        "--output",
+        str(tmp_path / "out.csv"),
+        "--stats",
+        str(stats_path),
+    )
+    assert rc == 0
+    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert stats["min_case_support"] is None
+    assert stats["nodes_visited"] == 184
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):

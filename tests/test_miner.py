@@ -43,13 +43,15 @@ def test_mine_worked_table_counts(table1):
     assert stats.nodes_visited == 184
     assert stats.nodes_pruned == 0
     assert stats.nodes_duplicate == 36
+    assert stats.min_case_support is None
     assert stats.wall_time_seconds >= 0.0
 
     records, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)))
     assert len(records) == 15
-    assert stats.nodes_visited == 137
-    assert stats.nodes_pruned == 41
+    assert stats.nodes_visited == 133
+    assert stats.nodes_pruned == 38
     assert stats.nodes_duplicate == 19
+    assert stats.min_case_support == 2
 
 
 def test_mine_output_invariants(table1):
@@ -107,11 +109,12 @@ def test_mine_trace_soundness(table1):
 
 
 def test_mine_trace_soundness_with_pruning(table1):
-    # pruned children are counted and traced by their parent without a row scan
+    # pruned and cut children are counted and traced by their parent without
+    # a row scan
     trace: list[TraceNode] = []
     _, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)), trace=trace)
-    assert len(trace) == stats.nodes_visited == 137
-    assert stats.nodes_pruned == 41
+    assert len(trace) == stats.nodes_visited == 133
+    assert stats.nodes_pruned == 38
     for node in trace:
         assert common_items(Tidset(node.pos, node.neg), table1) == node.items
 
@@ -120,9 +123,9 @@ def test_mine_trace_soundness_with_pruning(table1):
     "thresholds, counts",
     [
         (Thresholds(), (5517, 0, 501)),
-        (Thresholds(min_ors=2.0), (3128, 1442, 121)),
-        (Thresholds(min_ors=2.0, min_lci_ors=1.0), (1527, 1159, 0)),
-        (Thresholds(min_sd=0.2, min_lci_gr=1.0), (1523, 1179, 0)),
+        (Thresholds(min_ors=2.0), (3116, 1431, 121)),
+        (Thresholds(min_ors=2.0, min_lci_ors=1.0), (430, 316, 0)),
+        (Thresholds(min_sd=0.2, min_lci_gr=1.0), (213, 168, 0)),
     ],
 )
 def test_mine_pinned_counters(thresholds, counts):
@@ -225,6 +228,85 @@ def test_twins_above_the_parent_tid_are_not_scanned():
     search.expand_case(0, 3, tuple(enumerate(d.rows)))
     assert scanned == [3]
     assert (search.nodes_visited, search.nodes_duplicate) == (5, 3)
+
+
+@st.composite
+def skewed_datasets(draw):
+    """Datasets whose items sit in very different numbers of cases."""
+    n_case = draw(st.integers(1, 10))
+    n_control = draw(st.integers(1, 10))
+    items = range(draw(st.integers(1, 6)))
+    case = [[] for _ in range(n_case)]
+    control = [[] for _ in range(n_control)]
+    for i in items:
+        for part in (case, control):
+            k = draw(st.integers(0, len(part)))
+            for t in draw(st.sets(st.integers(0, len(part) - 1), min_size=k, max_size=k)):
+                part[t].append(f"i{i}")
+    return from_transactions(case, control)
+
+
+FLOOR_THRESHOLDS = {
+    "min_ors": st.floats(1.0, 6.0),
+    "min_sd": st.floats(0.0, 0.7),
+    "min_lci_ors": st.floats(0.3, 3.0),
+    "min_lci_gr": st.floats(0.3, 2.0),
+}
+
+
+@st.composite
+def floor_thresholds(draw):
+    """One to four of the thresholds that imply a least case count."""
+    names = draw(st.sets(st.sampled_from(sorted(FLOOR_THRESHOLDS)), min_size=1))
+    return Thresholds(**{name: draw(FLOOR_THRESHOLDS[name]) for name in names})
+
+
+@settings(max_examples=200, deadline=None)
+@given(skewed_datasets(), floor_thresholds())
+def test_case_count_cut_loses_no_pattern(d, thresholds):
+    # case children that cannot reach the least hopeful case count are cut
+    # in the parent: the records stay those of the unpruned search
+    trace: list[TraceNode] = []
+    records, stats = mine(d, MinerConfig(thresholds=thresholds), trace=trace)
+    unpruned, full = mine(d, MinerConfig(thresholds=thresholds, prune=False))
+    assert records == unpruned
+    if d.n <= 12:
+        assert records == mine_oracle(d, MinerConfig(thresholds=thresholds))
+    assert stats.nodes_visited <= full.nodes_visited
+    assert len(trace) == stats.nodes_visited
+    for node in trace:
+        assert common_items(Tidset(node.pos, node.neg), d) == node.items
+    floor = stats.min_case_support
+    assert all(floor is not None and r.table.a >= floor for r in records)
+
+
+def test_case_children_below_the_floor_are_not_scanned():
+    # min_sd 0.5 over six cases and six controls needs four case tids, and
+    # every item sits in three cases, so no case child can reach four
+    d = from_transactions(
+        [["x"], ["x", "z"], ["x"], ["y", "z"], ["y"], ["y", "z"]], [["x", "y", "z"]] * 6
+    )
+    cfg = MinerConfig(thresholds=Thresholds(min_sd=0.5))
+    scanned = []
+
+    class Counting(_Search):
+        def expand_case(self, tpos, e, rows):
+            scanned.append(e)
+            super().expand_case(tpos, e, rows)
+
+    rows = tuple(enumerate(d.rows))
+    search = Counting(d.n_case, d.n_control, cfg, None)
+    assert search.min_case_support() == 4
+    search.run(rows)
+    assert scanned == []
+    assert (search.nodes_visited, search.nodes_pruned) == (6, 6)
+    # root 5 entered directly: its closure adds case 3, and its case
+    # children 1 and 4 are cut without a scan
+    search = Counting(d.n_case, d.n_control, cfg, None)
+    search.expand_case(0, 5, rows)
+    assert scanned == [5]
+    assert (search.nodes_visited, search.nodes_pruned) == (10, 8)
+    assert mine(d, cfg)[0] == mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))[0] == []
 
 
 def test_mine_stats_type():
