@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import logging
 import math
 import sys
 import time
-from typing import IO, Callable, Iterator, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 from .dataset import (
     DatasetFormatError,
@@ -39,21 +38,8 @@ from .oracle import mine_oracle
 logger = logging.getLogger(__name__)
 
 COLUMNS = (
-    "items",
-    "n_case_tids",
-    "n_control_tids",
-    "sup_case",
-    "sup_control",
-    "sd",
-    "gr",
-    "ors",
-    "lci_gr",
-    "uci_gr",
-    "lci_ors",
-    "uci_ors",
-    "ci_corrected",
-    "case_tids",
-    "control_tids",
+    "items", "n_case_tids", "n_control_tids", "sup_case", "sup_control", "sd", "gr", "ors",
+    "lci_gr", "uci_gr", "lci_ors", "uci_ors", "ci_corrected", "case_tids", "control_tids",
 )
 
 THRESHOLD_FLAGS = ("min_sd", "min_gr", "min_ors", "min_lci_gr", "min_lci_ors")
@@ -74,10 +60,18 @@ def _fmt(value: float) -> str:
     return "%.6g" % value
 
 
-def _json_float(value: float):
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(out, lineterminator="\\n")`` writes it on Python 3.11:
+    quoted, with inner ``"`` doubled, when it holds ``,``, ``"`` or ``\\n``."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_list(encoded: Iterator[str]) -> str:
+    """Encoded JSON values as a list at a record's depth of ``json.dump(indent=2)``."""
+    text = ",\n      ".join(encoded)
+    return "[\n      " + text + "\n    ]" if text else "[]"
 
 
 @contextlib.contextmanager
@@ -90,65 +84,74 @@ def _open_out(path: str) -> Iterator[IO[str]]:
 
 
 def _rows(
-    records: Sequence[PatternRecord],
-    dataset: TwoClassDataset,
-    encode_key: Callable[[int, int, tuple[float, ...], bool], tuple],
-    encode_names: Callable[[Iterator[str]], object],
-) -> Iterator[tuple]:
-    """The values of each pattern in ``COLUMNS`` order, encoded.
+    records: Sequence[PatternRecord], dataset: TwoClassDataset, as_json: bool
+) -> Iterator[tuple[str, str, str, str]]:
+    """Each record's items, twelve middle columns, case tids and control tids,
+    as encoded CSV fields or JSON values.
 
-    The two tid counts, nine float scores and the correction flag depend on
-    the record's table and scores alone, so ``encode_key`` runs on them once
-    per distinct (table, scores) pair; ``encode_names`` runs on the item
-    names of every record and once per distinct tid mask on its external ids.
-    """
-    names = dataset.items
-    ext = dataset.external_ids
-    keyed: dict[tuple, tuple] = {}
-    masked: dict[int, object] = {}
+    The twelve are encoded once per (table, scores) pair, the tid lists once
+    per mask and, for JSON, each name once. Pairs are keyed by object identity,
+    not by the dataclasses' Python-level hash; equal but distinct pairs, as
+    the oracle makes, are encoded again to the same text."""
+    if as_json:
+        names = list(map(json.dumps, dataset.items))
+        ids = list(map(json.dumps, dataset.external_ids))
+        join_names = join_ids = _json_list
+    else:
+        names, ids = dataset.items, dataset.external_ids
+        join_ids = lambda texts: _csv_field(";".join(texts))  # noqa: E731
+        # Joined names need quoting only when some name does.
+        join_names = join_ids if any(_csv_field(n) != n for n in names) else ";".join
+    keyed: dict[tuple[int, int], str] = {}
+    pinned = []  # the keyed objects, so that no other object takes their ids
+    masked: dict[int, str] = {}
     for r in records:
-        key = (r.table, r.scores)
-        cols = keyed.get(key)
+        t, s = r.table, r.scores
+        cols = keyed.get((id(t), id(s)))
         if cols is None:
-            t, s = key
-            cols = keyed[key] = encode_key(
-                t.a,
-                t.c,
-                (t.a / t.n_case, t.c / t.n_control, s.sd, s.gr, s.ors,
-                 s.lci_gr, s.uci_gr, s.lci_ors, s.uci_ors),
-                s.corrected_ci,
-            )
-        tids = []
-        for mask in (r.pos_mask, r.neg_mask):
-            ids = masked.get(mask)
-            if ids is None:
-                ids = masked[mask] = encode_names(map(ext.__getitem__, bit_positions(mask)))
-            tids.append(ids)
-        yield (encode_names(map(names.__getitem__, r.itemset)), *cols, *tids)
-
-
-def _csv_key(a: int, c: int, scores: tuple[float, ...], corrected: bool) -> tuple:
-    return (str(a), str(c), *map(_fmt, scores), "true" if corrected else "false")
-
-
-def _json_key(a: int, c: int, scores: tuple[float, ...], corrected: bool) -> tuple:
-    return (a, c, *map(_json_float, scores), corrected)
+            pinned.append((t, s))
+            values = (t.a / t.n_case, t.c / t.n_control, s.sd, s.gr, s.ors,
+                      s.lci_gr, s.uci_gr, s.lci_ors, s.uci_ors)
+            if as_json:
+                values = (t.a, t.c, *(_fmt(v) if math.isinf(v) else v for v in values),
+                          s.corrected_ci)
+                cols = ",\n".join(map('    "%s": %s'.__mod__,
+                                      zip(COLUMNS[1:13], map(json.dumps, values))))
+            else:
+                flag = "true" if s.corrected_ci else "false"
+                cols = ",".join((str(t.a), str(t.c), *map(_fmt, values), flag))
+            keyed[id(t), id(s)] = cols
+        pos = masked.get(r.pos_mask)
+        if pos is None:
+            pos = masked[r.pos_mask] = join_ids(map(ids.__getitem__, bit_positions(r.pos_mask)))
+        neg = masked.get(r.neg_mask)
+        if neg is None:
+            neg = masked[r.neg_mask] = join_ids(map(ids.__getitem__, bit_positions(r.neg_mask)))
+        yield join_names(map(names.__getitem__, r.itemset)), cols, pos, neg
 
 
 def write_csv(
     records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
 ) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    writer.writerows(_rows(records, dataset, _csv_key, ";".join))
+    """The records as ``csv.writer(out, lineterminator="\\n")`` writes them, a row at a time."""
+    out.write(",".join(COLUMNS) + "\n")
+    out.writelines(map("%s,%s,%s,%s\n".__mod__, _rows(records, dataset, as_json=False)))
 
 
 def write_json(
     records: Sequence[PatternRecord], dataset: TwoClassDataset, out: IO[str]
 ) -> None:
-    rows = _rows(records, dataset, _json_key, list)
-    json.dump([dict(zip(COLUMNS, row)) for row in rows], out, indent=2)
-    out.write("\n")
+    """The records as ``json.dump(rows, out, indent=2)`` plus a newline writes them,
+    a record at a time."""
+    template = '  {\n    "items": %s,\n%s,\n    "case_tids": %s,\n    "control_tids": %s\n  }'
+    rows = map(template.__mod__, _rows(records, dataset, as_json=True))
+    first = next(rows, None)
+    if first is None:
+        out.write("[]\n")
+        return
+    out.write("[\n" + first)
+    out.writelines(map(",\n".__add__, rows))
+    out.write("\n]\n")
 
 
 def _write_records(
@@ -179,16 +182,10 @@ def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--min-sd", type=float, help="least support difference")
     sub.add_argument("--min-gr", type=float, help="least growth rate")
     sub.add_argument("--min-ors", type=float, help="least odds ratio")
-    sub.add_argument(
-        "--min-lci-gr",
-        type=float,
-        help="growth rate 95%% confidence lower bound must exceed this",
-    )
-    sub.add_argument(
-        "--min-lci-ors",
-        type=float,
-        help="odds ratio 95%% confidence lower bound must exceed this",
-    )
+    sub.add_argument("--min-lci-gr", type=float,
+                     help="growth rate 95%% confidence lower bound must exceed this")
+    sub.add_argument("--min-lci-ors", type=float,
+                     help="odds ratio 95%% confidence lower bound must exceed this")
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -245,16 +242,10 @@ def build_parser() -> _Parser:
     )
     filt_p.add_argument("--input", required=True, help="genotype matrix file")
     filt_p.add_argument("--labels", required=True, help="individual,label CSV")
-    filt_p.add_argument(
-        "--max-pvalue",
-        type=float,
-        help="drop items whose association p-value exceeds this",
-    )
-    filt_p.add_argument(
-        "--max-control-support",
-        type=float,
-        help="drop items present in more than this fraction of controls",
-    )
+    filt_p.add_argument("--max-pvalue", type=float,
+                        help="drop items whose association p-value exceeds this")
+    filt_p.add_argument("--max-control-support", type=float,
+                        help="drop items present in more than this fraction of controls")
     filt_p.add_argument("--output", default="-", help="destination file, - for stdout")
     filt_p.add_argument("--report", help="also write a per-item decision CSV here")
     filt_p.set_defaults(func=_cmd_filter)
@@ -288,10 +279,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     dataset = _load_dataset(args)
     load_seconds = time.perf_counter() - start
-    config = MinerConfig(
-        thresholds=_build_thresholds(args),
-        prune=not args.no_prune,
-    )
+    config = MinerConfig(thresholds=_build_thresholds(args), prune=not args.no_prune)
     records, stats = mine(dataset, config)
     start = time.perf_counter()
     _write_records(records, dataset, args.output, args.output_format)
@@ -349,44 +337,43 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         raise DatasetFormatError("no control individuals; control support is undefined")
     case_mask = dataset.case_mask
     control_mask = dataset.control_mask
+    # An item's p-value, control support and verdict follow from its case
+    # and control counts alone, so each (a, c) is decided once.
+    decided: dict[tuple[int, int], tuple[bool, str]] = {}
     kept_ids: list[int] = []
-    report_rows: list[tuple[str, float, float, bool]] = []
-    for i, name in enumerate(dataset.items):
-        row = dataset.rows[i]
-        a = (row & case_mask).bit_count()
-        c = (row & control_mask).bit_count()
-        table = ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
-        pvalue = association_pvalue(table)
-        control_support = c / dataset.n_control
-        kept = (args.max_pvalue is None or pvalue <= args.max_pvalue) and (
-            args.max_control_support is None
-            or control_support <= args.max_control_support
-        )
-        if kept:
+    report_cols: list[str] = []
+    for i, row in enumerate(dataset.rows):
+        key = ((row & case_mask).bit_count(), (row & control_mask).bit_count())
+        verdict = decided.get(key)
+        if verdict is None:
+            a, c = key
+            pvalue = association_pvalue(
+                ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
+            )
+            control_support = c / dataset.n_control
+            kept = (args.max_pvalue is None or pvalue <= args.max_pvalue) and (
+                args.max_control_support is None
+                or control_support <= args.max_control_support
+            )
+            cols = f",{_fmt(pvalue)},{_fmt(control_support)},{'true' if kept else 'false'}\n"
+            verdict = decided[key] = (kept, cols)
+        if verdict[0]:
             kept_ids.append(i)
-        report_rows.append((name, pvalue, control_support, kept))
+        report_cols.append(verdict[1])
     filtered = TwoClassDataset(
-        tuple(dataset.items[i] for i in kept_ids),
-        dataset.n_case,
-        dataset.n_control,
-        tuple(dataset.rows[i] for i in kept_ids),
-        dataset.external_ids,
+        tuple(dataset.items[i] for i in kept_ids), dataset.n_case, dataset.n_control,
+        tuple(dataset.rows[i] for i in kept_ids), dataset.external_ids,
     )
-    with _open_out(args.output) as out:
-        dump_transactions(filtered, out)
+    # A path goes to dump_transactions itself, so that a dataset it refuses
+    # leaves no file behind.
+    dump_transactions(filtered, sys.stdout if args.output == "-" else args.output)
     if args.report:
         with _open_out(args.report) as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(("item", "p_value", "control_support", "kept"))
-            for name, pvalue, control_support, kept in report_rows:
-                writer.writerow(
-                    (name, _fmt(pvalue), _fmt(control_support), "true" if kept else "false")
-                )
+            out.write("item,p_value,control_support,kept\n")
+            out.writelines(map(str.__add__, map(_csv_field, dataset.items), report_cols))
             out.write(f"# total_kept {len(kept_ids)}\n")
-            out.write(f"# total_dropped {len(report_rows) - len(kept_ids)}\n")
-    logger.info(
-        "kept %d of %d items", len(kept_ids), len(report_rows)
-    )
+            out.write(f"# total_dropped {len(report_cols) - len(kept_ids)}\n")
+    logger.info("kept %d of %d items", len(kept_ids), len(report_cols))
     return 0
 
 
@@ -399,10 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,7 +177,14 @@ def from_transactions(
 
 
 def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]]) -> None:
-    """Serialize to the transaction text format, cases first."""
+    """Serialize to the transaction text format, cases first.
+
+    Raises DatasetFormatError, before writing anything, when an item name is
+    empty or holds whitespace, as such a name would not read back as one item.
+    """
+    bad = next((name for name in dataset.items if name.split() != [name]), None)
+    if bad is not None:
+        raise DatasetFormatError(f"item name {bad!r} is empty or holds whitespace")
     names: list[list[str]] = [[] for _ in range(dataset.n)]
     for name, row in zip(dataset.items, dataset.rows):
         for j in bit_positions(row):
@@ -186,7 +194,7 @@ def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]])
     ]
     text = "\n".join(lines) + "\n"
     if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
+        Path(dest).write_text(text, encoding="utf-8", newline="")
     else:
         dest.write(text)
 
@@ -251,6 +259,8 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     # Row columns of internal tids n-1 .. 0: joined cells read as a binary
     # number put internal tid j on bit j.
     cols = [k + 1 for k in reversed(order)]
+    # A tuple of cells, or the one cell itself for a single individual.
+    pick = operator.itemgetter(*cols)
     snps: list[str] = []
     seen_snps: set[str] = set()
     rows: list[int] = []
@@ -263,13 +273,17 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
             raise DatasetFormatError(
                 f"genotype matrix row {lineno}: expected {len(individuals)} cells, got {len(row) - 1}"
             )
-        cells = [row[k].strip() for k in cols]
-        if not _GENOTYPES.issuperset(cells):
-            bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
-            raise DatasetFormatError(
-                f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
-            )
+        cells = pick(row)
         bits = "".join(cells)
+        # Unpadded valid cells join to len(order) digits; other rows are stripped.
+        if len(bits) != len(order) or not all(cells) or bits.strip("012"):
+            cells = [row[k].strip() for k in cols]
+            if not _GENOTYPES.issuperset(cells):
+                bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
+                raise DatasetFormatError(
+                    f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+                )
+            bits = "".join(cells)
         rows += [int(bits.translate(table), 2) for table in _ONE_HOT]
         snps.append(snp)
     if not snps:

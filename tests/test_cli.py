@@ -333,6 +333,25 @@ def test_filter_genotypes(tmp_path, capsys):
     assert mentioned <= kept
 
 
+def test_filter_genotypes_rejects_whitespace_in_item_names(tmp_path, capsys):
+    # A kept item "rs 1_0" would read back from the .tct file as "rs" and "1_0".
+    matrix = tmp_path / "m.csv"
+    labels = tmp_path / "l.csv"
+    matrix.write_text('snp,bob,eve,kim,sam\n"rs 1",0,1,0,1\nrs2,2,2,1,0\n', encoding="utf-8")
+    labels.write_text("bob,1\neve,1\nkim,0\nsam,0\n", encoding="utf-8")
+    out = tmp_path / "filtered.tct"
+    report = tmp_path / "report.csv"
+    args = ("filter-genotypes", "--input", str(matrix), "--labels", str(labels))
+    rc, _, err = run(capsys, *args, "--output", str(out), "--report", str(report))
+    assert (rc, err) == (2, "error: item name 'rs 1_0' is empty or holds whitespace\n")
+    assert not out.exists() and not report.exists()
+    rc, stdout, _ = run(capsys, *args)
+    assert (rc, stdout) == (2, "")
+    # with the SNP's items dropped (p-value 1) there is nothing to refuse
+    rc, stdout, _ = run(capsys, *args, "--max-pvalue", "0.1")
+    assert (rc, stdout) == (0, "1 rs2_2\n1 rs2_2\n0\n0\n")
+
+
 def test_filter_genotypes_keep_all(tmp_path, capsys):
     matrix = tmp_path / "m.csv"
     labels = tmp_path / "l.csv"

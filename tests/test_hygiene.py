@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -84,3 +86,26 @@ def test_foreign_imports_detects_and_allows():
         "    import scipy.stats\n"
     )
     assert foreign_imports(tree) == ["line 2: numpy", "line 7: scipy.stats"]
+
+
+def test_traced_names_exist():
+    """Every function the benchmark's traced run wraps is still there to wrap.
+
+    ``perfbench/traced.py`` replaces these module attributes with span
+    wrappers and passes the writers' first argument to ``len``; a name it
+    cannot find silently drops its per-layer metrics.
+    """
+    source = (ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8")
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    )
+    assert wrapped
+    for module_name, names in wrapped.items():
+        module = importlib.import_module(module_name)
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert missing == [], module_name
+    cli = importlib.import_module("sigpat.cli")
+    for writer in (cli.write_csv, cli.write_json):
+        assert list(inspect.signature(writer).parameters) == ["records", "dataset", "out"]

@@ -1,9 +1,11 @@
-"""The CSV and JSON writers against a per-record reference writer.
+"""The CSV and JSON writers and the filter report against per-row reference writers.
 
 ``reference_csv`` and ``reference_json`` encode every record on its own,
-reading the tidset of each record; the writers under test format the
-count and score columns once per (table, scores) pair and the external ids
-once per tid mask. Their output must be the same bytes.
+reading the tidset of each record, through ``csv.writer`` and ``json.dump``;
+the writers under test encode the count and score columns once per (table,
+scores) pair and the external ids once per tid mask, and fill a line
+template per record. ``reference_report`` decides every item of a genotype
+matrix on its own. Their output must be the same bytes.
 """
 
 import csv
@@ -11,12 +13,17 @@ import io
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpat import MinerConfig, Thresholds, from_transactions, mine, mine_oracle
-from sigpat.cli import COLUMNS, write_csv, write_json
+from sigpat import (
+    MinerConfig, Thresholds, from_transactions, load_genotype_matrix, mine, mine_oracle,
+)
+from sigpat.cli import COLUMNS, main, write_csv, write_json
+from sigpat.measures import ContingencyTable, association_pvalue
 
 
 def _fmt(value):
@@ -88,8 +95,13 @@ def written(writer, records, dataset):
     return out.getvalue()
 
 
-#: short names that need CSV quoting or collide with the ``;`` separator
-NAMES = st.text(alphabet='ab,;" ', min_size=1, max_size=3)
+#: short names that need CSV quoting, collide with the ``;`` separator, or
+#: hold characters that CSV leaves bare (``\r``, ``\t``, ``\x00``) and JSON escapes;
+#: ``csv.writer`` of Python 3.11 and 3.12 is the reference (3.13 quotes ``\r``
+#: and 3.10 refuses ``\x00``)
+ALPHABET = 'ab,;" \r\n\t\\é\x00'
+NAMES = st.text(alphabet=ALPHABET, min_size=1, max_size=3)
+IDS = st.text(alphabet=ALPHABET, min_size=0, max_size=3)
 
 
 def optional(low, high):
@@ -104,7 +116,7 @@ def instances(draw):
     n_control = draw(st.integers(min_value=1, max_value=7))
     density = rng.uniform(0.3, 0.7)
     rows = [[x for x in names if rng.random() < density] for _ in range(n_case + n_control)]
-    ext = draw(st.lists(NAMES, min_size=len(rows), max_size=len(rows)))
+    ext = draw(st.lists(IDS, min_size=len(rows), max_size=len(rows)))
     dataset = from_transactions(rows[:n_case], rows[n_case:], ext)
     thresholds = Thresholds(
         min_sd=draw(optional(-0.2, 0.6)),
@@ -140,3 +152,68 @@ def test_writers_match_reference_writers_worked_table(table1):
             assert written(write_json, records, table1) == written(
                 reference_json, records, table1
             )
+
+
+def reference_report(dataset, max_pvalue, max_control_support, out):
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("item", "p_value", "control_support", "kept"))
+    total_kept = 0
+    for name, row in zip(dataset.items, dataset.rows):
+        a = (row & dataset.case_mask).bit_count()
+        c = (row & dataset.control_mask).bit_count()
+        table = ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
+        pvalue = association_pvalue(table)
+        support = c / dataset.n_control
+        kept = (max_pvalue is None or pvalue <= max_pvalue) and (
+            max_control_support is None or support <= max_control_support
+        )
+        total_kept += kept
+        writer.writerow((name, _fmt(pvalue), _fmt(support), "true" if kept else "false"))
+    out.write(f"# total_kept {total_kept}\n")
+    out.write(f"# total_dropped {len(dataset.items) - total_kept}\n")
+
+
+#: SNP ids that need CSV quoting in the matrix and in the report; no
+#: whitespace, which a kept item may not hold, and no leading ``#``
+SNP_IDS = st.text(alphabet='ab,;"\\é', min_size=1, max_size=4).filter(
+    lambda s: not s.startswith("#")
+)
+
+
+@st.composite
+def genotype_runs(draw):
+    n_case = draw(st.integers(min_value=0, max_value=4))
+    n_control = draw(st.integers(min_value=1, max_value=4))
+    labels = draw(st.permutations("1" * n_case + "0" * n_control))
+    snps = draw(st.lists(SNP_IDS, min_size=1, max_size=6, unique=True))
+    matrix = io.StringIO()
+    writer = csv.writer(matrix, lineterminator="\n")
+    writer.writerow(["snp", *(f"p{k}" for k in range(len(labels)))])
+    for snp in snps:
+        writer.writerow([snp, *(draw(st.sampled_from("012")) for _ in labels)])
+    labels_text = "".join(f"p{k},{label}\n" for k, label in enumerate(labels))
+    fraction = st.none() | st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    return matrix.getvalue(), labels_text, draw(fraction), draw(fraction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(genotype_runs())
+def test_filter_report_matches_reference_report(run):
+    matrix, labels, max_pvalue, max_control_support = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("m.csv", "l.csv", "f.tct", "r.csv")}
+        paths["m.csv"].write_text(matrix, encoding="utf-8")
+        paths["l.csv"].write_text(labels, encoding="utf-8")
+        argv = ["filter-genotypes", "--input", str(paths["m.csv"]),
+                "--labels", str(paths["l.csv"]),
+                "--output", str(paths["f.tct"]), "--report", str(paths["r.csv"])]
+        for flag, value in (("--max-pvalue", max_pvalue),
+                            ("--max-control-support", max_control_support)):
+            if value is not None:
+                argv += [flag, repr(value)]
+        assert main(argv) == 0
+        report = paths["r.csv"].read_text(encoding="utf-8")
+    expected = io.StringIO()
+    dataset = load_genotype_matrix(io.StringIO(matrix), io.StringIO(labels))
+    reference_report(dataset, max_pvalue, max_control_support, expected)
+    assert report == expected.getvalue()
