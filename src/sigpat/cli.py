@@ -90,9 +90,9 @@ def _rows(
     as encoded CSV fields or JSON values.
 
     The twelve are encoded once per (table, scores) pair, the tid lists once
-    per mask and, for JSON, each name once. Pairs are keyed by object identity,
-    not by the dataclasses' Python-level hash; equal but distinct pairs, as
-    the oracle makes, are encoded again to the same text."""
+    per mask and, for JSON, each name once. Pairs are keyed by the ids of the
+    two objects, which costs less than hashing their twelve values; equal but
+    distinct pairs, as the oracle makes, are encoded again to the same text."""
     if as_json:
         names = list(map(json.dumps, dataset.items))
         ids = list(map(json.dumps, dataset.external_ids))

@@ -13,9 +13,8 @@ import io
 import logging
 import operator
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 logger = logging.getLogger(__name__)
 
@@ -36,28 +35,34 @@ def bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Tidset:
+class _Tidset(NamedTuple):
+    pos: tuple[int, ...] = ()
+    neg: tuple[int, ...] = ()
+
+
+class Tidset(_Tidset):
     """A set of internal transaction ids split into case and control parts.
 
     ``pos`` holds case tids (all < n_case), ``neg`` holds control tids
     (all >= n_case). Both tuples are strictly increasing.
     """
 
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for part in (self.pos, self.neg):
-            if any(part[i] >= part[i + 1] for i in range(len(part) - 1)):
-                raise ValueError("tids must be strictly increasing")
+    def __new__(cls, *args, **kwargs) -> Tidset:
+        self = super().__new__(cls, *args, **kwargs)
+        if any(x >= y for part in self for x, y in zip(part, part[1:])):
+            raise ValueError("tids must be strictly increasing")
+        return self
+
+    #: ``_replace`` builds through ``_make``, so it is checked as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __len__(self) -> int:
         return len(self.pos) + len(self.neg)
 
 
-@dataclass(frozen=True, slots=True)
-class TwoClassDataset:
+class TwoClassDataset(NamedTuple):
     items: tuple[str, ...]
     n_case: int
     n_control: int

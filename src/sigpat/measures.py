@@ -10,22 +10,29 @@ z = 1.96 and the Haldane-Anscombe +0.5 correction when a cell is empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Z_95 = 1.96
 
 
-@dataclass(frozen=True, slots=True)
-class ContingencyTable:
+class _ContingencyTable(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0:
+
+class ContingencyTable(_ContingencyTable):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ContingencyTable:
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 0:
             raise ValueError("contingency counts must be non-negative")
+        return self
+
+    #: ``_replace`` builds through ``_make``, so it is checked as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n_case(self) -> int:
@@ -36,8 +43,7 @@ class ContingencyTable:
         return self.c + self.d
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreSet:
+class ScoreSet(NamedTuple):
     sd: float
     gr: float
     ors: float
@@ -48,36 +54,37 @@ class ScoreSet:
     corrected_ci: bool
 
 
-@dataclass(frozen=True, slots=True)
-class Thresholds:
-    """Minimum values a pattern must reach; any subset may be set.
-
-    Plain score thresholds compare with >=, interval lower bounds with
-    a strict >. A missing threshold is vacuously satisfied.
-    """
-
+class _Thresholds(NamedTuple):
     min_sd: Optional[float] = None
     min_gr: Optional[float] = None
     min_ors: Optional[float] = None
     min_lci_gr: Optional[float] = None
     min_lci_ors: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        for name in ("min_sd", "min_gr", "min_ors", "min_lci_gr", "min_lci_ors"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value):
+
+class Thresholds(_Thresholds):
+    """Minimum values a pattern must reach; any subset may be set.
+
+    Plain score thresholds compare with >=, interval lower bounds with
+    a strict >. A missing threshold is vacuously satisfied.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Thresholds:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if name in ("min_gr", "min_ors") and value < 0:
+            if name in ("min_gr", "min_ors") and value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def has_any(self) -> bool:
-        return any(
-            getattr(self, name) is not None
-            for name in ("min_sd", "min_gr", "min_ors", "min_lci_gr", "min_lci_ors")
-        )
+        return any(value is not None for value in self)
 
 
 def discriminance(table: ContingencyTable) -> tuple[float, float, float]:

@@ -59,7 +59,6 @@ when a caller reads it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .dataset import Tidset, TwoClassDataset, bit_positions
@@ -77,8 +76,7 @@ class InternalInvariantError(RuntimeError):
     """The engine produced output that violates its own guarantees."""
 
 
-@dataclass(frozen=True)
-class MinerConfig:
+class MinerConfig(NamedTuple):
     thresholds: Thresholds = Thresholds()
     prune: bool = True
     #: None resolves to (n_control >= 5) at mine time; forcing True on a
@@ -86,8 +84,7 @@ class MinerConfig:
     lci_gr_prune_guard: Optional[bool] = None
 
 
-@dataclass(frozen=True, slots=True)
-class PatternRecord:
+class PatternRecord(NamedTuple):
     """One pattern: its items, its tids as bit masks, its table and scores.
 
     Bit t of ``pos_mask`` (``neg_mask``) is set when case (control) tid t
@@ -107,8 +104,7 @@ class PatternRecord:
         return Tidset(bit_positions(self.pos_mask), bit_positions(self.neg_mask))
 
 
-@dataclass(slots=True)
-class MineStats:
+class MineStats(NamedTuple):
     nodes_visited: int = 0
     nodes_pruned: int = 0
     #: visited nodes whose closure reaches a higher tid, scanned or not

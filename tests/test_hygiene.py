@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,21 +52,26 @@ def test_unused_imports_detects_and_allows():
     assert unused_imports(tree) == ["line 2: osp", "line 3: dumps"]
 
 
-def foreign_imports(tree: ast.Module) -> list[str]:
-    """Imports of modules outside the standard library.
-
-    Relative imports (the package's own modules) and ``__future__`` are
-    allowed; a dotted name counts by its first part.
-    """
+def absolute_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, module)`` for each module imported by name, not relatively."""
     names: list[tuple[int, str]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append((node.lineno, node.module))
+    return names
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Imports of modules outside the standard library.
+
+    Relative imports (the package's own modules) and ``__future__`` are
+    allowed; a dotted name counts by its first part.
+    """
     return [
         f"line {line}: {name}"
-        for line, name in names
+        for line, name in absolute_imports(tree)
         if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
     ]
 
@@ -109,3 +115,27 @@ def test_traced_names_exist():
     cli = importlib.import_module("sigpat.cli")
     for writer in (cli.write_csv, cli.write_json):
         assert list(inspect.signature(writer).parameters) == ["records", "dataset", "out"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_does_not_import_dataclasses(path):
+    # the value types are NamedTuples: dataclasses, with the inspect it
+    # pulls in, would cost every command about 10 ms of start-up
+    names = absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert "dataclasses" not in {name.split(".")[0] for _, name in names}
+
+
+def test_cli_import_adds_no_dataclasses_or_inspect():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import sigpat.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    # -I: no user site or environment; -B: no bytecode written into src
+    args = [sys.executable, "-I", "-B", "-c", code]
+    out = subprocess.run(args, capture_output=True, text=True, check=True, timeout=60)
+    added = out.stdout.split()
+    assert "sigpat.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added)

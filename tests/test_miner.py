@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 
 import pytest
@@ -191,7 +191,7 @@ def twin_heavy_datasets(draw):
 
 
 def counters(stats: MineStats) -> MineStats:
-    return dataclasses.replace(stats, wall_time_seconds=0.0)
+    return stats._replace(wall_time_seconds=0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,8 +340,37 @@ def test_records_are_frozen_and_hashable(table1):
     same = mine_oracle(table1)[0]
     assert r == same and r.table is not same.table
     assert hash(r) == hash(same)
-    for field in dataclasses.fields(r):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(r, field.name, None)
+    for field in r._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
     with pytest.raises(ValueError):
         Tidset((2, 1), (5,))
+
+
+def test_value_types_are_frozen_checked_and_picklable(table1):
+    records, stats = mine(table1)
+    r = records[0]
+    config = MinerConfig(thresholds=Thresholds(min_ors=2.0))
+    values = (r.tidset, table1, r.table, r.scores, config.thresholds, config, r, stats)
+    assert [type(v).__name__ for v in values] == [
+        "Tidset", "TwoClassDataset", "ContingencyTable", "ScoreSet",
+        "Thresholds", "MinerConfig", "PatternRecord", "MineStats",
+    ]
+    for value in values:
+        # neither an unknown attribute nor a field can be set, and no
+        # instance carries a __dict__ to take one
+        for name in ("foo", value._fields[0]):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        assert not hasattr(value, "__dict__")
+    # _replace goes through the same checks as the constructor
+    with pytest.raises(ValueError, match="non-negative"):
+        r.table._replace(a=-1)
+    with pytest.raises(ValueError, match="min_gr must be non-negative"):
+        config.thresholds._replace(min_gr=-1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Tidset((1, 2), (5,))._replace(pos=(2, 1))
+    assert r.table._replace(a=0).a == 0
+    for value in (r, table1, stats, config):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and type(back) is type(value)

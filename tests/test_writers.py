@@ -1,11 +1,16 @@
 """The CSV and JSON writers and the filter report against per-row reference writers.
 
 ``reference_csv`` and ``reference_json`` encode every record on its own,
-reading the tidset of each record, through ``csv.writer`` and ``json.dump``;
+reading the tidset of each record, through ``csv_line`` and ``json.dump``;
 the writers under test encode the count and score columns once per (table,
 scores) pair and the external ids once per tid mask, and fill a line
 template per record. ``reference_report`` decides every item of a genotype
 matrix on its own. Their output must be the same bytes.
+
+``csv_line`` writes Python 3.11's ``csv.writer(out, lineterminator="\n")``
+rule down, so that the reference is the same on every Python version:
+``csv.writer`` quotes a field holding ``\r`` on 3.13 and refuses ``\x00``
+on 3.10, while sigpat writes the same bytes on each.
 """
 
 import csv
@@ -13,9 +18,11 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +43,14 @@ def _json_float(value):
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
+
+
+def csv_line(fields):
+    """One CSV row: a field is quoted, with inner ``"`` doubled, only when
+    it holds ``,``, ``"`` or ``\n``. Rows have two fields or more."""
+    quoted = ('"' + f.replace('"', '""') + '"' if any(ch in f for ch in ',"\n') else f
+              for f in map(str, fields))
+    return ",".join(quoted) + "\n"
 
 
 def reference_fields(r, dataset):
@@ -62,21 +77,18 @@ def reference_fields(r, dataset):
 
 
 def reference_csv(records, dataset, out):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COLUMNS)
+    out.write(csv_line(COLUMNS))
     for r in records:
         items, n_pos, n_neg, *scores, corrected, pos, neg = reference_fields(r, dataset)
-        writer.writerow(
-            (
-                ";".join(items),
-                n_pos,
-                n_neg,
-                *map(_fmt, scores),
-                "true" if corrected else "false",
-                ";".join(pos),
-                ";".join(neg),
-            )
-        )
+        out.write(csv_line((
+            ";".join(items),
+            n_pos,
+            n_neg,
+            *map(_fmt, scores),
+            "true" if corrected else "false",
+            ";".join(pos),
+            ";".join(neg),
+        )))
 
 
 def reference_json(records, dataset, out):
@@ -96,12 +108,31 @@ def written(writer, records, dataset):
 
 
 #: short names that need CSV quoting, collide with the ``;`` separator, or
-#: hold characters that CSV leaves bare (``\r``, ``\t``, ``\x00``) and JSON escapes;
-#: ``csv.writer`` of Python 3.11 and 3.12 is the reference (3.13 quotes ``\r``
-#: and 3.10 refuses ``\x00``)
+#: hold characters that CSV leaves bare (``\r``, ``\t``, ``\x00``) and JSON escapes
 ALPHABET = 'ab,;" \r\n\t\\é\x00'
 NAMES = st.text(alphabet=ALPHABET, min_size=1, max_size=3)
 IDS = st.text(alphabet=ALPHABET, min_size=0, max_size=3)
+ROWS = st.lists(IDS, min_size=2, max_size=4)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="csv_line is 3.11's rule")
+@settings(max_examples=300, deadline=None)
+@given(ROWS)
+def test_csv_line_is_csv_writer_of_python_3_11(fields):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    assert csv_line(fields) == out.getvalue()
+
+
+#: fields that csv.reader reads back where they stand bare: it ends a record
+#: at ``\r`` and refuses ``\x00`` on 3.10
+READABLE = st.text(alphabet=ALPHABET.replace("\r", "").replace("\x00", ""), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(READABLE, min_size=2, max_size=4))
+def test_csv_line_reads_back(fields):
+    assert list(csv.reader(io.StringIO(csv_line(fields)))) == [fields]
 
 
 def optional(low, high):
@@ -155,8 +186,7 @@ def test_writers_match_reference_writers_worked_table(table1):
 
 
 def reference_report(dataset, max_pvalue, max_control_support, out):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("item", "p_value", "control_support", "kept"))
+    out.write(csv_line(("item", "p_value", "control_support", "kept")))
     total_kept = 0
     for name, row in zip(dataset.items, dataset.rows):
         a = (row & dataset.case_mask).bit_count()
@@ -168,7 +198,7 @@ def reference_report(dataset, max_pvalue, max_control_support, out):
             max_control_support is None or support <= max_control_support
         )
         total_kept += kept
-        writer.writerow((name, _fmt(pvalue), _fmt(support), "true" if kept else "false"))
+        out.write(csv_line((name, _fmt(pvalue), _fmt(support), "true" if kept else "false")))
     out.write(f"# total_kept {total_kept}\n")
     out.write(f"# total_dropped {len(dataset.items) - total_kept}\n")
 
