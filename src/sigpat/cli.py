@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import logging
 import math
 import sys
 import time
@@ -34,8 +32,6 @@ from .dataset import (
 from .measures import ContingencyTable, Thresholds, association_pvalue
 from .miner import InternalInvariantError, MinerConfig, PatternRecord, mine
 from .oracle import mine_oracle
-
-logger = logging.getLogger(__name__)
 
 COLUMNS = (
     "items", "n_case_tids", "n_control_tids", "sup_case", "sup_control", "sd", "gr", "ors",
@@ -94,6 +90,8 @@ def _rows(
     two objects, which costs less than hashing their twelve values; equal but
     distinct pairs, as the oracle makes, are encoded again to the same text."""
     if as_json:
+        import json  # only JSON output and --stats load it
+
         names = list(map(json.dumps, dataset.items))
         ids = list(map(json.dumps, dataset.external_ids))
         join_names = join_ids = _json_list
@@ -285,6 +283,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     _write_records(records, dataset, args.output, args.output_format)
     write_seconds = time.perf_counter() - start
     if args.stats:
+        import json
+
         with _open_out(args.stats) as out:
             json.dump(
                 {
@@ -373,12 +373,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
             out.writelines(map(str.__add__, map(_csv_field, dataset.items), report_cols))
             out.write(f"# total_kept {len(kept_ids)}\n")
             out.write(f"# total_dropped {len(report_cols) - len(kept_ids)}\n")
-    logger.info("kept %d of %d items", len(kept_ids), len(report_cols))
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

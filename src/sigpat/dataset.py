@@ -8,15 +8,11 @@ intersections and support counts reduce to bitwise ops on Python ints.
 
 from __future__ import annotations
 
-import csv
 import io
-import logging
 import operator
 import random
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence, Union
-
-logger = logging.getLogger(__name__)
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
@@ -104,6 +100,8 @@ def _csv_rows(source: Source, what: str) -> list[tuple[int, list[str]]]:
 
     The line is the one a row ends on, counted from 1 in the decoded text.
     """
+    import csv  # only genotype input reads CSV, so other runs skip its import
+
     text = _read_text(source)
     reader = csv.reader(io.StringIO(text))
     try:
@@ -157,7 +155,9 @@ def load_transactions(source: Source) -> TwoClassDataset:
         if label not in ("0", "1"):
             raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {label!r}")
         if len(tokens) == 1:
-            logger.warning("line %d: transaction has no items", lineno)
+            import logging  # imported only here: a clean input never loads it
+
+            logging.getLogger(__name__).warning("line %d: transaction has no items", lineno)
         seq += 1
         (case if label == "1" else control).append((str(seq), _intern(tokens[1:], item_ids)))
     if not case and not control:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from sigpat import mine
 from sigpat.cli import main
@@ -8,10 +11,24 @@ GENO_MATRIX = "snp,bob,eve,kim,sam,ana,joe\nrs1,2,0,2,1,2,0\nrs2,1,0,1,2,1,0\nrs
 GENO_LABELS = "bob,1\neve,0\nkim,1\nsam,0\nana,1\njoe,0\n"
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_process(*argv):
+    """``main(argv)`` in a fresh interpreter, where no test harness handles
+    log records, so stderr is what a user of the command sees."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "from sigpat.cli import main; sys.exit(main(sys.argv[1:]))")
+    # -I: no user site or environment; -B: no bytecode written into src
+    args = [sys.executable, "-I", "-B", "-c", code, *argv]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_mine_worked_rows(table1_path, capsys):
@@ -391,3 +408,34 @@ def test_mine_genotype_format_uses_individual_ids(tmp_path, capsys):
     assert referenced <= {"bob", "kim", "ana"}
     referenced_controls = {name for row in rows for name in row.split(",")[14].split(";")}
     assert referenced_controls <= {"eve", "sam", "joe"}
+
+
+def test_mine_empty_transaction_warns_on_stderr(tmp_path):
+    data = tmp_path / "empty.tct"
+    data.write_text("1 a b\n1\n0 a\n1 b c\n0 c\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    rc, stdout, err = run_process("mine", "--input", str(data), "--output", str(out))
+    # no logging is configured, so the last-resort handler prints the bare message
+    assert (rc, stdout, err) == (0, "", "line 2: transaction has no items\n")
+    assert out.read_text(encoding="utf-8") == (
+        "items,n_case_tids,n_control_tids,sup_case,sup_control,sd,gr,ors,"
+        "lci_gr,uci_gr,lci_ors,uci_ors,ci_corrected,case_tids,control_tids\n"
+        "a,1,1,0.333333,0.5,-0.166667,0.666667,0.5,0.0802581,5.53769,0.0127788,19.5637,"
+        "false,1,3\n"
+        "c,1,1,0.333333,0.5,-0.166667,0.666667,0.5,0.0802581,5.53769,0.0127788,19.5637,"
+        "false,4,5\n"
+    )
+
+
+def test_filter_genotypes_writes_nothing_to_stderr(tmp_path):
+    matrix = tmp_path / "m.csv"
+    labels = tmp_path / "l.csv"
+    matrix.write_text(GENO_MATRIX, encoding="utf-8")
+    labels.write_text(GENO_LABELS, encoding="utf-8")
+    out = tmp_path / "filtered.tct"
+    report = tmp_path / "report.csv"
+    rc, stdout, err = run_process("filter-genotypes", "--input", str(matrix),
+                                  "--labels", str(labels), "--max-pvalue", "0.2",
+                                  "--output", str(out), "--report", str(report))
+    assert (rc, stdout, err) == (0, "", "")
+    assert out.exists() and report.exists()

@@ -4,6 +4,7 @@ import inspect
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -52,10 +53,10 @@ def test_unused_imports_detects_and_allows():
     assert unused_imports(tree) == ["line 2: osp", "line 3: dumps"]
 
 
-def absolute_imports(tree: ast.Module) -> list[tuple[int, str]]:
+def absolute_imports(nodes: Iterable[ast.AST]) -> list[tuple[int, str]]:
     """``(line, module)`` for each module imported by name, not relatively."""
     names: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -71,7 +72,7 @@ def foreign_imports(tree: ast.Module) -> list[str]:
     """
     return [
         f"line {line}: {name}"
-        for line, name in absolute_imports(tree)
+        for line, name in absolute_imports(ast.walk(tree))
         if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
     ]
 
@@ -121,21 +122,89 @@ def test_traced_names_exist():
 def test_package_does_not_import_dataclasses(path):
     # the value types are NamedTuples: dataclasses, with the inspect it
     # pulls in, would cost every command about 10 ms of start-up
-    names = absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+    names = absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     assert "dataclasses" not in {name.split(".")[0] for _, name in names}
 
 
-def test_cli_import_adds_no_dataclasses_or_inspect():
-    code = (
+#: Modules that each cost a few ms of start-up and that a plain CSV ``mine``
+#: run does not use: the package imports them where a run needs them.
+DEFERRED = {"logging", "json", "csv"}
+
+
+def import_time_nodes(tree: ast.Module) -> Iterator[ast.AST]:
+    """The nodes of ``tree`` that run when the module is imported: all but
+    those inside function bodies."""
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_defers_logging_json_and_csv(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = absolute_imports(import_time_nodes(tree))
+    assert DEFERRED.isdisjoint(name.split(".")[0] for _, name in names)
+
+
+def test_import_time_nodes_skips_function_bodies():
+    tree = ast.parse(
+        "import os\n"
+        "if os.sep:\n"
+        "    import json\n"
+        "class C:\n"
+        "    import csv\n"
+        "    def f(self):\n"
+        "        import logging\n"
+        "async def g():\n"
+        "    import re\n"
+    )
+    assert sorted(name for _, name in absolute_imports(import_time_nodes(tree))) == [
+        "csv", "json", "os"
+    ]
+
+
+def fresh_modules(code: str, *argv: str) -> tuple[set[str], set[str]]:
+    """``sys.modules`` before and after ``code`` runs in a fresh interpreter
+    with ``src`` first on the path and ``argv`` as ``sys.argv[1:]``."""
+    script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
-        "import sigpat.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        f"{code}\n"
+        "print(' '.join(sorted(before)))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     # -I: no user site or environment; -B: no bytecode written into src
-    args = [sys.executable, "-I", "-B", "-c", code]
+    args = [sys.executable, "-I", "-B", "-c", script, *argv]
     out = subprocess.run(args, capture_output=True, text=True, check=True, timeout=60)
-    added = out.stdout.split()
+    before, after = out.stdout.splitlines()
+    return set(before.split()), set(after.split())
+
+
+def test_cli_import_adds_no_dataclasses_or_inspect():
+    before, after = fresh_modules("import sigpat.cli")
+    added = after - before
     assert "sigpat.cli" in added
-    assert {"dataclasses", "inspect"}.isdisjoint(added)
+    assert {"dataclasses", "inspect", *DEFERRED}.isdisjoint(added)
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("mine --input {tmp}/data.tct --output {tmp}/out", set()),
+    ("mine --input {tmp}/data.tct --output {tmp}/out --output-format json", {"json"}),
+    ("mine --input {tmp}/data.tct --output {tmp}/out --stats {tmp}/stats", {"json"}),
+    ("filter-genotypes --input {tmp}/matrix.csv --labels {tmp}/labels.csv --output {tmp}/out",
+     {"csv"}),
+], ids=["mine-csv", "mine-json", "mine-stats", "filter-genotypes"])
+def test_cli_run_loads_only_what_it_uses(tmp_path, command, loaded):
+    """A clean run ends with only the deferred modules its options need,
+    and with no ``logging``, which only a warning loads."""
+    (tmp_path / "data.tct").write_text("1 a b\n1 a\n0 b\n0 a c\n", encoding="utf-8")
+    (tmp_path / "matrix.csv").write_text("snp,bob,eve\nrs1,2,0\n", encoding="utf-8")
+    (tmp_path / "labels.csv").write_text("bob,1\neve,0\n", encoding="utf-8")
+    code = "import sigpat.cli\nif sigpat.cli.main(sys.argv[1:]): sys.exit('run failed')"
+    _, after = fresh_modules(code, *command.format(tmp=tmp_path).split())
+    assert (tmp_path / "out").exists()
+    assert DEFERRED & after == loaded
