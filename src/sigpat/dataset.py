@@ -95,14 +95,42 @@ def _read_text(source: Source) -> str:
         raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
 
 
-def _csv_rows(source: Source, what: str) -> list[tuple[int, list[str]]]:
+#: ``csv``'s default field size limit: a longer field makes ``csv.reader``
+#: raise, and a line no longer than this holds no longer field.
+_FIELD_LIMIT = 131_072
+
+#: A CSV row: a quote-free line that splits at commas into its cells, or the
+#: cells ``csv.reader`` read.
+Row = Union[str, list[str]]
+
+
+def _cells(row: Row) -> list[str]:
+    return row.split(",") if isinstance(row, str) else row
+
+
+def _csv_rows(source: Source, what: str) -> list[tuple[int, Row]]:
     """``(file line, row)`` pairs of ``source`` without blank rows and ``#`` comment rows.
 
     The line is the one a row ends on, counted from 1 in the decoded text.
+    Text with no ``"``, CR or NUL and no line longer than csv's field limit
+    is split at LF only: each of its rows is a whole line, which splits at
+    its commas into the cells ``csv.reader`` would give, on the same line
+    number. Any other text goes through ``csv.reader``, and its rows are
+    lists of cells.
     """
-    import csv  # only genotype input reads CSV, so other runs skip its import
-
     text = _read_text(source)
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text.split("\n")
+        if max(map(len, lines)) <= _FIELD_LIMIT:
+            # a comment row's first cell starts with "#" after spaces, and so
+            # does its line, since a comma is no space
+            return [
+                (lineno, line)
+                for lineno, line in enumerate(lines, start=1)
+                if line and not line.lstrip().startswith("#")
+            ]
+    import csv  # only text that the split above could misread needs it
+
     reader = csv.reader(io.StringIO(text))
     try:
         return [
@@ -204,10 +232,11 @@ def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]])
         dest.write(text)
 
 
-def _parse_labels(rows: list[tuple[int, list[str]]]) -> dict[str, str]:
+def _parse_labels(rows: list[tuple[int, Row]]) -> dict[str, str]:
     labels: dict[str, str] = {}
     first = True
     for lineno, row in rows:
+        row = _cells(row)
         if len(row) != 2:
             raise DatasetFormatError(
                 f"labels line {lineno}: expected 'individual,label', got {row!r}"
@@ -236,6 +265,24 @@ _GENOTYPES = frozenset("012")
 _ONE_HOT = (str.maketrans("012", "100"), str.maketrans("012", "010"), str.maketrans("012", "001"))
 
 
+def _one_hot(bits: str) -> list[int] | None:
+    """The rows of genotypes 0, 1 and 2 for ``bits``, one character per tid
+    from the highest down, or None unless every character is 0, 1 or 2.
+
+    ``int(x, 2)`` also accepts a sign, ``_``, spaces and a ``0b`` prefix, but
+    none of those sets a bit, so the three rows hold ``len(bits)`` bits in all
+    only when every character is a genotype. Non-ASCII digits, which ``int``
+    reads as well, are refused first.
+    """
+    if not bits.isascii():
+        return None
+    try:
+        hot = [int(bits.translate(table), 2) for table in _ONE_HOT]
+    except ValueError:
+        return None
+    return hot if sum(map(int.bit_count, hot)) == len(bits) else None
+
+
 def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoClassDataset:
     """Expand a SNP genotype matrix into a two-class transaction dataset.
 
@@ -245,12 +292,16 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     ``s_0``, ``s_1``, ``s_2`` and each individual holds exactly one of them.
     The labels stream maps individual ids to 1 (case) or 0 (control). Error
     messages name the file line of the offending row.
+
+    Quote-free LF text is read without ``csv`` (see ``_csv_rows``), and a row
+    of unpadded one-character cells is read from slices of its line; every
+    other row is split into cells and checked cell by cell.
     """
     labels = _parse_labels(_csv_rows(labels_source, "labels"))
     matrix = _csv_rows(matrix_source, "genotype matrix")
     if not matrix:
         raise DatasetFormatError("genotype matrix: empty input")
-    header = [cell.strip() for cell in matrix[0][1]]
+    header = [cell.strip() for cell in _cells(matrix[0][1])]
     individuals = header[1:]
     if not individuals:
         raise DatasetFormatError("genotype matrix: no individual columns")
@@ -261,41 +312,57 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
     n_case = len(order)
     order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
-    # Row columns of internal tids n-1 .. 0: joined cells read as a binary
-    # number put internal tid j on bit j.
+    n = len(order)
+    # Columns of internal tids n-1 .. 0: joined cells read as a binary number
+    # put internal tid j on bit j. Each picker returns a tuple of cells, or
+    # the one cell itself for a single individual: ``pick`` takes them from
+    # a row's cells, ``pick_chars`` from the string of cells ``body[::2]``
+    # of a line body "c,c,...,c" that holds n one-character cells.
     cols = [k + 1 for k in reversed(order)]
-    # A tuple of cells, or the one cell itself for a single individual.
     pick = operator.itemgetter(*cols)
+    pick_chars = operator.itemgetter(*reversed(order))
+    commas = "," * (n - 1)
     snps: list[str] = []
     seen_snps: set[str] = set()
     rows: list[int] = []
     for lineno, row in matrix[1:]:
-        snp = row[0].strip()
+        hot = None
+        if isinstance(row, str):
+            snp, _, body = row.partition(",")
+            if len(body) == 2 * n - 1 and body[1::2] == commas:
+                hot = _one_hot("".join(pick_chars(body[::2])))
+            if hot is None:
+                row = row.split(",")
+        else:
+            snp = row[0]
+        snp = snp.strip()
         if snp in seen_snps:
             raise DatasetFormatError(f"genotype matrix row {lineno}: duplicate SNP id {snp!r}")
         seen_snps.add(snp)
-        if len(row) != len(individuals) + 1:
-            raise DatasetFormatError(
-                f"genotype matrix row {lineno}: expected {len(individuals)} cells, got {len(row) - 1}"
-            )
-        cells = pick(row)
-        bits = "".join(cells)
-        # Unpadded valid cells join to len(order) digits; other rows are stripped.
-        if len(bits) != len(order) or not all(cells) or bits.strip("012"):
-            cells = [row[k].strip() for k in cols]
-            if not _GENOTYPES.issuperset(cells):
-                bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
+        if hot is None:
+            if len(row) != len(individuals) + 1:
                 raise DatasetFormatError(
-                    f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+                    f"genotype matrix row {lineno}: expected {len(individuals)} cells,"
+                    f" got {len(row) - 1}"
                 )
+            cells = pick(row)
             bits = "".join(cells)
-        rows += [int(bits.translate(table), 2) for table in _ONE_HOT]
+            # Unpadded valid cells join to n digits; other rows are stripped.
+            if len(bits) != n or not all(cells) or (hot := _one_hot(bits)) is None:
+                cells = [row[k].strip() for k in cols]
+                if not _GENOTYPES.issuperset(cells):
+                    bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
+                    raise DatasetFormatError(
+                        f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+                    )
+                hot = _one_hot("".join(cells))
+        rows += hot
         snps.append(snp)
     if not snps:
         raise DatasetFormatError("genotype matrix: no SNP rows")
     items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))
     external = tuple(individuals[col] for col in order)
-    return TwoClassDataset(items, n_case, len(order) - n_case, tuple(rows), external)
+    return TwoClassDataset(items, n_case, n - n_case, tuple(rows), external)
 
 
 def generate_synthetic(

@@ -293,22 +293,34 @@ def reference_genotype_matrix(matrix_text, labels_text):
     return TwoClassDataset(items, n_case, len(order) - n_case, tuple(out), external)
 
 
-def _padded(draw, value):
-    """``value`` as a CSV field, maybe space-padded, maybe quoted."""
-    value = " " * draw(st.integers(0, 2)) + value + " " * draw(st.integers(0, 2))
-    return f'"{value}"' if draw(st.booleans()) else value
+def _padded(draw, value, quotes=True):
+    """``value`` as a CSV field, maybe space-padded, maybe quoted.
+
+    With ``quotes``, a field is quoted half the time and padded most of the
+    time. Without, it is never quoted and may be padded only one time in
+    four, so that many rows can be read from slices of their line.
+    """
+    if quotes or draw(st.integers(0, 3)) == 0:
+        value = " " * draw(st.integers(0, 2)) + value + " " * draw(st.integers(0, 2))
+    return f'"{value}"' if quotes and draw(st.booleans()) else value
+
+
+#: Bad cells: ``int(x, 2)`` accepts the one-character ones ``+``, ``-``,
+#: ``_``, space and ``b`` as part of a binary number.
+BAD_CELLS = ["", "3", "12", "x", "0 1", "+", "-", "_", " ", "b"]
 
 
 @st.composite
-def genotype_inputs(draw):
+def genotype_inputs(draw, quotes=True):
     n = draw(st.integers(1, 6))
     individuals = [f"p{k}" for k in range(n)]
     labels = [(ind, draw(st.sampled_from("01"))) for ind in individuals]
     labels = draw(st.permutations(labels))
-    cell = st.sampled_from(["0", "1", "2"] * 8 + ["", "3", "12", "x", "0 1"])
-    lines = [",".join(["snp"] + [_padded(draw, ind) for ind in individuals])]
+    cell = st.sampled_from(["0", "1", "2"] * 10 + BAD_CELLS)
+    lines = [",".join(["snp"] + [_padded(draw, ind, quotes) for ind in individuals])]
     for s in range(draw(st.integers(1, 5))):
-        lines.append(",".join([f"rs{s}"] + [_padded(draw, draw(cell)) for _ in individuals]))
+        cells = [_padded(draw, draw(cell), quotes) for _ in individuals]
+        lines.append(",".join([f"rs{s}"] + cells))
     matrix = "\n".join(lines) + "\n"
     labels_text = "".join(f"{ind},{label}\n" for ind, label in labels)
     return matrix, labels_text
@@ -334,6 +346,114 @@ def test_load_genotype_matrix_matches_per_cell_reference(inputs):
     assert _outcome(_load_text, matrix, labels) == _outcome(
         reference_genotype_matrix, matrix, labels
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(genotype_inputs(quotes=False))
+def test_load_genotype_matrix_quote_free_matches_per_cell_reference(inputs):
+    # quote-free LF text is read without csv, its unpadded rows from line slices
+    matrix, labels = inputs
+    assert '"' not in matrix + labels
+    assert _outcome(_load_text, matrix, labels) == _outcome(
+        reference_genotype_matrix, matrix, labels
+    )
+
+
+@pytest.mark.parametrize("column", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("cell", ["+", "_", "-", " ", "b"])
+def test_load_genotype_matrix_rejects_cells_int_accepts(cell, column):
+    """A one-character cell that ``int(x, 2)`` reads without error, in an
+    otherwise valid unpadded row, is still named as the bad genotype."""
+    cells = ["0", "1", "2", "1", "0"]
+    cells[column] = cell
+    matrix = "snp,p0,p1,p2,p3,p4\nrs0,2,1,0,0,1\nrs1," + ",".join(cells) + "\n"
+    labels = "p0,1\np1,0\np2,0\np3,1\np4,1\n"
+    message = f"genotype matrix row 3: genotype must be 0, 1 or 2, got {cell.strip()!r}"
+    assert _outcome(_load_text, matrix, labels) == message
+    assert _outcome(reference_genotype_matrix, matrix, labels) == message
+
+
+def test_load_genotype_matrix_rejects_non_ascii_digits():
+    # int("١٠٠", 2) == 4: each row would hold one bit, three in all
+    matrix = "snp,bob,eve,kim\nrs1,\u0661,\u0660,\u0660\n"
+    labels = "bob,1\neve,0\nkim,1\n"
+    message = "genotype matrix row 2: genotype must be 0, 1 or 2, got '\u0661'"
+    assert _outcome(_load_text, matrix, labels) == message
+    assert _outcome(reference_genotype_matrix, matrix, labels) == message
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("snp,bob,eve\nrs1,0,1\nrs1,1,2\n", "row 3: duplicate SNP id 'rs1'"),
+        ("snp,bob,eve\nrs1,0,1\n rs1 ,1,2\n", "row 3: duplicate SNP id 'rs1'"),
+        ("snp,bob,eve\nrs1,0,1\nrs1,1\n", "row 3: duplicate SNP id 'rs1'"),  # before the count
+        ("snp,bob,eve\nrs1,0,1\nrs2,1,2,0\n", "row 3: expected 2 cells, got 3"),
+        ("snp,bob,eve\nrs1,0,1\nrs2\n", "row 3: expected 2 cells, got 0"),
+        ("snp,bob,eve\nrs1,0 1\n", "row 2: expected 2 cells, got 1"),  # three characters
+    ],
+)
+def test_load_genotype_matrix_row_errors_on_fast_rows(matrix, message):
+    assert _outcome(_load_text, matrix, "bob,1\neve,0\n") == "genotype matrix " + message
+
+
+def test_load_genotype_matrix_lone_cr_stream_stays_a_csv_error():
+    # csv ends a row at a CR, and then refuses the rest of the line
+    matrix = io.BytesIO(b"snp,bob,eve\rrs1,0,1\r")
+    with pytest.raises(DatasetFormatError, match="new-line character seen in unquoted field"):
+        load_genotype_matrix(matrix, io.BytesIO(b"bob,1\neve,0\n"))
+
+
+#: One matrix and its labels, and what they load to: cases bob and kim
+#: first, then the controls eve and sam.
+MATRIX_ROWS = [
+    ["snp", "bob", "eve", "kim", "sam"],
+    ["rs1", "0", "1", "2", "2"],
+    ["rs2", "1", "1", "0", "2"],
+    ["rs3", "2", "0", "0", "1"],
+]
+LABEL_ROWS = [["individual", "label"], ["bob", "1"], ["eve", "0"], ["kim", "1"], ["sam", "0"]]
+
+
+def _written(rows, style):
+    """``rows`` as CSV bytes written in ``style``, and the file line of each row."""
+    lines = [",".join(f'"{cell}"' if style == "quoted" else cell for cell in row) for row in rows]
+    numbers = list(range(1, len(rows) + 1))
+    if style == "comments":
+        # a comment row and a blank row before each row, and a blank one after
+        lines = [part for line in lines for part in (" # next row", "", line)] + [""]
+        numbers = [3 * k for k in numbers]
+    text = ("\r\n" if style == "crlf" else "\n").join(lines) + "\n"
+    if style == "bom":
+        text = "\ufeff" + text
+    return text.encode("utf-8"), numbers
+
+
+@pytest.mark.parametrize("style", ["lf", "crlf", "quoted", "bom", "comments"])
+def test_load_genotype_matrix_same_dataset_however_written(tmp_path, style):
+    def from_streams(matrix, labels):
+        return load_genotype_matrix(io.BytesIO(matrix), io.BytesIO(labels))
+
+    def from_paths(matrix, labels):
+        (tmp_path / "m.csv").write_bytes(matrix)
+        (tmp_path / "l.csv").write_bytes(labels)
+        return load_genotype_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+
+    expected = _outcome(
+        reference_genotype_matrix,
+        "\n".join(map(",".join, MATRIX_ROWS)),
+        "\n".join(map(",".join, LABEL_ROWS[1:])),
+    )
+    assert expected[3][:3] == (0b0001, 0b0100, 0b1010)  # rs1_0: bob; rs1_1: eve; rs1_2: kim, sam
+    labels, _ = _written(LABEL_ROWS, style)
+    matrix, _ = _written(MATRIX_ROWS, style)
+    bad_rows = [row[:] for row in MATRIX_ROWS]
+    bad_rows[2][3] = "7"
+    bad_matrix, lines = _written(bad_rows, style)
+    bad = f"genotype matrix row {lines[2]}: genotype must be 0, 1 or 2, got '7'"
+    for load in (from_streams, from_paths):
+        assert _outcome(load, matrix, labels) == expected
+        assert _outcome(load, bad_matrix, labels) == bad
 
 
 @pytest.mark.parametrize(

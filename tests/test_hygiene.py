@@ -196,13 +196,17 @@ def test_cli_import_adds_no_dataclasses_or_inspect():
     ("mine --input {tmp}/data.tct --output {tmp}/out --output-format json", {"json"}),
     ("mine --input {tmp}/data.tct --output {tmp}/out --stats {tmp}/stats", {"json"}),
     ("filter-genotypes --input {tmp}/matrix.csv --labels {tmp}/labels.csv --output {tmp}/out",
+     set()),
+    ("filter-genotypes --input {tmp}/quoted.csv --labels {tmp}/labels.csv --output {tmp}/out",
      {"csv"}),
-], ids=["mine-csv", "mine-json", "mine-stats", "filter-genotypes"])
+], ids=["mine-csv", "mine-json", "mine-stats", "filter-genotypes", "filter-genotypes-quoted"])
 def test_cli_run_loads_only_what_it_uses(tmp_path, command, loaded):
     """A clean run ends with only the deferred modules its options need,
-    and with no ``logging``, which only a warning loads."""
+    and with no ``logging``, which only a warning loads. Only quoted genotype
+    input needs ``csv``."""
     (tmp_path / "data.tct").write_text("1 a b\n1 a\n0 b\n0 a c\n", encoding="utf-8")
     (tmp_path / "matrix.csv").write_text("snp,bob,eve\nrs1,2,0\n", encoding="utf-8")
+    (tmp_path / "quoted.csv").write_text('snp,"bob",eve\nrs1,2,0\n', encoding="utf-8")
     (tmp_path / "labels.csv").write_text("bob,1\neve,0\n", encoding="utf-8")
     code = "import sigpat.cli\nif sigpat.cli.main(sys.argv[1:]): sys.exit('run failed')"
     _, after = fresh_modules(code, *command.format(tmp=tmp_path).split())
