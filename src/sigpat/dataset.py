@@ -232,9 +232,11 @@ def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]])
         dest.write(text)
 
 
-def _parse_labels(rows: list[tuple[int, Row]]) -> dict[str, str]:
+def _parse_labels(rows: list[tuple[int, Row]]) -> tuple[dict[str, str], tuple[str, str] | None]:
+    """The label of each individual and, when the first row was skipped as a
+    header for a label other than 0 or 1, its id and the error it would be."""
     labels: dict[str, str] = {}
-    first = True
+    header = None
     for lineno, row in rows:
         row = _cells(row)
         if len(row) != 2:
@@ -243,19 +245,17 @@ def _parse_labels(rows: list[tuple[int, Row]]) -> dict[str, str]:
             )
         ind, label = row[0].strip(), row[1].strip()
         if label not in ("0", "1"):
-            if first:
-                first = False
-                continue  # header line
-            raise DatasetFormatError(
-                f"labels line {lineno}: label for {ind!r} must be 0 or 1, got {label!r}"
-            )
+            bad = f"labels line {lineno}: label for {ind!r} must be 0 or 1, got {label!r}"
+            if labels or header:
+                raise DatasetFormatError(bad)
+            header = (ind, bad)
+            continue
         if ind in labels:
             raise DatasetFormatError(f"labels line {lineno}: duplicate individual id {ind!r}")
         labels[ind] = label
-        first = False
     if not labels:
         raise DatasetFormatError("labels: no entries found")
-    return labels
+    return labels, header
 
 
 #: The valid genotype cells, after stripping surrounding spaces.
@@ -297,7 +297,7 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     of unpadded one-character cells is read from slices of its line; every
     other row is split into cells and checked cell by cell.
     """
-    labels = _parse_labels(_csv_rows(labels_source, "labels"))
+    labels, header_row = _parse_labels(_csv_rows(labels_source, "labels"))
     matrix = _csv_rows(matrix_source, "genotype matrix")
     if not matrix:
         raise DatasetFormatError("genotype matrix: empty input")
@@ -308,6 +308,8 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     if len(set(individuals)) != len(individuals):
         raise DatasetFormatError("genotype matrix: duplicate individual id in header")
     if set(individuals) != set(labels):
+        if header_row and header_row[0] in individuals and header_row[0] not in labels:
+            raise DatasetFormatError(header_row[1])  # a typo on the first row, not a header
         raise DatasetFormatError("labels do not match the matrix columns")
     order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
     n_case = len(order)

@@ -35,16 +35,18 @@ it. The roots are the case children of the empty tidset and go through the
 same cut. This is CARPENTER's row-enumeration bound (Pan et al., KDD 2003)
 with a support floor set by the thresholds instead of a minimum support.
 
-Most duplicates are found in the parent too. Two candidate tids of one class
-that lie in exactly the same rows of the parent are twins: the closure of the
-lower one adds the higher one, so each child below the top tid of its twin
-class is a duplicate. The parent splits its candidates (its row union minus
-its tidset, including tids above its own opening tid) into twin classes by
-refining them with each row, and counts and traces the lower twins as
-visited duplicates without scanning rows for them. Among case children it
-refines only those the case-count cut keeps, and only when it has more
-children than rows, because with few children the refinement costs
-more than the scans it saves.
+A control node whose rows all hold a case tid outside its tidset is not
+case-closed, so it emits nothing; its descendants keep a subset of its rows
+and that case tid with them, so the search stops there.
+
+Most duplicates are found in the parent too. Children are visited from the
+highest tid down, and the row scan of each child also returns the union of
+the parent's rows that do not hold its tid. A lower candidate of the same
+class outside that union lies only in rows holding the scanned tid, so its
+closure adds that higher tid and it is a duplicate: the parent counts it as
+visited and duplicate and drops it without a scan. This is CHARM's
+subsumption check (Zaki and Hsiao, SDM 2002) on the transposed table. A
+traced search scans these children anyway, which logs each in its place.
 
 Scores, prune verdicts, and interval floors depend only on the two tidset
 part sizes, so they are memoised once and shared by all roots; the row list
@@ -161,19 +163,23 @@ class _Search:
             TraceNode(bit_positions(tpos), bit_positions(tneg), tuple(i for i, _ in rows))
         )
 
-    def expand_case(self, tpos: int, e: int, rows) -> None:
+    def expand_case(self, tpos: int, e: int, rows) -> int:
+        """Visit the child adding case tid e; return the union of the ``rows`` without e."""
         ebit = 1 << e
         sub = []
         inter = -1
         union = 0
+        out = 0
         for ir in rows:
             r = ir[1]
             if r & ebit:
                 sub.append(ir)
                 inter &= r
                 union |= r
+            else:
+                out |= r
         if not sub:
-            return
+            return out
         tpos |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
@@ -182,41 +188,41 @@ class _Search:
         if ext:
             if ext >= ebit:
                 self.nodes_duplicate += 1
-                return  # closure reaches a tid >= e: this branch is a duplicate
+                return out  # closure reaches a tid >= e: this branch is a duplicate
             tpos |= ext
             self.nodes_visited += 1
             if self.trace is not None:
                 self._log(tpos, 0, sub)
         a = tpos.bit_count()
-        cand = union & self.case_mask & ~tpos
-        self._case_children(tpos, a, cand, cand & (ebit - 1), sub)
-        ctl = union & self.control_mask
-        if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
-            return
-        twins = self._twins(ctl, ctl, sub) if ctl.bit_count() > len(sub) else 0
-        if self.trace is None:
-            ctl ^= twins
-        while ctl:
-            low = ctl & -ctl
-            ctl ^= low
-            if low & twins:
-                self._log(tpos, low, [ir for ir in sub if ir[1] & low])
-            else:
-                self.expand_control(tpos, a, 0, low.bit_length() - 1, sub)
+        self._case_children(tpos, a, union & self.case_mask & ~tpos & (ebit - 1), sub)
+        free = union & self.control_mask
+        if self.prune and free and self._children_pruned(tpos, a, 0, free, sub):
+            return out
+        while free:
+            t = free.bit_length() - 1
+            free ^= 1 << t
+            dup = free & ~self.expand_control(tpos, a, 0, t, sub)
+            if dup and self.trace is None:
+                free ^= self._dominated(dup)
+        return out
 
-    def expand_control(self, tpos: int, a: int, tneg: int, e: int, rows) -> None:
+    def expand_control(self, tpos: int, a: int, tneg: int, e: int, rows) -> int:
+        """Visit the child adding control tid e; return the union of the ``rows`` without e."""
         ebit = 1 << e
         sub = []
         inter = -1
         union = 0
+        out = 0
         for ir in rows:
             r = ir[1]
             if r & ebit:
                 sub.append(ir)
                 inter &= r
                 union |= r
+            else:
+                out |= r
         if not sub:
-            return
+            return out
         tneg |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
@@ -225,42 +231,39 @@ class _Search:
         if ext:
             if ext >= ebit:
                 self.nodes_duplicate += 1
-                return
+                return out
             tneg |= ext
             self.nodes_visited += 1
             if self.trace is not None:
                 self._log(tpos, tneg, sub)
-        if inter & self.case_mask == tpos:
-            self._emit(tpos, tneg, a, sub)
-        cand = union & self.control_mask & ~tneg
-        free = cand & (ebit - 1)
+        if inter & self.case_mask != tpos:
+            return out  # every descendant keeps the extra case tid: none can emit
+        self._emit(tpos, tneg, a, sub)
+        free = union & self.control_mask & ~tneg & (ebit - 1)
         if self.prune and free and self._children_pruned(tpos, a, tneg, free, sub):
-            return
-        twins = self._twins(cand, free, sub) if free.bit_count() > len(sub) else 0
-        if self.trace is None:
-            free ^= twins
+            return out
+        # the loop stays here, so that each control level takes one stack frame
         while free:
-            low = free & -free
-            free ^= low
-            if low & twins:
-                self._log(tpos, tneg | low, [ir for ir in sub if ir[1] & low])
-            else:
-                self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
+            t = free.bit_length() - 1
+            free ^= 1 << t
+            dup = free & ~self.expand_control(tpos, a, tneg, t, sub)
+            if dup and self.trace is None:
+                free ^= self._dominated(dup)
+        return out
 
     def run(self, rows) -> None:
         """Search every root: the case children of the empty tidset."""
         union = 0
         for _, r in rows:
             union |= r
-        cand = union & self.case_mask
-        self._case_children(0, 0, cand, cand, rows)
+        self._case_children(0, 0, union & self.case_mask, rows)
 
-    def _case_children(self, tpos: int, a: int, cand: int, free: int, rows) -> None:
+    def _case_children(self, tpos: int, a: int, free: int, rows) -> None:
         """Expand the children adding one case tid of ``free`` to ``tpos``.
 
         A child whose subtree cannot reach the least hopeful case count is
-        cut first; the children left are split into twins. Cut children and
-        twins are counted (and traced in child order) without a row scan.
+        cut first, and counted (and traced in child order) without a row scan.
+        The others go from the highest tid down, as control children do.
         """
         cut = 0
         k = self._least_hopeful(a + 1) - a
@@ -280,54 +283,30 @@ class _Search:
             n = cut.bit_count()
             self.nodes_visited += n
             self.nodes_pruned += n
-            free = kept
-        skip = self._twins(cand, free, rows) if free.bit_count() > len(rows) else 0
-        if self.trace is None:
-            free ^= skip
-        else:
-            free |= cut
-            skip |= cut
+            if self.trace is None:
+                free = kept
         while free:
-            low = free & -free
-            free ^= low
-            if low & skip:
-                self._log(tpos | low, 0, [ir for ir in rows if ir[1] & low])
-            else:
-                self.expand_case(tpos, low.bit_length() - 1, rows)
+            t = free.bit_length() - 1
+            top = 1 << t
+            free ^= top
+            if top & cut:
+                self._log(tpos | top, 0, [ir for ir in rows if ir[1] & top])
+                continue
+            dup = free & ~self.expand_case(tpos, t, rows)
+            if dup and self.trace is None:
+                free ^= self._dominated(dup)
 
-    def _twins(self, cand: int, free: int, rows) -> int:
-        """The children in ``free`` whose rows equal those of a higher tid of ``cand``.
+    def _dominated(self, dup: int) -> int:
+        """Count the children in ``dup`` as visited duplicates, without a row scan.
 
-        ``cand`` holds every tid of the child's class that is in the parent's
-        row union and not yet in its tidset. Refining it by each row splits it
-        into classes of tids held by exactly the same rows; only classes of two
-        or more tids are carried. Each child below the top of its class is a
-        duplicate, so it is counted (visited, duplicate) here without a scan.
+        Each lies in the parent's rows only where a higher sibling just
+        scanned does, so its closure adds that sibling. A traced search
+        scans them instead, which logs them in their place and counts the same.
         """
-        classes = [cand]
-        for _, r in rows:
-            split = []
-            for c in classes:
-                x = c & r
-                if x and x != c:
-                    y = c ^ x
-                    if x & (x - 1):
-                        split.append(x)
-                    if y & (y - 1):
-                        split.append(y)
-                else:
-                    split.append(c)
-            if not split:
-                return 0
-            classes = split
-        twins = 0
-        for c in classes:
-            twins |= c ^ (1 << (c.bit_length() - 1))
-        twins &= free
-        n = twins.bit_count()
+        n = dup.bit_count()
         self.nodes_visited += n
         self.nodes_duplicate += n
-        return twins
+        return dup
 
     def _children_pruned(self, tpos: int, a: int, tneg: int, tids: int, rows) -> bool:
         """Whether the children adding one control tid of ``tids`` are all pruned.
@@ -341,10 +320,8 @@ class _Search:
         self.nodes_visited += n
         self.nodes_pruned += n
         if self.trace is not None:
-            while tids:
-                low = tids & -tids
-                tids ^= low
-                self._log(tpos, tneg | low, [ir for ir in rows if ir[1] & low])
+            for t in reversed(bit_positions(tids)):
+                self._log(tpos, tneg | 1 << t, [ir for ir in rows if ir[1] >> t & 1])
         return True
 
     def _hoping(self, a: int, c: int) -> bool:
@@ -439,7 +416,8 @@ def mine(
 
     Returns the records sorted by itemset (lexicographic on item ids) plus
     search statistics. ``trace``, when given a list, receives every visited
-    node in visiting order, root by root.
+    node in visiting order: depth first, the children of each node from the
+    highest tid down, case children before control children.
     """
     cfg = config if config is not None else MinerConfig()
     if dataset.n_case < 1 or dataset.n_control < 1:

@@ -110,7 +110,10 @@ def closure_neg(q: Tidset, dataset: TwoClassDataset) -> Tidset:
 
 
 class ReferenceSearch(_Search):
-    """The search with one row scan per child: duplicates end at their closure."""
+    """The search with one row scan per child: duplicates end at their closure.
+
+    Children are visited from the highest tid down, as in the engine.
+    """
 
     def expand_case(self, tpos: int, e: int, rows) -> None:
         ebit = 1 << e
@@ -139,26 +142,21 @@ class ReferenceSearch(_Search):
             if self.trace is not None:
                 self._log(tpos, 0, sub)
         a = tpos.bit_count()
-        cand = union & self.case_mask & ~tpos
-        self._case_children(tpos, a, cand, cand & (ebit - 1), sub)
+        self._case_children(tpos, a, union & self.case_mask & ~tpos & (ebit - 1), sub)
         ctl = union & self.control_mask
         if self.prune and ctl and self._children_pruned(tpos, a, 0, ctl, sub):
             return
-        while ctl:
-            low = ctl & -ctl
-            ctl ^= low
-            self.expand_control(tpos, a, 0, low.bit_length() - 1, sub)
+        for t in reversed(bit_positions(ctl)):
+            self.expand_control(tpos, a, 0, t, sub)
 
-    def _case_children(self, tpos: int, a: int, cand: int, free: int, rows) -> None:
+    def _case_children(self, tpos: int, a: int, free: int, rows) -> None:
         # child t is cut unless a row holding t holds k - 1 tids of free below t
         k = self._least_hopeful(a + 1) - a
-        todo = free
-        while todo:
-            low = todo & -todo
-            todo ^= low
+        for t in reversed(bit_positions(free)):
+            low = 1 << t
             held = [ir for ir in rows if ir[1] & low]
             if any((r & free & (low - 1)).bit_count() >= k - 1 for _, r in held):
-                self.expand_case(tpos, low.bit_length() - 1, rows)
+                self.expand_case(tpos, t, rows)
             else:
                 self.nodes_visited += 1
                 self.nodes_pruned += 1
@@ -191,15 +189,14 @@ class ReferenceSearch(_Search):
             self.nodes_visited += 1
             if self.trace is not None:
                 self._log(tpos, tneg, sub)
-        if inter & self.case_mask == tpos:
-            self._emit(tpos, tneg, a, sub)
+        if inter & self.case_mask != tpos:
+            return  # every descendant keeps the extra case tid
+        self._emit(tpos, tneg, a, sub)
         free = union & self.control_mask & ~tneg & (ebit - 1)
         if self.prune and free and self._children_pruned(tpos, a, tneg, free, sub):
             return
-        while free:
-            low = free & -free
-            free ^= low
-            self.expand_control(tpos, a, tneg, low.bit_length() - 1, sub)
+        for t in reversed(bit_positions(free)):
+            self.expand_control(tpos, a, tneg, t, sub)
 
 
 def reference_mine(

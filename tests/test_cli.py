@@ -142,8 +142,8 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
     assert next(iter(stats.items())) == ("schema", 1)
-    assert stats["nodes_visited"] == 133
-    assert stats["nodes_pruned"] == 38
+    assert stats["nodes_visited"] == 130
+    assert stats["nodes_pruned"] == 35
     assert stats["nodes_duplicate"] == 19
     assert stats["patterns_emitted"] == 15
     assert stats["min_case_support"] == 2
@@ -166,7 +166,7 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
     assert stats["min_case_support"] is None
-    assert stats["nodes_visited"] == 184
+    assert stats["nodes_visited"] == 174
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):
@@ -313,6 +313,17 @@ def test_filter_genotypes_error_names_file_line(tmp_path, capsys):
                      "--labels", str(labels))
     assert rc == 2
     assert err == "error: genotype matrix row 5: genotype must be 0, 1 or 2, got '7'\n"
+
+
+def test_labels_typo_on_the_first_line_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    labels = tmp_path / "l.csv"
+    matrix.write_text("snp,bob,eve\nrs1,0,1\n", encoding="utf-8")
+    labels.write_text("bob,7\neve,0\n", encoding="utf-8")
+    for command in (("mine", "--format", "genotype"), ("filter-genotypes",)):
+        rc, _, err = run(capsys, *command, "--input", str(matrix), "--labels", str(labels))
+        assert rc == 2
+        assert err == "error: labels line 1: label for 'bob' must be 0 or 1, got '7'\n"
 
 
 def test_filter_genotypes(tmp_path, capsys):

@@ -490,6 +490,21 @@ def test_genotype_errors_name_file_lines():
             _load_text("snp,bob,eve\nrs1,0,1\n", text)
 
 
+def test_labels_typo_on_the_first_line():
+    # a first row whose label is not 0 or 1 is skipped as a header, unless
+    # it names a matrix column that no other row labels
+    matrix = "snp,bob,eve\nrs1,0,1\n"
+    for text, line in (("bob,7\neve,0\n", 1), ("# ids\nbob,7\neve,0\n", 2)):
+        message = f"labels line {line}: label for 'bob' must be 0 or 1, got '7'"
+        with pytest.raises(DatasetFormatError, match="^" + re.escape(message) + "$"):
+            _load_text(matrix, text)
+    for text in ("id,label\nbob,1\neve,0\n", "bob,x\nbob,1\neve,0\n"):
+        d = _load_text(matrix, text)
+        assert (d.n_case, d.n_control) == (1, 1)
+    with pytest.raises(DatasetFormatError, match="^labels do not match the matrix columns$"):
+        _load_text(matrix, "id,label\neve,0\n")
+
+
 def test_dump_transactions_many_items_exact():
     d = generate_synthetic(5, 4, 70, 0.4, seed=11)
     buf = io.StringIO()

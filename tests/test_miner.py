@@ -1,8 +1,10 @@
+import inspect
 import pickle
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigpat import (
@@ -18,7 +20,13 @@ from sigpat import (
 from sigpat.miner import _Search
 
 from conftest import random_dataset, random_thresholds
-from reference import common_items, reference_mine, supporting_tids, tidset_mask
+from reference import (
+    ReferenceSearch,
+    common_items,
+    reference_mine,
+    supporting_tids,
+    tidset_mask,
+)
 
 THRESHOLD_SETS = [
     Thresholds(),
@@ -40,16 +48,16 @@ def test_mine_worked_table_counts(table1):
     records, stats = mine(table1)
     assert len(records) == 50
     assert stats.patterns_emitted == 50
-    assert stats.nodes_visited == 184
+    assert stats.nodes_visited == 174
     assert stats.nodes_pruned == 0
-    assert stats.nodes_duplicate == 36
+    assert stats.nodes_duplicate == 32
     assert stats.min_case_support is None
     assert stats.wall_time_seconds >= 0.0
 
     records, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)))
     assert len(records) == 15
-    assert stats.nodes_visited == 133
-    assert stats.nodes_pruned == 38
+    assert stats.nodes_visited == 130
+    assert stats.nodes_pruned == 35
     assert stats.nodes_duplicate == 19
     assert stats.min_case_support == 2
 
@@ -100,7 +108,7 @@ def test_lci_gr_prune_guard(table1):
 def test_mine_trace_soundness(table1):
     trace: list[TraceNode] = []
     _, stats = mine(table1, trace=trace)
-    assert len(trace) == stats.nodes_visited == 184
+    assert len(trace) == stats.nodes_visited == 174
     for node in trace:
         assert node.pos
         assert node.items
@@ -113,8 +121,8 @@ def test_mine_trace_soundness_with_pruning(table1):
     # a row scan
     trace: list[TraceNode] = []
     _, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)), trace=trace)
-    assert len(trace) == stats.nodes_visited == 133
-    assert stats.nodes_pruned == 38
+    assert len(trace) == stats.nodes_visited == 130
+    assert stats.nodes_pruned == 35
     for node in trace:
         assert common_items(Tidset(node.pos, node.neg), table1) == node.items
 
@@ -122,8 +130,8 @@ def test_mine_trace_soundness_with_pruning(table1):
 @pytest.mark.parametrize(
     "thresholds, counts",
     [
-        (Thresholds(), (5517, 0, 501)),
-        (Thresholds(min_ors=2.0), (3116, 1431, 121)),
+        (Thresholds(), (4020, 0, 501)),
+        (Thresholds(min_ors=2.0), (2700, 1020, 121)),
         (Thresholds(min_ors=2.0, min_lci_ors=1.0), (430, 316, 0)),
         (Thresholds(min_sd=0.2, min_lci_gr=1.0), (213, 168, 0)),
     ],
@@ -182,11 +190,17 @@ def test_mine_matches_oracle_random_sweep():
 
 @st.composite
 def twin_heavy_datasets(draw):
-    """Datasets over 1-5 items whose transactions repeat a few item sets."""
-    names = [f"i{k}" for k in range(draw(st.integers(1, 5)))]
-    pool = draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=4))
-    case = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    control = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    """Datasets over 1-6 items whose transactions mostly repeat a few item sets.
+
+    Each transaction is one of up to six drawn item sets or a set of its own,
+    and there are at least two controls, so control nodes that are not
+    case-closed and still have children come up in about one example in ten.
+    """
+    names = [f"i{k}" for k in range(draw(st.integers(1, 6)))]
+    pool = draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=6))
+    row = st.one_of(st.sampled_from(pool), st.sets(st.sampled_from(names)))
+    case = draw(st.lists(row, min_size=1, max_size=12))
+    control = draw(st.lists(row, min_size=2, max_size=12))
     return from_transactions(case, control)
 
 
@@ -196,10 +210,12 @@ def counters(stats: MineStats) -> MineStats:
 
 @settings(max_examples=150, deadline=None)
 @given(twin_heavy_datasets())
+# below root 1, control 3 closes over case 0 and has the child 2
+@example(from_transactions([["x", "z"], ["x", "y", "z"]], [["x"], ["x", "z"]]))
 def test_mine_matches_row_scanning_reference(d):
-    # twins are skipped in the parent, with and without a trace; counters,
-    # traces and records must equal those of the search that scans rows for
-    # every child
+    # children dominated by a scanned sibling are counted in the parent
+    # without a trace; counters, traces and records must equal those of the
+    # search that scans rows for every child
     for thresholds in THRESHOLD_SETS:
         for prune in (True, False):
             cfg = MinerConfig(thresholds=thresholds, prune=prune)
@@ -213,21 +229,74 @@ def test_mine_matches_row_scanning_reference(d):
             assert counters(stats) == counters(ref_stats) == counters(untraced_stats)
 
 
-def test_twins_above_the_parent_tid_are_not_scanned():
-    # case tids 0-6 all hold x and only tid 3 holds y: below root 3, children
-    # 0, 1 and 2 share their rows with 4, 5 and 6, which lie above the root
+class Counting(_Search):
+    """The engine, noting each row scan: case tid e as e, control tid e as -e."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scanned = []
+
+    def expand_case(self, tpos, e, rows):
+        self.scanned.append(e)
+        return super().expand_case(tpos, e, rows)
+
+    def expand_control(self, tpos, a, tneg, e, rows):
+        self.scanned.append(-e)
+        return super().expand_control(tpos, a, tneg, e, rows)
+
+
+def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
+    # case tids 0-6 all hold x and only tid 3 holds y: below root 3, child 2
+    # is scanned first and lies in row x alone, so children 1 and 0, which
+    # lie only in row x too, are counted as its duplicates without a scan
     d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]])
-    scanned = []
-
-    class Counting(_Search):
-        def expand_case(self, tpos, e, rows):
-            scanned.append(e)
-            super().expand_case(tpos, e, rows)
-
     search = Counting(d.n_case, d.n_control, MinerConfig(), None)
     search.expand_case(0, 3, tuple(enumerate(d.rows)))
-    assert scanned == [3]
+    assert search.scanned == [3, 2, -7]
     assert (search.nodes_visited, search.nodes_duplicate) == (5, 3)
+    # controls 7 (x, y) and 8-10 (x): control child 10 closes over 8 and 9,
+    # which lie only where 10 does, so they are counted without a scan too
+    d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x", "y"]] + [["x"]] * 3)
+    rows = tuple(enumerate(d.rows))
+    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
+    search.expand_case(0, 3, rows)
+    ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
+    ref.expand_case(0, 3, rows)
+    assert search.scanned == [3, 2, -10, -7]
+    assert (search.nodes_visited, search.nodes_duplicate) == (9, 5)
+    assert (ref.nodes_visited, ref.nodes_duplicate) == (9, 5)
+    assert search.records == ref.records
+
+
+def chain_dataset(n: int):
+    """One case holding x0..x(n-1) and n controls, control j holding x0..xj."""
+    names = [f"x{j}" for j in range(n)]
+    return from_transactions([names], [names[: j + 1] for j in range(n)])
+
+
+def test_chain_scans_each_control_once():
+    # one case and n controls, control j holding items x0..xj: each control
+    # closes over the ones above it, so a control child's scan shows all its
+    # lower siblings dominated and the n(n+1)/2 visited nodes take n+1 scans
+    n = 200
+    d = chain_dataset(n)
+    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
+    search.run(tuple(enumerate(d.rows)))
+    assert len(search.scanned) == n + 1
+    assert search.nodes_visited == n * (n + 1) // 2 + 1
+    assert len(search.records) == n
+
+
+def test_long_chain_fits_the_stack():
+    # every control level of the search costs one stack frame
+    n = 300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 350)
+    try:
+        records, stats = mine(chain_dataset(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(records) == stats.patterns_emitted == n
 
 
 @st.composite
@@ -287,24 +356,17 @@ def test_case_children_below_the_floor_are_not_scanned():
         [["x"], ["x", "z"], ["x"], ["y", "z"], ["y"], ["y", "z"]], [["x", "y", "z"]] * 6
     )
     cfg = MinerConfig(thresholds=Thresholds(min_sd=0.5))
-    scanned = []
-
-    class Counting(_Search):
-        def expand_case(self, tpos, e, rows):
-            scanned.append(e)
-            super().expand_case(tpos, e, rows)
-
     rows = tuple(enumerate(d.rows))
     search = Counting(d.n_case, d.n_control, cfg, None)
     assert search.min_case_support() == 4
     search.run(rows)
-    assert scanned == []
+    assert search.scanned == []
     assert (search.nodes_visited, search.nodes_pruned) == (6, 6)
     # root 5 entered directly: its closure adds case 3, and its case
     # children 1 and 4 are cut without a scan
     search = Counting(d.n_case, d.n_control, cfg, None)
     search.expand_case(0, 5, rows)
-    assert scanned == [5]
+    assert search.scanned == [5]
     assert (search.nodes_visited, search.nodes_pruned) == (10, 8)
     assert mine(d, cfg)[0] == mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))[0] == []
 
