@@ -17,7 +17,6 @@ from .miner import (
     TraceNode,
     mine,
 )
-from .oracle import mine_oracle
 
 __version__ = "0.1.0"
 
@@ -38,3 +37,10 @@ __all__ = [
     "mine_oracle",
     "__version__",
 ]
+
+
+def __getattr__(name: str):  # the oracle is imported on first use, which mine never makes
+    if name != "mine_oracle":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import mine_oracle
+    return mine_oracle

@@ -31,7 +31,6 @@ from .dataset import (
 )
 from .measures import ContingencyTable, Thresholds, association_pvalue
 from .miner import InternalInvariantError, MinerConfig, PatternRecord, mine
-from .oracle import mine_oracle
 
 COLUMNS = (
     "items", "n_case_tids", "n_control_tids", "sup_case", "sup_control", "sd", "gr", "ors",
@@ -292,6 +291,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                     "nodes_visited": stats.nodes_visited,
                     "nodes_pruned": stats.nodes_pruned,
                     "nodes_duplicate": stats.nodes_duplicate,
+                    "nodes_dead": stats.nodes_dead,
                     "patterns_emitted": stats.patterns_emitted,
                     "min_case_support": stats.min_case_support,
                     "wall_time_seconds": stats.wall_time_seconds,
@@ -306,6 +306,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import mine_oracle  # only this command loads the oracle
     dataset = _load_dataset(args)
     records = mine_oracle(dataset, MinerConfig(thresholds=_build_thresholds(args)))
     _write_records(records, dataset, args.output, args.output_format)

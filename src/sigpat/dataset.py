@@ -83,14 +83,13 @@ def _source_name(source: Source) -> str:
 
 
 def _read_text(source: Source) -> str:
-    """Whole input as text; UTF-8 with an optional byte order mark."""
+    """Whole input as text: UTF-8 with an optional byte order mark, CRLF and CR read as LF."""
     try:
         if isinstance(source, (str, Path)):
             return Path(source).read_text(encoding="utf-8-sig")
         data = source.read()
-        if isinstance(data, bytes):
-            return data.decode("utf-8-sig")
-        return data.removeprefix("\ufeff")
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
 

@@ -9,31 +9,30 @@ closed tidset reachable exactly once. A pattern is emitted when its tidset is
 closed over both classes, contains at least one control tid, and satisfies the
 configured thresholds.
 
-Because adding a control tid to a tidset can only lower the support
-difference, growth rate, odds ratio and (under documented guards) the
-interval lower bounds, failing thresholds at an inner node proves every
-pattern below it would fail too; that is the pruning rule. Growth-rate
-lower-bound pruning switches off for control classes smaller than 5, where
-the decrease does not hold for every table, and each interval-based prune
-additionally requires that the most extreme reachable table (all remaining
-controls joining, which re-triggers the zero-cell correction) also fails,
-so pruning never loses a valid pattern. All control children of a node
-share one (case count, control count) key, so the parent decides the
-verdict once for all of them: a hopeless key counts them as visited and
-pruned without scanning rows for any of them.
+Every control-phase descendant of a node with a case tids and c control
+tids keeps a and has at least c control tids, and the scores depend on the
+two counts alone. So the node keeps hope exactly when c <= top[a], the
+largest control count whose table with a case tids passes the thresholds
+(0 if none does); that is the pruning rule. top[a] is computed on first use:
+the table holding every control tid is tried first, then the counts below a
+cap, downward. With b = n_case - a > 0 and no cell 0, min_ors and
+min_lci_ors cap c at a*n2/(a + t*b), min_gr and min_lci_gr at a*n2/(n1*t)
+for t > 0, and min_sd at n2*(a/n1 - t), as an interval's lower bound lies
+below its score; with b = 0 every count is tried. All control children of a
+node share one verdict, so the parent decides it once for all of them: a
+hopeless one counts them as visited and pruned without a row scan.
 
 The thresholds also fix a least case count. A pattern with a case tids has
-at least one control tid, so it can pass only if the key (a, 1) keeps hope;
-the least such a at or above a given count is found by walking a upward
-through the memoised verdicts. A descendant of a case child t adds only
-candidate case tids below t, and each of its rows holds all of its case tids,
-so the child can reach no more case tids than its parent's a, plus one, plus
-the most candidates below t that a single row holding t also holds. The
-parent cuts each case child that cannot reach the least hopeful count above
-a, and counts and traces it as visited and pruned without scanning rows for
-it. The roots are the case children of the empty tidset and go through the
-same cut. This is CARPENTER's row-enumeration bound (Pan et al., KDD 2003)
-with a support floor set by the thresholds instead of a minimum support.
+at least one control tid, so it can pass only if top[a] >= 1. A descendant
+of a case child t adds only candidate case tids below t, and each of its
+rows holds all of its case tids, so the child can reach no more case tids
+than its parent's a, plus one, plus the most candidates below t that a
+single row holding t also holds. The parent cuts each case child that cannot
+reach the least hopeful count above a, and counts and traces it as visited
+and pruned without scanning rows for it. The roots are the case children of
+the empty tidset and go through the same cut. This is CARPENTER's
+row-enumeration bound (Pan et al., KDD 2003) with a support floor set by the
+thresholds instead of a minimum support.
 
 A control node whose rows all hold a case tid outside its tidset is not
 case-closed, so it emits nothing; its descendants keep a subset of its rows
@@ -45,13 +44,24 @@ the parent's rows that do not hold its tid. A lower candidate of the same
 class outside that union lies only in rows holding the scanned tid, so its
 closure adds that higher tid and it is a duplicate: the parent counts it as
 visited and duplicate and drops it without a scan. This is CHARM's
-subsumption check (Zaki and Hsiao, SDM 2002) on the transposed table. A
-traced search scans these children anyway, which logs each in its place.
+subsumption check (Zaki and Hsiao, SDM 2002) on the transposed table.
 
-Scores, prune verdicts, and interval floors depend only on the two tidset
-part sizes, so they are memoised once and shared by all roots; the row list
-shrinks with the node exactly as in a dataset-reduction scheme, since the
-itemset of a node is the itemset of its surviving rows.
+Rows only shrink going down, so what a scan shows holds below every later
+sibling. A candidate lying only in rows that hold a scanned sibling u does
+so under each later sibling, where u is above the opening tid and outside
+the tidset: each children loop ORs such tids into the mask ``dom`` it passes
+to every later child, which drops them as duplicates. A control tid lying
+only in rows that hold a scanned case child s cannot be case-closed in a
+later case sibling's subtree or in the node's own control subtree, which
+lack s: ``dead`` carries such tids down, where they are dropped after the
+prune verdict and ``dom`` and counted as ``nodes_dead`` instead of visited.
+A traced search makes the same scans and logs each dropped duplicate in its
+place, but no dead child.
+
+Scores and prune verdicts depend only on the two tidset part sizes, so they
+are computed once and shared by all roots; the row list shrinks with the
+node exactly as in a dataset-reduction scheme, since the itemset of a node
+is the itemset of its surviving rows.
 
 An emitted record keeps the node's two tid masks and the memoised table and
 scores of its key as they are; its ``tidset`` is built from the masks only
@@ -73,6 +83,10 @@ from .measures import (
     score_set,
 )
 
+#: ``perfbench/traced.py`` wraps ``confidence_intervals`` here, so it stays though unused
+__all__ = ["InternalInvariantError", "MineStats", "MinerConfig", "PatternRecord", "TraceNode",
+           "confidence_intervals", "mine"]
+
 
 class InternalInvariantError(RuntimeError):
     """The engine produced output that violates its own guarantees."""
@@ -81,9 +95,6 @@ class InternalInvariantError(RuntimeError):
 class MinerConfig(NamedTuple):
     thresholds: Thresholds = Thresholds()
     prune: bool = True
-    #: None resolves to (n_control >= 5) at mine time; forcing True on a
-    #: smaller control class may lose patterns and exists for experiments.
-    lci_gr_prune_guard: Optional[bool] = None
 
 
 class PatternRecord(NamedTuple):
@@ -116,6 +127,8 @@ class MineStats(NamedTuple):
     #: the least case count a pattern needs to pass the thresholds; None
     #: without pruning or when no case count passes
     min_case_support: Optional[int] = None
+    #: control children dropped unscanned and not visited: they are not case-closed
+    nodes_dead: int = 0
 
 
 class TraceNode(NamedTuple):
@@ -130,10 +143,9 @@ class _Search:
     """Search state shared by all roots; rows are (item id, bit row) pairs."""
 
     __slots__ = (
-        "n_case", "n_control", "case_mask", "control_mask",
-        "thresholds", "prune", "lci_gr_prunes",
-        "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate",
-        "_floors", "_hope", "_least", "_scored",
+        "n_case", "n_control", "case_mask", "control_mask", "thresholds", "prune",
+        "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate", "nodes_dead",
+        "top", "_least", "_scored",
     )
 
     def __init__(
@@ -146,24 +158,23 @@ class _Search:
         self.control_mask = ((1 << n) - 1) ^ self.case_mask
         self.thresholds = cfg.thresholds
         self.prune = cfg.prune and cfg.thresholds.has_any
-        guard = cfg.lci_gr_prune_guard
-        self.lci_gr_prunes = (n_control >= 5) if guard is None else guard
         self.records: list[PatternRecord] = []
         self.trace = trace
         self.nodes_visited = 0
         self.nodes_pruned = 0
         self.nodes_duplicate = 0
-        self._floors: dict[int, tuple[float, float]] = {}
-        self._hope: dict[tuple[int, int], bool] = {}
+        self.nodes_dead = 0
+        #: top[a], -1 until ``_top`` computes it; every a keeps hope without pruning
+        self.top = [-1 if self.prune else n_control] * (n_case + 1)
         self._least: dict[int, int] = {}
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
 
-    def _log(self, tpos: int, tneg: int, rows) -> None:
-        self.trace.append(
-            TraceNode(bit_positions(tpos), bit_positions(tneg), tuple(i for i, _ in rows))
-        )
+    def _log(self, tpos: int, tneg: int, rows, bit: int) -> None:
+        """Trace the node (tpos, tneg), whose rows are those of ``rows`` holding ``bit``."""
+        items = tuple(i for i, r in rows if r & bit)
+        self.trace.append(TraceNode(bit_positions(tpos), bit_positions(tneg), items))
 
-    def expand_case(self, tpos: int, e: int, rows) -> int:
+    def expand_case(self, tpos: int, e: int, rows, dom: int, dead: int) -> int:
         """Visit the child adding case tid e; return the union of the ``rows`` without e."""
         ebit = 1 << e
         sub = []
@@ -183,7 +194,7 @@ class _Search:
         tpos |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, 0, sub)
+            self._log(tpos, 0, sub, ebit)
         ext = inter & self.case_mask & ~tpos
         if ext:
             if ext >= ebit:
@@ -192,21 +203,37 @@ class _Search:
             tpos |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, 0, sub)
+                self._log(tpos, 0, sub, ebit)
         a = tpos.bit_count()
-        self._case_children(tpos, a, union & self.case_mask & ~tpos & (ebit - 1), sub)
+        top = self.top[a] if self.top[a] >= 0 else self._top(a)
+        free = union & self.case_mask & ~tpos & (ebit - 1)
+        dead = self._case_children(tpos, a, free, sub, dom, dead)
         free = union & self.control_mask
-        if self.prune and free and self._children_pruned(tpos, a, 0, free, sub):
+        if free and not top:
+            self._pruned(tpos, 0, free, sub)
             return out
+        gone = free & dead
+        if gone:
+            self.nodes_dead += gone.bit_count()
+            free ^= gone
+        dom = 0
         while free:
             t = free.bit_length() - 1
-            free ^= 1 << t
-            dup = free & ~self.expand_control(tpos, a, 0, t, sub)
-            if dup and self.trace is None:
-                free ^= self._dominated(dup)
+            bit = 1 << t
+            free ^= bit
+            if bit & dom:
+                self._log(tpos, bit, sub, bit)
+                continue
+            dup = free & ~(self.expand_control(tpos, a, 0, t, sub, dom, dead) | dom)
+            if dup:
+                dom |= self._dominated(dup)
+                if self.trace is None:
+                    free ^= dup
         return out
 
-    def expand_control(self, tpos: int, a: int, tneg: int, e: int, rows) -> int:
+    def expand_control(
+        self, tpos: int, a: int, tneg: int, e: int, rows, dom: int, dead: int
+    ) -> int:
         """Visit the child adding control tid e; return the union of the ``rows`` without e."""
         ebit = 1 << e
         sub = []
@@ -226,7 +253,7 @@ class _Search:
         tneg |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, tneg, sub)
+            self._log(tpos, tneg, sub, ebit)
         ext = inter & self.control_mask & ~tneg
         if ext:
             if ext >= ebit:
@@ -235,20 +262,35 @@ class _Search:
             tneg |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, tneg, sub)
+                self._log(tpos, tneg, sub, ebit)
         if inter & self.case_mask != tpos:
             return out  # every descendant keeps the extra case tid: none can emit
-        self._emit(tpos, tneg, a, sub)
+        c = tneg.bit_count()
+        self._emit(tpos, tneg, a, c, sub)
         free = union & self.control_mask & ~tneg & (ebit - 1)
-        if self.prune and free and self._children_pruned(tpos, a, tneg, free, sub):
+        if free and c >= self.top[a]:
+            self._pruned(tpos, tneg, free, sub)
             return out
+        if free & dom:
+            gone = self._dominated(free & dom)
+            free ^= gone if self.trace is None else 0
+        gone = free & dead & ~dom
+        if gone:
+            self.nodes_dead += gone.bit_count()
+            free ^= gone
         # the loop stays here, so that each control level takes one stack frame
         while free:
             t = free.bit_length() - 1
-            free ^= 1 << t
-            dup = free & ~self.expand_control(tpos, a, tneg, t, sub)
-            if dup and self.trace is None:
-                free ^= self._dominated(dup)
+            bit = 1 << t
+            free ^= bit
+            if bit & dom:
+                self._log(tpos, tneg | bit, sub, bit)
+                continue
+            dup = free & ~(self.expand_control(tpos, a, tneg, t, sub, dom, dead) | dom)
+            if dup:
+                dom |= self._dominated(dup)
+                if self.trace is None:
+                    free ^= dup
         return out
 
     def run(self, rows) -> None:
@@ -256,14 +298,14 @@ class _Search:
         union = 0
         for _, r in rows:
             union |= r
-        self._case_children(0, 0, union & self.case_mask, rows)
+        self._case_children(0, 0, union & self.case_mask, rows, 0, 0)
 
-    def _case_children(self, tpos: int, a: int, free: int, rows) -> None:
-        """Expand the children adding one case tid of ``free`` to ``tpos``.
+    def _case_children(self, tpos: int, a: int, free: int, rows, dom: int, dead: int) -> int:
+        """Expand the children adding one case tid of ``free`` to ``tpos``; return ``dead``
+        and the control tids that lie, in ``rows``, only where a scanned child's tid does.
 
-        A child whose subtree cannot reach the least hopeful case count is
-        cut first, and counted (and traced in child order) without a row scan.
-        The others go from the highest tid down, as control children do.
+        The children that cannot reach the least hopeful case count, then those
+        in ``dom``, are counted without a row scan; the others go from the highest down.
         """
         cut = 0
         k = self._least_hopeful(a + 1) - a
@@ -283,67 +325,67 @@ class _Search:
             n = cut.bit_count()
             self.nodes_visited += n
             self.nodes_pruned += n
-            if self.trace is None:
-                free = kept
+        self._dominated(free & dom & ~cut)
+        skip = cut | dom
+        if self.trace is None:
+            free &= ~skip
         while free:
             t = free.bit_length() - 1
-            top = 1 << t
-            free ^= top
-            if top & cut:
-                self._log(tpos | top, 0, [ir for ir in rows if ir[1] & top])
+            bit = 1 << t
+            free ^= bit
+            if bit & skip:
+                self._log(tpos | bit, 0, rows, bit)
                 continue
-            dup = free & ~self.expand_case(tpos, t, rows)
-            if dup and self.trace is None:
-                free ^= self._dominated(dup)
+            out = self.expand_case(tpos, t, rows, dom, dead)
+            dead |= self.control_mask & ~out
+            dup = free & ~(out | skip)
+            if dup:
+                dom |= self._dominated(dup)
+                skip |= dup
+                if self.trace is None:
+                    free ^= dup
+        return dead
 
     def _dominated(self, dup: int) -> int:
-        """Count the children in ``dup`` as visited duplicates, without a row scan.
-
-        Each lies in the parent's rows only where a higher sibling just
-        scanned does, so its closure adds that sibling. A traced search
-        scans them instead, which logs them in their place and counts the same.
-        """
+        """Count the children in ``dup`` as visited duplicates, without a row scan."""
         n = dup.bit_count()
         self.nodes_visited += n
         self.nodes_duplicate += n
         return dup
 
-    def _children_pruned(self, tpos: int, a: int, tneg: int, tids: int, rows) -> bool:
-        """Whether the children adding one control tid of ``tids`` are all pruned.
-
-        Each tid lies in the parent's row union, so every child has rows and
-        counts as visited; a hopeless key counts (and traces) them at once.
-        """
-        if self._hoping(a, tneg.bit_count() + 1):
-            return False
+    def _pruned(self, tpos: int, tneg: int, tids: int, rows) -> None:
+        """Count (and trace) the children adding one control tid of ``tids`` as pruned."""
         n = tids.bit_count()
         self.nodes_visited += n
         self.nodes_pruned += n
         if self.trace is not None:
             for t in reversed(bit_positions(tids)):
-                self._log(tpos, tneg | 1 << t, [ir for ir in rows if ir[1] >> t & 1])
-        return True
+                self._log(tpos, tneg | 1 << t, rows, 1 << t)
 
-    def _hoping(self, a: int, c: int) -> bool:
-        """The memoised ``_keeps_hope`` verdict of the key (a, c)."""
-        key = (a, c)
-        hope = self._hope.get(key)
-        if hope is None:
-            hope = self._hope[key] = self._keeps_hope(a, c)
-        return hope
+    def _top(self, a: int) -> int:
+        """``top[a]``: the largest control count whose table with a case tids passes, or 0."""
+        top = self.top[a]
+        if top < 0:
+            th, n1, n2, b = self.thresholds, self.n_case, self.n_control, self.n_case - a
+            caps = [n2 - 1]
+            if b:
+                # with no cell 0 a threshold caps c; an interval's lower bound is below its score
+                if th.min_sd is not None:
+                    caps.append(n2 * (a / n1 - th.min_sd))
+                caps += [a * n2 / (a + t * b) for t in (th.min_ors, th.min_lci_ors) if t and t > 0]
+                caps += [a * n2 / (n1 * t) for t in (th.min_gr, th.min_lci_gr) if t and t > 0]
+            cs = (n2, *range(min(n2 - 1, int(min(caps)) + 1), 0, -1))
+            passing = (c for c in cs if check_significance(ContingencyTable(a, b, c, n2 - c), th))
+            top = self.top[a] = next(passing, 0)
+        return top
 
     def _least_hopeful(self, m: int) -> int:
-        """The least a >= m whose key (a, 1) keeps hope, or n_case + 1 if none does.
-
-        A pattern with a case tids has at least one control tid, so it can
-        pass only if (a, 1) keeps hope; without pruning every count does.
-        """
+        """The least a >= m with ``top[a] >= 1``, or n_case + 1 if there is none."""
         least = self._least.get(m)
         if least is None:
             least = m
-            if self.prune:
-                while least <= self.n_case and not self._hoping(least, 1):
-                    least += 1
+            while least <= self.n_case and self._top(least) < 1:
+                least += 1
             self._least[m] = least
         return least
 
@@ -354,11 +396,11 @@ class _Search:
         m = self._least_hopeful(1)
         return m if m <= self.n_case else None
 
-    def _emit(self, tpos: int, tneg: int, a: int, rows) -> None:
-        key = (a, tneg.bit_count())
+    def _emit(self, tpos: int, tneg: int, a: int, c: int, rows) -> None:
+        key = (a, c)
         scored = self._scored.get(key)
         if scored is None:
-            table = ContingencyTable(a, self.n_case - a, key[1], self.n_control - key[1])
+            table = ContingencyTable(a, self.n_case - a, c, self.n_control - c)
             scores = score_set(table)
             scored = (table, scores, check_significance(table, self.thresholds, scores))
             self._scored[key] = scored
@@ -366,45 +408,6 @@ class _Search:
             self.records.append(
                 PatternRecord(tuple([i for i, _ in rows]), tpos, tneg, scored[0], scored[1])
             )
-
-    def _floor_bounds(self, a: int) -> tuple[float, float]:
-        # CI lower bounds of the deepest reachable table (every control joins)
-        floors = self._floors.get(a)
-        if floors is None:
-            cis = confidence_intervals(
-                ContingencyTable(a, self.n_case - a, self.n_control, 0)
-            )
-            floors = (cis[0], cis[2])
-            self._floors[a] = floors
-        return floors
-
-    def _keeps_hope(self, a: int, c: int) -> bool:
-        """False when no descendant of a node with tidset counts (a, c) can pass."""
-        th = self.thresholds
-        n1 = self.n_case
-        n2 = self.n_control
-        b = n1 - a
-        d = n2 - c
-        s1 = a / n1
-        s2 = c / n2
-        if th.min_sd is not None and s1 - s2 < th.min_sd:
-            return False
-        if th.min_gr is not None and s1 / s2 < th.min_gr:
-            return False
-        if th.min_ors is not None:
-            bc = b * c
-            if bc and a * d / bc < th.min_ors:
-                return False
-        check_ors = th.min_lci_ors is not None and b
-        check_gr = th.min_lci_gr is not None and b and self.lci_gr_prunes
-        if check_ors or check_gr:
-            cis = confidence_intervals(ContingencyTable(a, b, c, d))
-            gr_floor, ors_floor = self._floor_bounds(a)
-            if check_ors and cis[2] <= th.min_lci_ors and ors_floor <= th.min_lci_ors:
-                return False
-            if check_gr and cis[0] <= th.min_lci_gr and gr_floor <= th.min_lci_gr:
-                return False
-        return True
 
 
 def mine(
@@ -439,5 +442,6 @@ def mine(
         patterns_emitted=len(records),
         wall_time_seconds=time.perf_counter() - start,
         min_case_support=search.min_case_support(),
+        nodes_dead=search.nodes_dead,
     )
     return records, stats

@@ -142,9 +142,10 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
     assert next(iter(stats.items())) == ("schema", 1)
-    assert stats["nodes_visited"] == 130
+    assert stats["nodes_visited"] == 124
     assert stats["nodes_pruned"] == 35
-    assert stats["nodes_duplicate"] == 19
+    assert stats["nodes_duplicate"] == 16
+    assert stats["nodes_dead"] == 5
     assert stats["patterns_emitted"] == 15
     assert stats["min_case_support"] == 2
     assert stats["wall_time_seconds"] >= 0.0
@@ -166,7 +167,8 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
     assert stats["min_case_support"] is None
-    assert stats["nodes_visited"] == 174
+    assert stats["nodes_visited"] == 160
+    assert stats["nodes_dead"] == 9
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):

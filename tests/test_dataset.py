@@ -397,11 +397,17 @@ def test_load_genotype_matrix_row_errors_on_fast_rows(matrix, message):
     assert _outcome(_load_text, matrix, "bob,1\neve,0\n") == "genotype matrix " + message
 
 
-def test_load_genotype_matrix_lone_cr_stream_stays_a_csv_error():
-    # csv ends a row at a CR, and then refuses the rest of the line
-    matrix = io.BytesIO(b"snp,bob,eve\rrs1,0,1\r")
-    with pytest.raises(DatasetFormatError, match="new-line character seen in unquoted field"):
-        load_genotype_matrix(matrix, io.BytesIO(b"bob,1\neve,0\n"))
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+def test_load_genotype_matrix_newlines_agree_for_paths_and_streams(tmp_path, newline):
+    # a stream reads CRLF and lone CR as LF, as a path does
+    text = newline.join(["snp,bob,eve", "rs1,0,1", '"rs2",2,0', ""])
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(text.encode())
+    labels = b"bob,1\neve,0\n"
+    sources = (path, io.BytesIO(text.encode()), io.StringIO(text, newline=""))
+    loaded = [load_genotype_matrix(source, io.BytesIO(labels)) for source in sources]
+    assert loaded[0].rows == (1, 2, 0, 2, 0, 1)
+    assert loaded[0] == loaded[1] == loaded[2]
 
 
 #: One matrix and its labels, and what they load to: cases bob and kim

@@ -188,7 +188,38 @@ def test_cli_import_adds_no_dataclasses_or_inspect():
     before, after = fresh_modules("import sigpat.cli")
     added = after - before
     assert "sigpat.cli" in added
-    assert {"dataclasses", "inspect", *DEFERRED}.isdisjoint(added)
+    assert {"dataclasses", "inspect", "sigpat.oracle", *DEFERRED}.isdisjoint(added)
+
+
+def test_oracle_is_imported_on_first_use():
+    # the package root still exports mine_oracle, through a module __getattr__
+    _, after = fresh_modules("import sigpat\nassert 'sigpat.oracle' not in sys.modules\n"
+                             "assert sigpat.mine_oracle.__module__ == 'sigpat.oracle'")
+    assert "sigpat.oracle" in after
+    _, after = fresh_modules("from sigpat import *\nmine_oracle")
+    assert "sigpat.oracle" in after
+
+
+def test_traced_run_names_resolve():
+    """Every name ``perfbench/traced.py`` wraps resolves on the imported modules.
+
+    The traced run reports a per-layer metric as absent when its name does
+    not resolve; ``miner.confidence_intervals`` is kept for it alone. Loading
+    ``traced.py`` imports no sigpat module, so its ``WRAPPED`` is read first.
+    """
+    traced = str(ROOT / "perfbench" / "traced.py")
+    code = (
+        "import importlib, importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('traced', {traced!r})\n"
+        "traced = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(traced)\n"
+        "assert not [m for m in sys.modules if m.startswith('sigpat')]\n"
+        "for module, names in traced.WRAPPED.items():\n"
+        "    module = importlib.import_module(module)\n"
+        "    assert all(callable(getattr(module, n, None)) for n in names), names\n"
+    )
+    _, after = fresh_modules(code)
+    assert {"sigpat.cli", "sigpat.miner"} <= after
 
 
 @pytest.mark.parametrize("command, loaded", [
@@ -199,11 +230,15 @@ def test_cli_import_adds_no_dataclasses_or_inspect():
      set()),
     ("filter-genotypes --input {tmp}/quoted.csv --labels {tmp}/labels.csv --output {tmp}/out",
      {"csv"}),
-], ids=["mine-csv", "mine-json", "mine-stats", "filter-genotypes", "filter-genotypes-quoted"])
+    ("oracle --input {tmp}/data.tct --output {tmp}/out", {"sigpat.oracle"}),
+], ids=[
+    "mine-csv", "mine-json", "mine-stats", "filter-genotypes", "filter-genotypes-quoted",
+    "oracle",
+])
 def test_cli_run_loads_only_what_it_uses(tmp_path, command, loaded):
     """A clean run ends with only the deferred modules its options need,
     and with no ``logging``, which only a warning loads. Only quoted genotype
-    input needs ``csv``."""
+    input needs ``csv``, and only the ``oracle`` command ``sigpat.oracle``."""
     (tmp_path / "data.tct").write_text("1 a b\n1 a\n0 b\n0 a c\n", encoding="utf-8")
     (tmp_path / "matrix.csv").write_text("snp,bob,eve\nrs1,2,0\n", encoding="utf-8")
     (tmp_path / "quoted.csv").write_text('snp,"bob",eve\nrs1,2,0\n', encoding="utf-8")
@@ -211,4 +246,4 @@ def test_cli_run_loads_only_what_it_uses(tmp_path, command, loaded):
     code = "import sigpat.cli\nif sigpat.cli.main(sys.argv[1:]): sys.exit('run failed')"
     _, after = fresh_modules(code, *command.format(tmp=tmp_path).split())
     assert (tmp_path / "out").exists()
-    assert DEFERRED & after == loaded
+    assert (DEFERRED | {"sigpat.oracle"}) & after == loaded

@@ -17,12 +17,14 @@ from sigpat import (
     mine,
     mine_oracle,
 )
+from sigpat.measures import ContingencyTable, check_significance
 from sigpat.miner import _Search
 
 from conftest import random_dataset, random_thresholds
 from reference import (
     ReferenceSearch,
     common_items,
+    ista_mine,
     reference_mine,
     supporting_tids,
     tidset_mask,
@@ -48,17 +50,19 @@ def test_mine_worked_table_counts(table1):
     records, stats = mine(table1)
     assert len(records) == 50
     assert stats.patterns_emitted == 50
-    assert stats.nodes_visited == 174
+    assert stats.nodes_visited == 160
     assert stats.nodes_pruned == 0
-    assert stats.nodes_duplicate == 32
+    assert stats.nodes_duplicate == 29
+    assert stats.nodes_dead == 9
     assert stats.min_case_support is None
     assert stats.wall_time_seconds >= 0.0
 
     records, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)))
     assert len(records) == 15
-    assert stats.nodes_visited == 130
+    assert stats.nodes_visited == 124
     assert stats.nodes_pruned == 35
-    assert stats.nodes_duplicate == 19
+    assert stats.nodes_duplicate == 16
+    assert stats.nodes_dead == 5
     assert stats.min_case_support == 2
 
 
@@ -95,20 +99,19 @@ def test_mine_prune_noop_without_thresholds(table1):
     assert st_on.nodes_pruned == 0
 
 
-def test_lci_gr_prune_guard(table1):
-    # four controls: the growth-rate lower bound is not monotone there,
-    # so the automatic guard must disable that prune entirely
-    th = Thresholds(min_lci_gr=0.3)
-    _, stats = mine(table1, MinerConfig(thresholds=th))
-    assert stats.nodes_pruned == 0
-    _, forced = mine(table1, MinerConfig(thresholds=th, lci_gr_prune_guard=True))
-    assert forced.nodes_pruned > 0
+def test_lci_gr_prunes_on_four_controls(table1):
+    # the growth-rate lower bound is not monotone in the control count on
+    # four controls, but the exact table top[a] still prunes there safely
+    cfg = MinerConfig(thresholds=Thresholds(min_lci_gr=0.3))
+    records, stats = mine(table1, cfg)
+    assert stats.nodes_pruned == 29
+    assert records == mine(table1, cfg._replace(prune=False))[0]
 
 
 def test_mine_trace_soundness(table1):
     trace: list[TraceNode] = []
     _, stats = mine(table1, trace=trace)
-    assert len(trace) == stats.nodes_visited == 174
+    assert len(trace) == stats.nodes_visited == 160
     for node in trace:
         assert node.pos
         assert node.items
@@ -121,7 +124,7 @@ def test_mine_trace_soundness_with_pruning(table1):
     # a row scan
     trace: list[TraceNode] = []
     _, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)), trace=trace)
-    assert len(trace) == stats.nodes_visited == 130
+    assert len(trace) == stats.nodes_visited == 124
     assert stats.nodes_pruned == 35
     for node in trace:
         assert common_items(Tidset(node.pos, node.neg), table1) == node.items
@@ -130,8 +133,8 @@ def test_mine_trace_soundness_with_pruning(table1):
 @pytest.mark.parametrize(
     "thresholds, counts",
     [
-        (Thresholds(), (4020, 0, 501)),
-        (Thresholds(min_ors=2.0), (2700, 1020, 121)),
+        (Thresholds(), (2710, 0, 501)),
+        (Thresholds(min_ors=2.0), (2137, 1020, 121)),
         (Thresholds(min_ors=2.0, min_lci_ors=1.0), (430, 316, 0)),
         (Thresholds(min_sd=0.2, min_lci_gr=1.0), (213, 168, 0)),
     ],
@@ -229,6 +232,84 @@ def test_mine_matches_row_scanning_reference(d):
             assert counters(stats) == counters(ref_stats) == counters(untraced_stats)
 
 
+THRESHOLD_VALUES = {
+    "min_sd": st.floats(-0.3, 0.8),
+    "min_gr": st.floats(0.0, 4.0),
+    "min_ors": st.floats(0.0, 6.0),
+    "min_lci_gr": st.floats(-0.5, 2.5),
+    "min_lci_ors": st.floats(-0.5, 3.0),
+}
+
+
+@st.composite
+def any_thresholds(draw):
+    """Any subset of the five thresholds, each drawn from a range it can bite in."""
+    names = draw(st.sets(st.sampled_from(sorted(THRESHOLD_VALUES))))
+    return Thresholds(**{name: draw(THRESHOLD_VALUES[name]) for name in names})
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_heavy_datasets(), any_thresholds())
+def test_exact_prune_keeps_every_pattern(d, thresholds):
+    cfg = MinerConfig(thresholds=thresholds)
+    records, _ = mine(d, cfg)
+    assert records == mine(d, cfg._replace(prune=False))[0]
+    if d.n <= 16:
+        assert records == mine_oracle(d, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), any_thresholds())
+def test_top_matches_a_naive_scan(n_case, n_control, thresholds):
+    # top[a] scans down from the thresholds' caps; a naive scan tries every c
+    search = _Search(n_case, n_control, MinerConfig(thresholds=thresholds), None)
+    for a in range(1, n_case + 1):
+        passing = [
+            c
+            for c in range(1, n_control + 1)
+            if check_significance(
+                ContingencyTable(a, n_case - a, c, n_control - c), thresholds
+            )
+        ]
+        assert search._top(a) == max(passing, default=0)
+
+
+def pooled_dataset(seed: int, n_case: int, n_control: int, n_items: int, density: float, pool: int):
+    """Transactions that each copy one of ``pool`` random item sets, with
+    every item flipped with probability 0.1: near twins at every level."""
+    rng = random.Random(seed)
+    names = [f"i{k}" for k in range(n_items)]
+    base = [{x for x in names if rng.random() < density} for _ in range(pool)]
+
+    def row():
+        chosen = rng.choice(base)
+        return [x for x in names if (x in chosen) != (rng.random() < 0.1)]
+
+    return from_transactions([row() for _ in range(n_case)], [row() for _ in range(n_control)])
+
+
+#: past the oracle's 24 transactions and 20 items
+MID_SIZE = [(30, 30, 50, 0.35, 8), (40, 36, 40, 0.4, 6), (26, 34, 70, 0.3, 12)]
+
+
+@pytest.mark.parametrize("thresholds", [
+    Thresholds(min_sd=0.1),
+    Thresholds(min_gr=1.5),
+    Thresholds(min_ors=1.5),
+    Thresholds(min_lci_gr=0.6),
+    Thresholds(min_lci_ors=0.6),
+], ids=["sd", "gr", "ors", "lci_gr", "lci_ors"])
+def test_mine_matches_closed_tidset_intersections(thresholds):
+    # the closed tidsets are the intersections of item rows, so listing
+    # them all checks that no pattern is missing on inputs too large for
+    # the oracle
+    for seed, shape in enumerate(MID_SIZE):
+        d = pooled_dataset(seed, *shape)
+        records, stats = mine(d, MinerConfig(thresholds=thresholds))
+        assert records == ista_mine(d, thresholds)
+        assert stats.nodes_dead > 0
+
+
 class Counting(_Search):
     """The engine, noting each row scan: case tid e as e, control tid e as -e."""
 
@@ -236,36 +317,69 @@ class Counting(_Search):
         super().__init__(*args)
         self.scanned = []
 
-    def expand_case(self, tpos, e, rows):
+    def expand_case(self, tpos, e, rows, dom, dead):
         self.scanned.append(e)
-        return super().expand_case(tpos, e, rows)
+        return super().expand_case(tpos, e, rows, dom, dead)
 
-    def expand_control(self, tpos, a, tneg, e, rows):
+    def expand_control(self, tpos, a, tneg, e, rows, dom, dead):
         self.scanned.append(-e)
-        return super().expand_control(tpos, a, tneg, e, rows)
+        return super().expand_control(tpos, a, tneg, e, rows, dom, dead)
+
+
+def counts(search: _Search) -> tuple[int, int, int]:
+    return search.nodes_visited, search.nodes_duplicate, search.nodes_dead
 
 
 def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
     # case tids 0-6 all hold x and only tid 3 holds y: below root 3, child 2
     # is scanned first and lies in row x alone, so children 1 and 0, which
-    # lie only in row x too, are counted as its duplicates without a scan
+    # lie only in row x too, are counted as its duplicates without a scan;
+    # control 7 lies only in row x, which holds case 2, so it is dead
     d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]])
     search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.expand_case(0, 3, tuple(enumerate(d.rows)))
-    assert search.scanned == [3, 2, -7]
-    assert (search.nodes_visited, search.nodes_duplicate) == (5, 3)
-    # controls 7 (x, y) and 8-10 (x): control child 10 closes over 8 and 9,
+    search.expand_case(0, 3, tuple(enumerate(d.rows)), 0, 0)
+    assert search.scanned == [3, 2]
+    assert counts(search) == (4, 3, 1)
+    # controls 7 (x) and 8-10 (x, y): control child 10 closes over 8 and 9,
     # which lie only where 10 does, so they are counted without a scan too
-    d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x", "y"]] + [["x"]] * 3)
+    d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]] + [["x", "y"]] * 3)
     rows = tuple(enumerate(d.rows))
     search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.expand_case(0, 3, rows)
+    search.expand_case(0, 3, rows, 0, 0)
     ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
-    ref.expand_case(0, 3, rows)
-    assert search.scanned == [3, 2, -10, -7]
-    assert (search.nodes_visited, search.nodes_duplicate) == (9, 5)
-    assert (ref.nodes_visited, ref.nodes_duplicate) == (9, 5)
+    ref.expand_case(0, 3, rows, 0, 0)
+    assert search.scanned == [3, 2, -10]
+    assert counts(search) == counts(ref) == (8, 5, 2)
     assert search.records == ref.records
+
+
+def test_twin_above_the_opening_tid_is_not_scanned():
+    # case rows: x holds 0-3, y holds 1 and 3, z holds 0 and 2. Root 3's scan
+    # shows that case 1 lies only in rows holding 3, so below root 2 (closed
+    # to {0, 2}) child 1, whose closure adds 3, is counted without a scan
+    d = from_transactions([["x", "z"], ["x", "y"], ["x", "z"], ["x", "y"]], [["x"]])
+    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
+    search.run(tuple(enumerate(d.rows)))
+    ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
+    ref.run(tuple(enumerate(d.rows)))
+    assert search.scanned == [3, 2, -4, 2]
+    assert counts(search) == counts(ref) == (11, 4, 2)
+    assert search.records == ref.records
+
+
+def test_dead_control_child_is_not_scanned():
+    # root 1's scan shows that control 2 lies only in rows holding case 1,
+    # so below root 0 the control child 2 cannot be case-closed: it is
+    # counted in nodes_dead, not as visited, and not scanned
+    d = from_transactions([["a", "c"], ["a", "b"]], [["a", "b"]])
+    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
+    search.run(tuple(enumerate(d.rows)))
+    ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
+    ref.run(tuple(enumerate(d.rows)))
+    assert search.scanned == [1, 0, -2, -2, 0]
+    assert counts(search) == counts(ref) == (5, 0, 1)
+    records, stats = mine(d)
+    assert records == mine_oracle(d) and stats.nodes_dead == 1
 
 
 def chain_dataset(n: int):
@@ -341,7 +455,9 @@ def test_case_count_cut_loses_no_pattern(d, thresholds):
     assert records == unpruned
     if d.n <= 12:
         assert records == mine_oracle(d, MinerConfig(thresholds=thresholds))
-    assert stats.nodes_visited <= full.nodes_visited
+    # a pruned or cut child counts as visited where the unpruned search may
+    # count it as dead
+    assert stats.nodes_visited + stats.nodes_dead <= full.nodes_visited + full.nodes_dead
     assert len(trace) == stats.nodes_visited
     for node in trace:
         assert common_items(Tidset(node.pos, node.neg), d) == node.items
@@ -365,7 +481,7 @@ def test_case_children_below_the_floor_are_not_scanned():
     # root 5 entered directly: its closure adds case 3, and its case
     # children 1 and 4 are cut without a scan
     search = Counting(d.n_case, d.n_control, cfg, None)
-    search.expand_case(0, 5, rows)
+    search.expand_case(0, 5, rows, 0, 0)
     assert search.scanned == [5]
     assert (search.nodes_visited, search.nodes_pruned) == (10, 8)
     assert mine(d, cfg)[0] == mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))[0] == []
