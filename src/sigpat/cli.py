@@ -84,10 +84,8 @@ def _rows(
     """Each record's items, twelve middle columns, case tids and control tids,
     as encoded CSV fields or JSON values.
 
-    The twelve are encoded once per (table, scores) pair, the tid lists once
-    per mask and, for JSON, each name once. Pairs are keyed by the ids of the
-    two objects, which costs less than hashing their twelve values; equal but
-    distinct pairs, as the oracle makes, are encoded again to the same text."""
+    The twelve are encoded once per table, as a record's scores are those of
+    its table, the tid lists once per mask and, for JSON, each name once."""
     if as_json:
         import json  # only JSON output and --stats load it
 
@@ -99,14 +97,12 @@ def _rows(
         join_ids = lambda texts: _csv_field(";".join(texts))  # noqa: E731
         # Joined names need quoting only when some name does.
         join_names = join_ids if any(_csv_field(n) != n for n in names) else ";".join
-    keyed: dict[tuple[int, int], str] = {}
-    pinned = []  # the keyed objects, so that no other object takes their ids
+    keyed: dict[ContingencyTable, str] = {}
     masked: dict[int, str] = {}
     for r in records:
         t, s = r.table, r.scores
-        cols = keyed.get((id(t), id(s)))
+        cols = keyed.get(t)
         if cols is None:
-            pinned.append((t, s))
             values = (t.a / t.n_case, t.c / t.n_control, s.sd, s.gr, s.ors,
                       s.lci_gr, s.uci_gr, s.lci_ors, s.uci_ors)
             if as_json:
@@ -117,7 +113,7 @@ def _rows(
             else:
                 flag = "true" if s.corrected_ci else "false"
                 cols = ",".join((str(t.a), str(t.c), *map(_fmt, values), flag))
-            keyed[id(t), id(s)] = cols
+            keyed[t] = cols
         pos = masked.get(r.pos_mask)
         if pos is None:
             pos = masked[r.pos_mask] = join_ids(map(ids.__getitem__, bit_positions(r.pos_mask)))

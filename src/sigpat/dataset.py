@@ -166,7 +166,8 @@ def load_transactions(source: Source) -> TwoClassDataset:
     Each non-comment line reads ``<label> <item> <item> ...`` with label 1 for
     case and 0 for control. Items are arbitrary whitespace-free tokens;
     duplicates within a line collapse to one occurrence. Lines starting with
-    ``#`` and blank lines are skipped. Item ids follow first appearance order;
+    ``#`` and blank lines are skipped; a line holding only a label is a
+    transaction with no items. Item ids follow first appearance order;
     external ids are 1-based positions in the sequence of data lines.
     """
     item_ids: dict[str, int] = {}
@@ -181,10 +182,6 @@ def load_transactions(source: Source) -> TwoClassDataset:
         label = tokens[0]
         if label not in ("0", "1"):
             raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-        if len(tokens) == 1:
-            import logging  # imported only here: a clean input never loads it
-
-            logging.getLogger(__name__).warning("line %d: transaction has no items", lineno)
         seq += 1
         (case if label == "1" else control).append((str(seq), _intern(tokens[1:], item_ids)))
     if not case and not control:
@@ -315,12 +312,11 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
     n = len(order)
     # Columns of internal tids n-1 .. 0: joined cells read as a binary number
-    # put internal tid j on bit j. Each picker returns a tuple of cells, or
-    # the one cell itself for a single individual: ``pick`` takes them from
-    # a row's cells, ``pick_chars`` from the string of cells ``body[::2]``
-    # of a line body "c,c,...,c" that holds n one-character cells.
+    # put internal tid j on bit j. ``pick_chars`` takes them from the string
+    # of cells ``body[::2]`` of a line body "c,c,...,c" that holds n
+    # one-character cells, and returns the one cell itself for a single
+    # individual; other rows are split and their cells taken from ``cols``.
     cols = [k + 1 for k in reversed(order)]
-    pick = operator.itemgetter(*cols)
     pick_chars = operator.itemgetter(*reversed(order))
     commas = "," * (n - 1)
     snps: list[str] = []
@@ -346,17 +342,13 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
                     f"genotype matrix row {lineno}: expected {len(individuals)} cells,"
                     f" got {len(row) - 1}"
                 )
-            cells = pick(row)
-            bits = "".join(cells)
-            # Unpadded valid cells join to n digits; other rows are stripped.
-            if len(bits) != n or not all(cells) or (hot := _one_hot(bits)) is None:
-                cells = [row[k].strip() for k in cols]
-                if not _GENOTYPES.issuperset(cells):
-                    bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
-                    raise DatasetFormatError(
-                        f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
-                    )
-                hot = _one_hot("".join(cells))
+            cells = [row[k].strip() for k in cols]
+            if not _GENOTYPES.issuperset(cells):
+                bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
+                raise DatasetFormatError(
+                    f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+                )
+            hot = _one_hot("".join(cells))
         rows += hot
         snps.append(snp)
     if not snps:

@@ -55,8 +55,8 @@ only in rows that hold a scanned case child s cannot be case-closed in a
 later case sibling's subtree or in the node's own control subtree, which
 lack s: ``dead`` carries such tids down, where they are dropped after the
 prune verdict and ``dom`` and counted as ``nodes_dead`` instead of visited.
-A traced search makes the same scans and logs each dropped duplicate in its
-place, but no dead child.
+A traced search makes the same scans: each child counted without a scan is
+traced when its parent decides it, and no dead child is traced.
 
 Scores and prune verdicts depend only on the two tidset part sizes, so they
 are computed once and shared by all roots; the row list shrinks with the
@@ -169,10 +169,11 @@ class _Search:
         self._least: dict[int, int] = {}
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
 
-    def _log(self, tpos: int, tneg: int, rows, bit: int) -> None:
-        """Trace the node (tpos, tneg), whose rows are those of ``rows`` holding ``bit``."""
+    def _log(self, tids: int, rows, bit: int) -> None:
+        """Trace the node ``tids``, whose rows are those of ``rows`` holding ``bit``."""
         items = tuple(i for i, r in rows if r & bit)
-        self.trace.append(TraceNode(bit_positions(tpos), bit_positions(tneg), items))
+        pos, neg = bit_positions(tids & self.case_mask), bit_positions(tids & self.control_mask)
+        self.trace.append(TraceNode(pos, neg, items))
 
     def expand_case(self, tpos: int, e: int, rows, dom: int, dead: int) -> int:
         """Visit the child adding case tid e; return the union of the ``rows`` without e."""
@@ -194,7 +195,7 @@ class _Search:
         tpos |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, 0, sub, ebit)
+            self._log(tpos, sub, ebit)
         ext = inter & self.case_mask & ~tpos
         if ext:
             if ext >= ebit:
@@ -203,14 +204,14 @@ class _Search:
             tpos |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, 0, sub, ebit)
+                self._log(tpos, sub, ebit)
         a = tpos.bit_count()
         top = self.top[a] if self.top[a] >= 0 else self._top(a)
         free = union & self.case_mask & ~tpos & (ebit - 1)
         dead = self._case_children(tpos, a, free, sub, dom, dead)
         free = union & self.control_mask
         if free and not top:
-            self._pruned(tpos, 0, free, sub)
+            self.nodes_pruned += self._unscanned(tpos, free, sub)
             return out
         gone = free & dead
         if gone:
@@ -219,16 +220,12 @@ class _Search:
         dom = 0
         while free:
             t = free.bit_length() - 1
-            bit = 1 << t
-            free ^= bit
-            if bit & dom:
-                self._log(tpos, bit, sub, bit)
-                continue
-            dup = free & ~(self.expand_control(tpos, a, 0, t, sub, dom, dead) | dom)
+            free ^= 1 << t
+            dup = free & ~self.expand_control(tpos, a, 0, t, sub, dom, dead)
             if dup:
-                dom |= self._dominated(dup)
-                if self.trace is None:
-                    free ^= dup
+                self.nodes_duplicate += self._unscanned(tpos, dup, sub)
+                dom |= dup
+                free ^= dup
         return out
 
     def expand_control(
@@ -253,7 +250,7 @@ class _Search:
         tneg |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, tneg, sub, ebit)
+            self._log(tpos | tneg, sub, ebit)
         ext = inter & self.control_mask & ~tneg
         if ext:
             if ext >= ebit:
@@ -262,35 +259,32 @@ class _Search:
             tneg |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, tneg, sub, ebit)
+                self._log(tpos | tneg, sub, ebit)
         if inter & self.case_mask != tpos:
             return out  # every descendant keeps the extra case tid: none can emit
         c = tneg.bit_count()
         self._emit(tpos, tneg, a, c, sub)
         free = union & self.control_mask & ~tneg & (ebit - 1)
         if free and c >= self.top[a]:
-            self._pruned(tpos, tneg, free, sub)
+            self.nodes_pruned += self._unscanned(tpos | tneg, free, sub)
             return out
-        if free & dom:
-            gone = self._dominated(free & dom)
-            free ^= gone if self.trace is None else 0
-        gone = free & dead & ~dom
+        gone = free & dom
+        if gone:
+            self.nodes_duplicate += self._unscanned(tpos | tneg, gone, sub)
+            free ^= gone
+        gone = free & dead
         if gone:
             self.nodes_dead += gone.bit_count()
             free ^= gone
         # the loop stays here, so that each control level takes one stack frame
         while free:
             t = free.bit_length() - 1
-            bit = 1 << t
-            free ^= bit
-            if bit & dom:
-                self._log(tpos, tneg | bit, sub, bit)
-                continue
-            dup = free & ~(self.expand_control(tpos, a, tneg, t, sub, dom, dead) | dom)
+            free ^= 1 << t
+            dup = free & ~self.expand_control(tpos, a, tneg, t, sub, dom, dead)
             if dup:
-                dom |= self._dominated(dup)
-                if self.trace is None:
-                    free ^= dup
+                self.nodes_duplicate += self._unscanned(tpos | tneg, dup, sub)
+                dom |= dup
+                free ^= dup
         return out
 
     def run(self, rows) -> None:
@@ -305,9 +299,9 @@ class _Search:
         and the control tids that lie, in ``rows``, only where a scanned child's tid does.
 
         The children that cannot reach the least hopeful case count, then those
-        in ``dom``, are counted without a row scan; the others go from the highest down.
+        in ``dom``, are counted without a row scan; the others go from the highest
+        down, and those a scan shows dominated are counted right after it.
         """
-        cut = 0
         k = self._least_hopeful(a + 1) - a
         if k > 1 and free:
             # a descendant of child t adds only tids of free below t, and each
@@ -321,46 +315,34 @@ class _Search:
                     for _ in drops:
                         x &= x - 1
                     kept |= x
-            cut = free ^ kept
-            n = cut.bit_count()
-            self.nodes_visited += n
-            self.nodes_pruned += n
-        self._dominated(free & dom & ~cut)
-        skip = cut | dom
-        if self.trace is None:
-            free &= ~skip
+            if free != kept:
+                self.nodes_pruned += self._unscanned(tpos, free ^ kept, rows)
+                free = kept
+        gone = free & dom
+        if gone:
+            self.nodes_duplicate += self._unscanned(tpos, gone, rows)
+            free ^= gone
         while free:
             t = free.bit_length() - 1
-            bit = 1 << t
-            free ^= bit
-            if bit & skip:
-                self._log(tpos | bit, 0, rows, bit)
-                continue
+            free ^= 1 << t
             out = self.expand_case(tpos, t, rows, dom, dead)
             dead |= self.control_mask & ~out
-            dup = free & ~(out | skip)
+            dup = free & ~out
             if dup:
-                dom |= self._dominated(dup)
-                skip |= dup
-                if self.trace is None:
-                    free ^= dup
+                self.nodes_duplicate += self._unscanned(tpos, dup, rows)
+                dom |= dup
+                free ^= dup
         return dead
 
-    def _dominated(self, dup: int) -> int:
-        """Count the children in ``dup`` as visited duplicates, without a row scan."""
-        n = dup.bit_count()
-        self.nodes_visited += n
-        self.nodes_duplicate += n
-        return dup
-
-    def _pruned(self, tpos: int, tneg: int, tids: int, rows) -> None:
-        """Count (and trace) the children adding one control tid of ``tids`` as pruned."""
-        n = tids.bit_count()
-        self.nodes_visited += n
-        self.nodes_pruned += n
+    def _unscanned(self, node: int, tids: int, rows) -> int:
+        """Count as visited, and trace from the highest tid down, the children
+        adding one tid of ``tids`` to ``node`` without a row scan; return how many."""
         if self.trace is not None:
             for t in reversed(bit_positions(tids)):
-                self._log(tpos, tneg | 1 << t, rows, 1 << t)
+                self._log(node | 1 << t, rows, 1 << t)
+        n = tids.bit_count()
+        self.nodes_visited += n
+        return n
 
     def _top(self, a: int) -> int:
         """``top[a]``: the largest control count whose table with a case tids passes, or 0."""
@@ -420,7 +402,10 @@ def mine(
     Returns the records sorted by itemset (lexicographic on item ids) plus
     search statistics. ``trace``, when given a list, receives every visited
     node in visiting order: depth first, the children of each node from the
-    highest tid down, case children before control children.
+    highest tid down, case children before control children. A child counted
+    without a row scan is listed when its parent decides it: right after the
+    scan that shows it a duplicate, or before the scanned children when it is
+    cut, pruned or dominated by a scan above its parent.
     """
     cfg = config if config is not None else MinerConfig()
     if dataset.n_case < 1 or dataset.n_control < 1:

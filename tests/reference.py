@@ -126,6 +126,9 @@ class ReferenceSearch(_Search):
     scanned case child. Only the engine's scans add to the masks, so a
     dominated child, scanned here to its closure, adds nothing; a dead
     control child is checked to be not case-closed and is not scanned.
+    Each child is scanned, or counted, where the engine traces it: cut,
+    pruned and already dominated children before the others, and a child
+    that a sibling's rows show dominated right after that sibling's scan.
     """
 
     def _hopeless(self, a: int, c: int) -> bool:
@@ -155,7 +158,7 @@ class ReferenceSearch(_Search):
         tpos |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, 0, sub, ebit)
+            self._log(tpos, sub, ebit)
         ext = inter & self.case_mask & ~tpos
         if ext:
             if ext >= ebit:
@@ -164,7 +167,7 @@ class ReferenceSearch(_Search):
             tpos |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, 0, sub, ebit)
+                self._log(tpos, sub, ebit)
         a = tpos.bit_count()
         free = union & self.case_mask & ~tpos & (ebit - 1)
         dead = self._case_children(tpos, a, free, sub, dom, dead)
@@ -178,18 +181,24 @@ class ReferenceSearch(_Search):
             held = [r for _, r in rows if r >> t & 1]
             if any((r & free & ((1 << t) - 1)).bit_count() >= k - 1 for r in held):
                 kept |= 1 << t
-        for t in reversed(bit_positions(free)):
-            low = 1 << t
-            if not low & kept:
-                self.nodes_visited += 1
-                self.nodes_pruned += 1
-                if self.trace is not None:
-                    self._log(tpos | low, 0, rows, low)
-                continue
+        for t in reversed(bit_positions(free & ~kept)):
+            self.nodes_visited += 1
+            self.nodes_pruned += 1
+            if self.trace is not None:
+                self._log(tpos | 1 << t, rows, 1 << t)
+        for t in reversed(bit_positions(kept & dom)):
             self.expand_case(tpos, t, rows, dom, dead)
-            if not low & dom:
-                dead |= only_with(rows, t, self.control_mask)
-                dom |= only_with(rows, t, kept & (low - 1))
+        todo = kept & ~dom
+        while todo:
+            t = todo.bit_length() - 1
+            todo ^= 1 << t
+            self.expand_case(tpos, t, rows, dom, dead)
+            dead |= only_with(rows, t, self.control_mask)
+            dup = only_with(rows, t, todo)
+            for s in reversed(bit_positions(dup)):
+                self.expand_case(tpos, s, rows, dom, dead)
+            dom |= dup
+            todo ^= dup
         return dead
 
     def expand_control(
@@ -210,7 +219,7 @@ class ReferenceSearch(_Search):
         tneg |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, tneg, sub, ebit)
+            self._log(tpos | tneg, sub, ebit)
         ext = inter & self.control_mask & ~tneg
         if ext:
             if ext >= ebit:
@@ -219,7 +228,7 @@ class ReferenceSearch(_Search):
             tneg |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, tneg, sub, ebit)
+                self._log(tpos | tneg, sub, ebit)
         if inter & self.case_mask != tpos:
             return  # every descendant keeps the extra case tid
         self._emit(tpos, tneg, a, tneg.bit_count(), sub)
@@ -232,22 +241,27 @@ class ReferenceSearch(_Search):
                 self.nodes_visited += 1
                 self.nodes_pruned += 1
                 if self.trace is not None:
-                    self._log(tpos, tneg | 1 << t, rows, 1 << t)
+                    self._log(tpos | tneg | 1 << t, rows, 1 << t)
             return
-        dropped = free & dead & ~dom
-        for t in reversed(bit_positions(free)):
-            low = 1 << t
-            if low & dropped:
-                inter = -1
-                for _, r in rows:
-                    if r & low:
-                        inter &= r
-                assert inter & self.case_mask != tpos, "a dead child is case-closed"
-                self.nodes_dead += 1
-                continue
+        for t in reversed(bit_positions(free & dom)):
             self.expand_control(tpos, a, tneg, t, rows, dom, dead)
-            if not low & dom:
-                dom |= only_with(rows, t, free & ~dropped & (low - 1))
+        for t in bit_positions(free & dead & ~dom):
+            inter = -1
+            for _, r in rows:
+                if r >> t & 1:
+                    inter &= r
+            assert inter & self.case_mask != tpos, "a dead child is case-closed"
+            self.nodes_dead += 1
+        todo = free & ~dom & ~dead
+        while todo:
+            t = todo.bit_length() - 1
+            todo ^= 1 << t
+            self.expand_control(tpos, a, tneg, t, rows, dom, dead)
+            dup = only_with(rows, t, todo)
+            for s in reversed(bit_positions(dup)):
+                self.expand_control(tpos, a, tneg, s, rows, dom, dead)
+            dom |= dup
+            todo ^= dup
 
 
 def closed_tidsets(dataset: TwoClassDataset, min_case: int) -> set[int]:

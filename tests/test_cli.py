@@ -423,13 +423,14 @@ def test_mine_genotype_format_uses_individual_ids(tmp_path, capsys):
     assert referenced_controls <= {"eve", "sam", "joe"}
 
 
-def test_mine_empty_transaction_warns_on_stderr(tmp_path):
+def test_mine_empty_transaction_is_silent(tmp_path):
+    # line 2 is a case with no items: it loads without a warning and counts
+    # in n_case, so sup_case is 1/3
     data = tmp_path / "empty.tct"
     data.write_text("1 a b\n1\n0 a\n1 b c\n0 c\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     rc, stdout, err = run_process("mine", "--input", str(data), "--output", str(out))
-    # no logging is configured, so the last-resort handler prints the bare message
-    assert (rc, stdout, err) == (0, "", "line 2: transaction has no items\n")
+    assert (rc, stdout, err) == (0, "", "")
     assert out.read_text(encoding="utf-8") == (
         "items,n_case_tids,n_control_tids,sup_case,sup_control,sd,gr,ors,"
         "lci_gr,uci_gr,lci_ors,uci_ors,ci_corrected,case_tids,control_tids\n"

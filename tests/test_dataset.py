@@ -128,11 +128,14 @@ def test_load_transactions_invalid_utf8_names_source(tmp_path):
         load_transactions(io.BytesIO(path.read_bytes()))
 
 
-def test_load_transactions_empty_transaction_logs_warning(caplog):
-    with caplog.at_level(logging.WARNING, logger="sigpat.dataset"):
+def test_load_transactions_empty_transaction_loads_silently(caplog):
+    # a label-only line, as filter-genotypes writes for an individual with no
+    # kept item, is a transaction with no items and counts in its class
+    with caplog.at_level(logging.DEBUG):
         d = load_transactions(io.StringIO("1 a\n1\n0 a\n"))
-    assert d.n_case == 2
-    assert any("no items" in rec.message for rec in caplog.records)
+    assert (d.n_case, d.n_control) == (2, 1)
+    assert d.rows == (0b101,)
+    assert caplog.records == []
 
 
 def test_from_transactions_ordering():

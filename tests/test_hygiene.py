@@ -237,7 +237,7 @@ def test_traced_run_names_resolve():
 ])
 def test_cli_run_loads_only_what_it_uses(tmp_path, command, loaded):
     """A clean run ends with only the deferred modules its options need,
-    and with no ``logging``, which only a warning loads. Only quoted genotype
+    and with no ``logging``, which the package never imports. Only quoted genotype
     input needs ``csv``, and only the ``oracle`` command ``sigpat.oracle``."""
     (tmp_path / "data.tct").write_text("1 a b\n1 a\n0 b\n0 a c\n", encoding="utf-8")
     (tmp_path / "matrix.csv").write_text("snp,bob,eve\nrs1,2,0\n", encoding="utf-8")

@@ -216,9 +216,9 @@ def counters(stats: MineStats) -> MineStats:
 # below root 1, control 3 closes over case 0 and has the child 2
 @example(from_transactions([["x", "z"], ["x", "y", "z"]], [["x"], ["x", "z"]]))
 def test_mine_matches_row_scanning_reference(d):
-    # children dominated by a scanned sibling are counted in the parent
-    # without a trace; counters, traces and records must equal those of the
-    # search that scans rows for every child
+    # children dominated by a scanned sibling are counted and traced in the
+    # parent without a row scan; counters, traces and records must equal
+    # those of the search that scans rows for every child
     for thresholds in THRESHOLD_SETS:
         for prune in (True, False):
             cfg = MinerConfig(thresholds=thresholds, prune=prune)
@@ -328,6 +328,55 @@ class Counting(_Search):
 
 def counts(search: _Search) -> tuple[int, int, int]:
     return search.nodes_visited, search.nodes_duplicate, search.nodes_dead
+
+
+def scans(d, thresholds: Thresholds, trace: list[TraceNode] | None) -> Counting:
+    search = Counting(d.n_case, d.n_control, MinerConfig(thresholds=thresholds), trace)
+    search.run(tuple(enumerate(d.rows)))
+    return search
+
+
+def check_tracing_scans_the_same(d) -> None:
+    for thresholds in THRESHOLD_SETS:
+        traced = scans(d, thresholds, [])
+        untraced = scans(d, thresholds, None)
+        assert traced.scanned == untraced.scanned
+        assert len(traced.trace) == traced.nodes_visited
+        assert counts(traced) == counts(untraced)
+        assert traced.records == untraced.records
+
+
+def test_tracing_scans_the_same_rows_on_worked_table(table1):
+    check_tracing_scans_the_same(table1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_heavy_datasets())
+def test_tracing_scans_the_same_rows(d):
+    # a traced search skips the same children as an untraced one, so both
+    # make the same row scans in the same order
+    check_tracing_scans_the_same(d)
+
+
+def test_trace_lists_a_dominated_child_after_the_scan_that_shows_it():
+    # cases 0 and 2 hold x, case 1 holds y: root 2's scan shows that case 0
+    # lies only in rows holding 2, so root 0 is traced right after root 2's
+    # subtree and before root 1, which is not dominated
+    d = from_transactions([["x"], ["y"], ["x"]], [["x", "y"]])
+    x, y = d.items.index("x"), d.items.index("y")
+    trace: list[TraceNode] = []
+    ref_trace: list[TraceNode] = []
+    _, stats = mine(d, trace=trace)
+    reference_mine(d, MinerConfig(), trace=ref_trace)
+    assert trace == ref_trace == [
+        TraceNode((2,), (), (x,)),
+        TraceNode((0, 2), (), (x,)),
+        TraceNode((0, 2), (3,), (x,)),
+        TraceNode((0,), (), (x,)),
+        TraceNode((1,), (), (y,)),
+        TraceNode((1,), (3,), (y,)),
+    ]
+    assert stats.nodes_duplicate == 1
 
 
 def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
