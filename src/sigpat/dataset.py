@@ -163,8 +163,8 @@ def _build(
 def load_transactions(source: Source) -> TwoClassDataset:
     """Parse the labelled transaction text format.
 
-    Each non-comment line reads ``<label> <item> <item> ...`` with label 1 for
-    case and 0 for control. Items are arbitrary whitespace-free tokens;
+    Lines end at LF. Each non-comment line reads ``<label> <item> <item> ...``
+    with label 1 for case and 0 for control. Items are whitespace-free tokens;
     duplicates within a line collapse to one occurrence. Lines starting with
     ``#`` and blank lines are skipped; a line holding only a label is a
     transaction with no items. Item ids follow first appearance order;
@@ -174,7 +174,7 @@ def load_transactions(source: Source) -> TwoClassDataset:
     case: list[tuple[str, list[int]]] = []
     control: list[tuple[str, list[int]]] = []
     seq = 0
-    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(source).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,6 +9,12 @@ closed tidset reachable exactly once. A pattern is emitted when its tidset is
 closed over both classes, contains at least one control tid, and satisfies the
 configured thresholds.
 
+One routine, ``_Search.expand``, visits a child of either class: one row scan,
+the closure over the child's class, then one loop over the control children.
+With the loop inline a case level takes two stack frames (with
+``_case_children``) and a control level one, so ``mine`` raises the recursion
+limit by 2*n_case + n_control, plus 50 for the calls below the deepest level.
+
 Every control-phase descendant of a node with a case tids and c control
 tids keeps a and has at least c control tids, and the scores depend on the
 two counts alone. So the node keeps hope exactly when c <= top[a], the
@@ -70,6 +76,7 @@ when a caller reads it.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import NamedTuple, Optional
 
@@ -175,8 +182,9 @@ class _Search:
         pos, neg = bit_positions(tids & self.case_mask), bit_positions(tids & self.control_mask)
         self.trace.append(TraceNode(pos, neg, items))
 
-    def expand_case(self, tpos: int, e: int, rows, dom: int, dead: int) -> int:
-        """Visit the child adding case tid e; return the union of the ``rows`` without e."""
+    def expand(self, tpos: int, a: int, tneg: int, e: int, rows, dom: int, dead: int) -> int:
+        """Visit the child adding tid e, of either class, to the node ``tpos | tneg``
+        with ``a`` case tids; return the union of the ``rows`` without e."""
         ebit = 1 << e
         sub = []
         inter = -1
@@ -192,79 +200,45 @@ class _Search:
                 out |= r
         if not sub:
             return out
-        tpos |= ebit
         self.nodes_visited += 1
-        if self.trace is not None:
-            self._log(tpos, sub, ebit)
-        ext = inter & self.case_mask & ~tpos
-        if ext:
-            if ext >= ebit:
-                self.nodes_duplicate += 1
-                return out  # closure reaches a tid >= e: this branch is a duplicate
-            tpos |= ext
-            self.nodes_visited += 1
+        if e < self.n_case:
+            tpos |= ebit
             if self.trace is not None:
                 self._log(tpos, sub, ebit)
-        a = tpos.bit_count()
-        top = self.top[a] if self.top[a] >= 0 else self._top(a)
-        free = union & self.case_mask & ~tpos & (ebit - 1)
-        dead = self._case_children(tpos, a, free, sub, dom, dead)
-        free = union & self.control_mask
-        if free and not top:
-            self.nodes_pruned += self._unscanned(tpos, free, sub)
-            return out
-        gone = free & dead
-        if gone:
-            self.nodes_dead += gone.bit_count()
-            free ^= gone
-        dom = 0
-        while free:
-            t = free.bit_length() - 1
-            free ^= 1 << t
-            dup = free & ~self.expand_control(tpos, a, 0, t, sub, dom, dead)
-            if dup:
-                self.nodes_duplicate += self._unscanned(tpos, dup, sub)
-                dom |= dup
-                free ^= dup
-        return out
-
-    def expand_control(
-        self, tpos: int, a: int, tneg: int, e: int, rows, dom: int, dead: int
-    ) -> int:
-        """Visit the child adding control tid e; return the union of the ``rows`` without e."""
-        ebit = 1 << e
-        sub = []
-        inter = -1
-        union = 0
-        out = 0
-        for ir in rows:
-            r = ir[1]
-            if r & ebit:
-                sub.append(ir)
-                inter &= r
-                union |= r
-            else:
-                out |= r
-        if not sub:
-            return out
-        tneg |= ebit
-        self.nodes_visited += 1
-        if self.trace is not None:
-            self._log(tpos | tneg, sub, ebit)
-        ext = inter & self.control_mask & ~tneg
-        if ext:
-            if ext >= ebit:
-                self.nodes_duplicate += 1
-                return out
-            tneg |= ext
-            self.nodes_visited += 1
+            ext = inter & self.case_mask & ~tpos
+            if ext:
+                if ext >= ebit:
+                    self.nodes_duplicate += 1
+                    return out  # closure reaches a tid >= e: this branch is a duplicate
+                tpos |= ext
+                self.nodes_visited += 1
+                if self.trace is not None:
+                    self._log(tpos, sub, ebit)
+            a = tpos.bit_count()
+            if self.top[a] < 0:  # the verdict below and the control subtree read top[a]
+                self._top(a)
+            free = union & self.case_mask & ~tpos & (ebit - 1)
+            dead = self._case_children(tpos, a, free, sub, dom, dead)
+            free = union & self.control_mask
+            dom = c = 0
+        else:
+            tneg |= ebit
             if self.trace is not None:
                 self._log(tpos | tneg, sub, ebit)
-        if inter & self.case_mask != tpos:
-            return out  # every descendant keeps the extra case tid: none can emit
-        c = tneg.bit_count()
-        self._emit(tpos, tneg, a, c, sub)
-        free = union & self.control_mask & ~tneg & (ebit - 1)
+            ext = inter & self.control_mask & ~tneg
+            if ext:
+                if ext >= ebit:
+                    self.nodes_duplicate += 1
+                    return out
+                tneg |= ext
+                self.nodes_visited += 1
+                if self.trace is not None:
+                    self._log(tpos | tneg, sub, ebit)
+            if inter & self.case_mask != tpos:
+                return out  # every descendant keeps the extra case tid: none can emit
+            c = tneg.bit_count()
+            self._emit(tpos, tneg, a, c, sub)
+            free = union & self.control_mask & ~tneg & (ebit - 1)
         if free and c >= self.top[a]:
             self.nodes_pruned += self._unscanned(tpos | tneg, free, sub)
             return out
@@ -280,7 +254,7 @@ class _Search:
         while free:
             t = free.bit_length() - 1
             free ^= 1 << t
-            dup = free & ~self.expand_control(tpos, a, tneg, t, sub, dom, dead)
+            dup = free & ~self.expand(tpos, a, tneg, t, sub, dom, dead)
             if dup:
                 self.nodes_duplicate += self._unscanned(tpos | tneg, dup, sub)
                 dom |= dup
@@ -325,7 +299,7 @@ class _Search:
         while free:
             t = free.bit_length() - 1
             free ^= 1 << t
-            out = self.expand_case(tpos, t, rows, dom, dead)
+            out = self.expand(tpos, a, 0, t, rows, dom, dead)
             dead |= self.control_mask & ~out
             dup = free & ~out
             if dup:
@@ -412,7 +386,12 @@ def mine(
         raise ValueError("mining needs at least one case and one control transaction")
     start = time.perf_counter()
     search = _Search(dataset.n_case, dataset.n_control, cfg, trace)
-    search.run(tuple(enumerate(dataset.rows)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * dataset.n_case + dataset.n_control + 50)
+    try:
+        search.run(tuple(enumerate(dataset.rows)))
+    finally:
+        sys.setrecursionlimit(limit)
     records = search.records
     records.sort(key=lambda r: r.itemset)
     for first, second in zip(records, records[1:]):

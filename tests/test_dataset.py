@@ -97,6 +97,19 @@ def test_load_transactions_bad_label():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, case, control", [
+    ("1 a\x0c1 b\n0 a b\n", [["a", "1", "b"]], [["a", "b"]]),
+    ("1 a\x85b\n0 c\n", [["a", "b"]], [["c"]]),
+], ids=["form feed", "next line"])
+def test_load_transactions_splits_lines_at_lf_only(text, case, control):
+    # form feed, NEL and the other breaks str.splitlines knows are whitespace
+    # within a line: they separate items but end no line
+    d = load_transactions(io.StringIO(text))
+    want = from_transactions(case, control)
+    assert (d.items, d.rows, d.n_case, d.n_control) == (
+        want.items, want.rows, want.n_case, want.n_control)
+
+
 def test_load_transactions_empty_input():
     with pytest.raises(DatasetFormatError):
         load_transactions(io.StringIO("# nothing\n"))

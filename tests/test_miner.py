@@ -17,6 +17,8 @@ from sigpat import (
     mine,
     mine_oracle,
 )
+from sigpat.cli import main
+from sigpat.dataset import dump_transactions
 from sigpat.measures import ContingencyTable, check_significance
 from sigpat.miner import _Search
 
@@ -317,13 +319,9 @@ class Counting(_Search):
         super().__init__(*args)
         self.scanned = []
 
-    def expand_case(self, tpos, e, rows, dom, dead):
-        self.scanned.append(e)
-        return super().expand_case(tpos, e, rows, dom, dead)
-
-    def expand_control(self, tpos, a, tneg, e, rows, dom, dead):
-        self.scanned.append(-e)
-        return super().expand_control(tpos, a, tneg, e, rows, dom, dead)
+    def expand(self, tpos, a, tneg, e, rows, dom, dead):
+        self.scanned.append(e if e < self.n_case else -e)
+        return super().expand(tpos, a, tneg, e, rows, dom, dead)
 
 
 def counts(search: _Search) -> tuple[int, int, int]:
@@ -386,7 +384,7 @@ def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
     # control 7 lies only in row x, which holds case 2, so it is dead
     d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]])
     search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.expand_case(0, 3, tuple(enumerate(d.rows)), 0, 0)
+    search.expand(0, 0, 0, 3, tuple(enumerate(d.rows)), 0, 0)
     assert search.scanned == [3, 2]
     assert counts(search) == (4, 3, 1)
     # controls 7 (x) and 8-10 (x, y): control child 10 closes over 8 and 9,
@@ -394,7 +392,7 @@ def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
     d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]] + [["x", "y"]] * 3)
     rows = tuple(enumerate(d.rows))
     search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.expand_case(0, 3, rows, 0, 0)
+    search.expand(0, 0, 0, 3, rows, 0, 0)
     ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
     ref.expand_case(0, 3, rows, 0, 0)
     assert search.scanned == [3, 2, -10]
@@ -451,15 +449,40 @@ def test_chain_scans_each_control_once():
 
 
 def test_long_chain_fits_the_stack():
-    # every control level of the search costs one stack frame
+    # every control level of the search costs one stack frame: mine raises
+    # this low limit by 2 * n_case + n_control + 50, which a search taking two
+    # frames per control level would overrun
     n = 300
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 350)
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
     try:
         records, stats = mine(chain_dataset(n))
     finally:
         sys.setrecursionlimit(limit)
     assert len(records) == stats.patterns_emitted == n
+
+
+def test_cli_mines_a_chain_deeper_than_the_default_recursion_limit(tmp_path, capsys):
+    # 1,500 control levels take more frames than Python's default limit of
+    # 1,000: mine raises the limit while it searches, then restores it
+    path, out = tmp_path / "chain.tct", tmp_path / "patterns.csv"
+    dump_transactions(chain_dataset(1500), path)
+    limit = sys.getrecursionlimit()
+    assert main(["mine", "--input", str(path), "--output", str(out)]) == 0
+    assert sys.getrecursionlimit() == limit
+    assert len(out.read_text().splitlines()) == 1 + 1500
+    assert capsys.readouterr().err == ""
+
+
+def test_mine_restores_the_recursion_limit_when_the_search_raises():
+    class Refusing(list):
+        def append(self, node):
+            raise RuntimeError("refused")
+
+    limit = sys.getrecursionlimit()
+    with pytest.raises(RuntimeError, match="refused"):
+        mine(chain_dataset(3), trace=Refusing())
+    assert sys.getrecursionlimit() == limit
 
 
 @st.composite
@@ -530,7 +553,7 @@ def test_case_children_below_the_floor_are_not_scanned():
     # root 5 entered directly: its closure adds case 3, and its case
     # children 1 and 4 are cut without a scan
     search = Counting(d.n_case, d.n_control, cfg, None)
-    search.expand_case(0, 5, rows, 0, 0)
+    search.expand(0, 0, 0, 5, rows, 0, 0)
     assert search.scanned == [5]
     assert (search.nodes_visited, search.nodes_pruned) == (10, 8)
     assert mine(d, cfg)[0] == mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))[0] == []
