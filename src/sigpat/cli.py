@@ -332,8 +332,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     dataset = load_genotype_matrix(args.input, args.labels)
     if dataset.n_control < 1:
         raise DatasetFormatError("no control individuals; control support is undefined")
-    case_mask = dataset.case_mask
-    control_mask = dataset.control_mask
+    case_mask, control_mask = dataset.case_mask, dataset.control_mask
     # An item's p-value, control support and verdict follow from its case
     # and control counts alone, so each (a, c) is decided once.
     decided: dict[tuple[int, int], tuple[bool, str]] = {}
@@ -367,7 +366,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     if args.report:
         with _open_out(args.report) as out:
             out.write("item,p_value,control_support,kept\n")
-            out.writelines(map(str.__add__, map(_csv_field, dataset.items), report_cols))
+            joined = "".join(dataset.items)  # holds , " or \n when some name does
+            names = dataset.items if _csv_field(joined) == joined else map(_csv_field, dataset.items)
+            out.writelines(map(str.__add__, names, report_cols))
             out.write(f"# total_kept {len(kept_ids)}\n")
             out.write(f"# total_dropped {len(report_cols) - len(kept_ids)}\n")
     return 0

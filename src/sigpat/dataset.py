@@ -9,7 +9,6 @@ intersections and support counts reduce to bitwise ops on Python ints.
 from __future__ import annotations
 
 import io
-import operator
 import random
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence, Union
@@ -260,23 +259,37 @@ _GENOTYPES = frozenset("012")
 #: ``str.translate`` tables: ``_ONE_HOT[v]`` maps the digit v to "1" and the other two to "0".
 _ONE_HOT = (str.maketrans("012", "100"), str.maketrans("012", "010"), str.maketrans("012", "001"))
 
+#: Data rows that ``load_genotype_matrix`` puts in tid order at once.
+_BLOCK = 128
 
-def _one_hot(bits: str) -> list[int] | None:
-    """The rows of genotypes 0, 1 and 2 for ``bits``, one character per tid
-    from the highest down, or None unless every character is 0, 1 or 2.
 
-    ``int(x, 2)`` also accepts a sign, ``_``, spaces and a ``0b`` prefix, but
-    none of those sets a bit, so the three rows hold ``len(bits)`` bits in all
-    only when every character is a genotype. Non-ASCII digits, which ``int``
-    reads as well, are refused first.
+def _block_rows(block: list[tuple[int, Row]], order: list[int]) -> list[int] | None:
+    """The rows of genotypes 0, 1 and 2 of each SNP in ``block``, or None unless every
+    row is a quote-free line of n = ``len(order)`` one-character cells, each a genotype.
+
+    Individual c's column is ``grid[c::n]``. Joined from tid n-1 down, the columns
+    hold SNP s's cells at ``[s::k]``, read as binary with tid j on bit j. ``int``
+    also reads non-ASCII digits, refused first, and a sign, ``_``, spaces and ``0b``,
+    none of which sets a bit, so k SNPs hold k·n bits only when every cell is a genotype.
     """
-    if not bits.isascii():
+    n, k = len(order), len(block)
+    commas = "," * (n - 1)
+    cells = []
+    for _, row in block:
+        body = row.partition(",")[2] if isinstance(row, str) else ""
+        if len(body) != 2 * n - 1 or body[1::2] != commas:
+            return None
+        cells.append(body[::2])
+    grid = "".join(cells)
+    columns = "".join([grid[c::n] for c in reversed(order)])
+    if not columns.isascii():
         return None
+    hot = [columns.translate(table) for table in _ONE_HOT]
     try:
-        hot = [int(bits.translate(table), 2) for table in _ONE_HOT]
+        rows = [int(bits[s::k], 2) for s in range(k) for bits in hot]
     except ValueError:
         return None
-    return hot if sum(map(int.bit_count, hot)) == len(bits) else None
+    return rows if sum(map(int.bit_count, rows)) == k * n else None
 
 
 def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoClassDataset:
@@ -289,16 +302,15 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     The labels stream maps individual ids to 1 (case) or 0 (control). Error
     messages name the file line of the offending row.
 
-    Quote-free LF text is read without ``csv`` (see ``_csv_rows``), and a row
-    of unpadded one-character cells is read from slices of its line; every
-    other row is split into cells and checked cell by cell.
+    Quote-free LF text is read without ``csv`` (see ``_csv_rows``) and put in tid
+    order ``_BLOCK`` data rows at a time by ``_block_rows``. The rows of a block it
+    refuses, and all rows ``csv`` read, are split into cells and checked cell by cell.
     """
     labels, header_row = _parse_labels(_csv_rows(labels_source, "labels"))
     matrix = _csv_rows(matrix_source, "genotype matrix")
     if not matrix:
         raise DatasetFormatError("genotype matrix: empty input")
-    header = [cell.strip() for cell in _cells(matrix[0][1])]
-    individuals = header[1:]
+    individuals = [cell.strip() for cell in _cells(matrix[0][1])][1:]
     if not individuals:
         raise DatasetFormatError("genotype matrix: no individual columns")
     if len(set(individuals)) != len(individuals):
@@ -311,46 +323,33 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     n_case = len(order)
     order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
     n = len(order)
-    # Columns of internal tids n-1 .. 0: joined cells read as a binary number
-    # put internal tid j on bit j. ``pick_chars`` takes them from the string
-    # of cells ``body[::2]`` of a line body "c,c,...,c" that holds n
-    # one-character cells, and returns the one cell itself for a single
-    # individual; other rows are split and their cells taken from ``cols``.
-    cols = [k + 1 for k in reversed(order)]
-    pick_chars = operator.itemgetter(*reversed(order))
-    commas = "," * (n - 1)
-    snps: list[str] = []
-    seen_snps: set[str] = set()
+    cols = [k + 1 for k in reversed(order)]  # a split row's cells from tid n-1 down
+    snps: dict[str, None] = {}  # the SNP ids, in file order
     rows: list[int] = []
-    for lineno, row in matrix[1:]:
-        hot = None
-        if isinstance(row, str):
-            snp, _, body = row.partition(",")
-            if len(body) == 2 * n - 1 and body[1::2] == commas:
-                hot = _one_hot("".join(pick_chars(body[::2])))
+    for start in range(1, len(matrix), _BLOCK):
+        block = matrix[start : start + _BLOCK]
+        hot = _block_rows(block, order)
+        for lineno, row in block:
+            snp = (row.partition(",")[0] if isinstance(row, str) else row[0]).strip()
+            if snp in snps:
+                raise DatasetFormatError(f"genotype matrix row {lineno}: duplicate SNP id {snp!r}")
+            snps[snp] = None
             if hot is None:
-                row = row.split(",")
-        else:
-            snp = row[0]
-        snp = snp.strip()
-        if snp in seen_snps:
-            raise DatasetFormatError(f"genotype matrix row {lineno}: duplicate SNP id {snp!r}")
-        seen_snps.add(snp)
-        if hot is None:
-            if len(row) != len(individuals) + 1:
-                raise DatasetFormatError(
-                    f"genotype matrix row {lineno}: expected {len(individuals)} cells,"
-                    f" got {len(row) - 1}"
-                )
-            cells = [row[k].strip() for k in cols]
-            if not _GENOTYPES.issuperset(cells):
-                bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
-                raise DatasetFormatError(
-                    f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
-                )
-            hot = _one_hot("".join(cells))
-        rows += hot
-        snps.append(snp)
+                row = _cells(row)
+                if len(row) != n + 1:
+                    raise DatasetFormatError(
+                        f"genotype matrix row {lineno}: expected {n} cells, got {len(row) - 1}"
+                    )
+                cells = [row[k].strip() for k in cols]
+                if not _GENOTYPES.issuperset(cells):
+                    bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
+                    raise DatasetFormatError(
+                        f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+                    )
+                bits = "".join(cells)
+                rows += [int(bits.translate(table), 2) for table in _ONE_HOT]
+        if hot is not None:
+            rows += hot
     if not snps:
         raise DatasetFormatError("genotype matrix: no SNP rows")
     items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))

@@ -1,12 +1,16 @@
 import csv
 import io
 import logging
+import random
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigpat import dataset as dataset_module
 from sigpat.dataset import (
     DatasetFormatError,
     Tidset,
@@ -373,6 +377,61 @@ def test_load_genotype_matrix_quote_free_matches_per_cell_reference(inputs):
     assert _outcome(_load_text, matrix, labels) == _outcome(
         reference_genotype_matrix, matrix, labels
     )
+
+
+@settings(max_examples=600, deadline=None)
+@given(genotype_inputs(quotes=False), st.integers(1, 3))
+def test_load_genotype_matrix_small_blocks_match_per_cell_reference(inputs, block):
+    # blocks of one to three rows, so that regular and irregular blocks mix
+    matrix, labels = inputs
+    with mock.patch.object(dataset_module, "_BLOCK", block):
+        loaded = _outcome(_load_text, matrix, labels)
+    assert loaded == _outcome(reference_genotype_matrix, matrix, labels)
+
+
+def _random_matrix(n, n_snps, seed):
+    """The lines of a valid quote-free matrix of ``n`` individuals, header first, and its labels."""
+    rng = random.Random(seed)
+    lines = ["snp," + ",".join(f"p{k}" for k in range(n))]
+    lines += [f"rs{s}," + ",".join(rng.choices("012", k=n)) for s in range(n_snps)]
+    labels = "".join(f"p{k},{rng.choice('01')}\n" for k in range(n))
+    return lines, labels
+
+
+def test_load_genotype_matrix_errors_in_later_blocks_name_their_lines():
+    block = dataset_module._BLOCK
+    assert 3 * block <= 1000  # the matrix spans three blocks or more
+    lines, labels = _random_matrix(5, 1000, seed=3)
+    text = "\n".join(lines) + "\n"
+    assert _outcome(_load_text, text, labels) == _outcome(reference_genotype_matrix, text, labels)
+    bad_line, dup_line = block + 7, 2 * block + 5  # in the second and third blocks
+    lines[bad_line - 1] = lines[bad_line - 1][:-1] + "7"
+    lines[dup_line - 1] = "rs0" + lines[dup_line - 1][lines[dup_line - 1].index(","):]
+    bad = f"genotype matrix row {bad_line}: genotype must be 0, 1 or 2, got '7'"
+    assert _outcome(_load_text, "\n".join(lines) + "\n", labels) == bad
+    lines[bad_line - 1] = lines[bad_line - 1][:-1] + "0"
+    dup = f"genotype matrix row {dup_line}: duplicate SNP id 'rs0'"
+    assert _outcome(_load_text, "\n".join(lines) + "\n", labels) == dup
+    # a duplicate ahead of a bad cell in the same block is named first
+    lines[dup_line] = lines[dup_line][:-1] + "x"
+    assert _outcome(_load_text, "\n".join(lines) + "\n", labels) == dup
+
+
+def test_load_genotype_matrix_peak_memory_stays_near_the_text_size(tmp_path):
+    # rows go in tid order a block at a time: joining all of them at once
+    # peaked at 4.6 times the text, and blocks at 2.3 times
+    assert 4 * dataset_module._BLOCK <= 600  # the matrix spans four blocks or more
+    lines, labels = _random_matrix(400, 600, seed=5)
+    text = "\n".join(lines) + "\n"
+    (tmp_path / "m.csv").write_text(text)
+    (tmp_path / "l.csv").write_text(labels)
+    tracemalloc.start()
+    try:
+        load_genotype_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text)
 
 
 @pytest.mark.parametrize("column", [0, 2, 4], ids=["first", "middle", "last"])
