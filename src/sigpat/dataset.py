@@ -110,14 +110,14 @@ def _csv_rows(source: Source, what: str) -> list[tuple[int, Row]]:
     """``(file line, row)`` pairs of ``source`` without blank rows and ``#`` comment rows.
 
     The line is the one a row ends on, counted from 1 in the decoded text.
-    Text with no ``"``, CR or NUL and no line longer than csv's field limit
+    Text with no ``"`` or NUL and no line longer than csv's field limit
     is split at LF only: each of its rows is a whole line, which splits at
     its commas into the cells ``csv.reader`` would give, on the same line
     number. Any other text goes through ``csv.reader``, and its rows are
     lists of cells.
     """
     text = _read_text(source)
-    if '"' not in text and "\r" not in text and "\0" not in text:
+    if '"' not in text and "\0" not in text:
         lines = text.split("\n")
         if max(map(len, lines)) <= _FIELD_LIMIT:
             # a comment row's first cell starts with "#" after spaces, and so
@@ -263,33 +263,34 @@ _ONE_HOT = (str.maketrans("012", "100"), str.maketrans("012", "010"), str.maketr
 _BLOCK = 128
 
 
-def _block_rows(block: list[tuple[int, Row]], order: list[int]) -> list[int] | None:
-    """The rows of genotypes 0, 1 and 2 of each SNP in ``block``, or None unless every
-    row is a quote-free line of n = ``len(order)`` one-character cells, each a genotype.
+def _split_cells(lineno: int, row: Row, n: int) -> str:
+    """The n genotype cells of data row ``row``, stripped and joined in file column
+    order; raises the count or genotype error of file line ``lineno`` instead."""
+    cells = [cell.strip() for cell in _cells(row)[1:]]
+    if len(cells) != n:
+        raise DatasetFormatError(
+            f"genotype matrix row {lineno}: expected {n} cells, got {len(cells)}"
+        )
+    bad = next((v for v in cells if v not in _GENOTYPES), None)
+    if bad is not None:
+        raise DatasetFormatError(
+            f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
+        )
+    return "".join(cells)
+
+
+def _block_rows(cells: list[str], order: list[int]) -> list[int]:
+    """The rows of genotypes 0, 1 and 2 of each SNP in ``cells``, which holds each
+    SNP's n = ``len(order)`` checked genotype digits in file column order.
 
     Individual c's column is ``grid[c::n]``. Joined from tid n-1 down, the columns
-    hold SNP s's cells at ``[s::k]``, read as binary with tid j on bit j. ``int``
-    also reads non-ASCII digits, refused first, and a sign, ``_``, spaces and ``0b``,
-    none of which sets a bit, so k SNPs hold k·n bits only when every cell is a genotype.
+    hold SNP s's cells at ``[s::k]``, read as binary with tid j on bit j.
     """
-    n, k = len(order), len(block)
-    commas = "," * (n - 1)
-    cells = []
-    for _, row in block:
-        body = row.partition(",")[2] if isinstance(row, str) else ""
-        if len(body) != 2 * n - 1 or body[1::2] != commas:
-            return None
-        cells.append(body[::2])
+    n, k = len(order), len(cells)
     grid = "".join(cells)
     columns = "".join([grid[c::n] for c in reversed(order)])
-    if not columns.isascii():
-        return None
     hot = [columns.translate(table) for table in _ONE_HOT]
-    try:
-        rows = [int(bits[s::k], 2) for s in range(k) for bits in hot]
-    except ValueError:
-        return None
-    return rows if sum(map(int.bit_count, rows)) == k * n else None
+    return [int(bits[s::k], 2) for s in range(k) for bits in hot]
 
 
 def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoClassDataset:
@@ -302,9 +303,11 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     The labels stream maps individual ids to 1 (case) or 0 (control). Error
     messages name the file line of the offending row.
 
-    Quote-free LF text is read without ``csv`` (see ``_csv_rows``) and put in tid
-    order ``_BLOCK`` data rows at a time by ``_block_rows``. The rows of a block it
-    refuses, and all rows ``csv`` read, are split into cells and checked cell by cell.
+    Data rows are checked one at a time, in file order. A quote-free line of n
+    unpadded cells, each 0, 1 or 2, gives its cells as the slice ``body[::2]``;
+    any other row is split into cells and checked cell by cell (``_split_cells``).
+    ``_block_rows`` then puts the checked cells of ``_BLOCK`` rows at a time in
+    tid order.
     """
     labels, header_row = _parse_labels(_csv_rows(labels_source, "labels"))
     matrix = _csv_rows(matrix_source, "genotype matrix")
@@ -323,33 +326,27 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     n_case = len(order)
     order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
     n = len(order)
-    cols = [k + 1 for k in reversed(order)]  # a split row's cells from tid n-1 down
+    commas = "," * (n - 1)
     snps: dict[str, None] = {}  # the SNP ids, in file order
     rows: list[int] = []
     for start in range(1, len(matrix), _BLOCK):
-        block = matrix[start : start + _BLOCK]
-        hot = _block_rows(block, order)
-        for lineno, row in block:
-            snp = (row.partition(",")[0] if isinstance(row, str) else row[0]).strip()
+        block = []
+        for lineno, row in matrix[start : start + _BLOCK]:
+            snp, _, body = row.partition(",") if isinstance(row, str) else (row[0], "", "")
+            snp = snp.strip()
             if snp in snps:
                 raise DatasetFormatError(f"genotype matrix row {lineno}: duplicate SNP id {snp!r}")
             snps[snp] = None
-            if hot is None:
-                row = _cells(row)
-                if len(row) != n + 1:
-                    raise DatasetFormatError(
-                        f"genotype matrix row {lineno}: expected {n} cells, got {len(row) - 1}"
-                    )
-                cells = [row[k].strip() for k in cols]
-                if not _GENOTYPES.issuperset(cells):
-                    bad = next(v for v in map(str.strip, row[1:]) if v not in _GENOTYPES)
-                    raise DatasetFormatError(
-                        f"genotype matrix row {lineno}: genotype must be 0, 1 or 2, got {bad!r}"
-                    )
-                bits = "".join(cells)
-                rows += [int(bits.translate(table), 2) for table in _ONE_HOT]
-        if hot is not None:
-            rows += hot
+            cells = body[::2]
+            # a non-ASCII character, a lone surrogate too, encodes to bytes not deleted
+            if (
+                len(body) != 2 * n - 1
+                or body[1::2] != commas
+                or cells.encode(errors="surrogatepass").translate(None, b"012")
+            ):
+                cells = _split_cells(lineno, row, n)
+            block.append(cells)
+        rows += _block_rows(block, order)
     if not snps:
         raise DatasetFormatError("genotype matrix: no SNP rows")
     items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))

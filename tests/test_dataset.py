@@ -380,9 +380,9 @@ def test_load_genotype_matrix_quote_free_matches_per_cell_reference(inputs):
 
 
 @settings(max_examples=600, deadline=None)
-@given(genotype_inputs(quotes=False), st.integers(1, 3))
+@given(st.booleans().flatmap(lambda q: genotype_inputs(quotes=q)), st.integers(1, 3))
 def test_load_genotype_matrix_small_blocks_match_per_cell_reference(inputs, block):
-    # blocks of one to three rows, so that regular and irregular blocks mix
+    # blocks of one to three rows, so that sliced, split and csv-read rows mix
     matrix, labels = inputs
     with mock.patch.object(dataset_module, "_BLOCK", block):
         loaded = _outcome(_load_text, matrix, labels)
@@ -417,6 +417,20 @@ def test_load_genotype_matrix_errors_in_later_blocks_name_their_lines():
     assert _outcome(_load_text, "\n".join(lines) + "\n", labels) == dup
 
 
+def test_load_genotype_matrix_splits_only_irregular_rows():
+    # one padded cell in every 100th row: its block's other rows are still
+    # read from line slices
+    lines, labels = _random_matrix(5, 1000, seed=7)
+    text = "\n".join(lines) + "\n"
+    for s in range(100, 1001, 100):
+        lines[s] = lines[s].replace(",", ", ", 1)
+    split = dataset_module._split_cells
+    with mock.patch.object(dataset_module, "_split_cells", wraps=split) as spy:
+        padded = _load_text("\n".join(lines) + "\n", labels)
+    assert padded == _load_text(text, labels)
+    assert spy.call_count == 10
+
+
 def test_load_genotype_matrix_peak_memory_stays_near_the_text_size(tmp_path):
     # rows go in tid order a block at a time: joining all of them at once
     # peaked at 4.6 times the text, and blocks at 2.3 times
@@ -437,8 +451,9 @@ def test_load_genotype_matrix_peak_memory_stays_near_the_text_size(tmp_path):
 @pytest.mark.parametrize("column", [0, 2, 4], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("cell", ["+", "_", "-", " ", "b"])
 def test_load_genotype_matrix_rejects_cells_int_accepts(cell, column):
-    """A one-character cell that ``int(x, 2)`` reads without error, in an
-    otherwise valid unpadded row, is still named as the bad genotype."""
+    """A one-character cell that ``int(x, 2)`` would read without error, in an
+    otherwise valid unpadded row, is named as the bad genotype: the row check
+    sends its row to be split, so ``int`` never sees it."""
     cells = ["0", "1", "2", "1", "0"]
     cells[column] = cell
     matrix = "snp,p0,p1,p2,p3,p4\nrs0,2,1,0,0,1\nrs1," + ",".join(cells) + "\n"
@@ -455,6 +470,14 @@ def test_load_genotype_matrix_rejects_non_ascii_digits():
     message = "genotype matrix row 2: genotype must be 0, 1 or 2, got '\u0661'"
     assert _outcome(_load_text, matrix, labels) == message
     assert _outcome(reference_genotype_matrix, matrix, labels) == message
+
+
+def test_load_genotype_matrix_rejects_lone_surrogates():
+    # a str stream may hold a lone surrogate, which strict UTF-8 cannot encode
+    matrix = "snp,bob,eve\nrs1,0,\ud800\n"
+    message = "genotype matrix row 2: genotype must be 0, 1 or 2, got '\\ud800'"
+    assert _outcome(_load_text, matrix, "bob,1\neve,0\n") == message
+    assert _outcome(reference_genotype_matrix, matrix, "bob,1\neve,0\n") == message
 
 
 @pytest.mark.parametrize(
