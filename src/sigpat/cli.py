@@ -288,6 +288,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                     "nodes_pruned": stats.nodes_pruned,
                     "nodes_duplicate": stats.nodes_duplicate,
                     "nodes_dead": stats.nodes_dead,
+                    "row_scans": stats.row_scans,
                     "patterns_emitted": stats.patterns_emitted,
                     "min_case_support": stats.min_case_support,
                     "wall_time_seconds": stats.wall_time_seconds,

@@ -9,11 +9,11 @@ closed tidset reachable exactly once. A pattern is emitted when its tidset is
 closed over both classes, contains at least one control tid, and satisfies the
 configured thresholds.
 
-One routine, ``_Search.expand``, visits a child of either class: one row scan,
-the closure over the child's class, then one loop over the control children.
-With the loop inline a case level takes two stack frames (with
-``_case_children``) and a control level one, so ``mine`` raises the recursion
-limit by 2*n_case + n_control, plus 50 for the calls below the deepest level.
+One loop, ``_Search.run``, walks the tree and visits a child of either class
+the same way: one row scan, then the closure over the child's class. A case
+node opens its case children, then its control children once those are done.
+The node searched lives in local variables; entering a child pushes the node's
+state on a list, so the search takes one stack frame at any depth.
 
 Every control-phase descendant of a node with a case tids and c control
 tids keeps a and has at least c control tids, and the scores depend on the
@@ -76,7 +76,6 @@ when a caller reads it.
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import NamedTuple, Optional
 
@@ -136,6 +135,8 @@ class MineStats(NamedTuple):
     min_case_support: Optional[int] = None
     #: control children dropped unscanned and not visited: they are not case-closed
     nodes_dead: int = 0
+    #: how often a node scanned its rows for a child; a child counted without a scan costs none
+    row_scans: int = 0
 
 
 class TraceNode(NamedTuple):
@@ -152,7 +153,7 @@ class _Search:
     __slots__ = (
         "n_case", "n_control", "case_mask", "control_mask", "thresholds", "prune",
         "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate", "nodes_dead",
-        "top", "_least", "_scored",
+        "row_scans", "top", "_least", "_scored",
     )
 
     def __init__(
@@ -160,17 +161,14 @@ class _Search:
     ):
         self.n_case = n_case
         self.n_control = n_control
-        n = n_case + n_control
         self.case_mask = (1 << n_case) - 1
-        self.control_mask = ((1 << n) - 1) ^ self.case_mask
+        self.control_mask = ((1 << n_control) - 1) << n_case
         self.thresholds = cfg.thresholds
         self.prune = cfg.prune and cfg.thresholds.has_any
         self.records: list[PatternRecord] = []
         self.trace = trace
-        self.nodes_visited = 0
-        self.nodes_pruned = 0
-        self.nodes_duplicate = 0
-        self.nodes_dead = 0
+        self.nodes_visited = self.nodes_pruned = self.nodes_duplicate = self.nodes_dead = 0
+        self.row_scans = 0
         #: top[a], -1 until ``_top`` computes it; every a keeps hope without pruning
         self.top = [-1 if self.prune else n_control] * (n_case + 1)
         self._least: dict[int, int] = {}
@@ -182,100 +180,106 @@ class _Search:
         pos, neg = bit_positions(tids & self.case_mask), bit_positions(tids & self.control_mask)
         self.trace.append(TraceNode(pos, neg, items))
 
-    def expand(self, tpos: int, a: int, tneg: int, e: int, rows, dom: int, dead: int) -> int:
-        """Visit the child adding tid e, of either class, to the node ``tpos | tneg``
-        with ``a`` case tids; return the union of the ``rows`` without e."""
-        ebit = 1 << e
-        sub = []
-        inter = -1
-        union = 0
-        out = 0
-        for ir in rows:
-            r = ir[1]
-            if r & ebit:
-                sub.append(ir)
-                inter &= r
-                union |= r
-            else:
-                out |= r
-        if not sub:
-            return out
-        self.nodes_visited += 1
-        if e < self.n_case:
-            tpos |= ebit
-            if self.trace is not None:
-                self._log(tpos, sub, ebit)
-            ext = inter & self.case_mask & ~tpos
-            if ext:
-                if ext >= ebit:
-                    self.nodes_duplicate += 1
-                    return out  # closure reaches a tid >= e: this branch is a duplicate
-                tpos |= ext
-                self.nodes_visited += 1
-                if self.trace is not None:
-                    self._log(tpos, sub, ebit)
-            a = tpos.bit_count()
-            if self.top[a] < 0:  # the verdict below and the control subtree read top[a]
-                self._top(a)
-            free = union & self.case_mask & ~tpos & (ebit - 1)
-            dead = self._case_children(tpos, a, free, sub, dom, dead)
-            free = union & self.control_mask
-            dom = c = 0
-        else:
-            tneg |= ebit
-            if self.trace is not None:
-                self._log(tpos | tneg, sub, ebit)
-            ext = inter & self.control_mask & ~tneg
-            if ext:
-                if ext >= ebit:
-                    self.nodes_duplicate += 1
-                    return out
-                tneg |= ext
-                self.nodes_visited += 1
-                if self.trace is not None:
-                    self._log(tpos | tneg, sub, ebit)
-            if inter & self.case_mask != tpos:
-                return out  # every descendant keeps the extra case tid: none can emit
-            c = tneg.bit_count()
-            self._emit(tpos, tneg, a, c, sub)
-            free = union & self.control_mask & ~tneg & (ebit - 1)
-        if free and c >= self.top[a]:
-            self.nodes_pruned += self._unscanned(tpos | tneg, free, sub)
-            return out
-        gone = free & dom
-        if gone:
-            self.nodes_duplicate += self._unscanned(tpos | tneg, gone, sub)
-            free ^= gone
-        gone = free & dead
-        if gone:
-            self.nodes_dead += gone.bit_count()
-            free ^= gone
-        # the loop stays here, so that each control level takes one stack frame
-        while free:
-            t = free.bit_length() - 1
-            free ^= 1 << t
-            dup = free & ~self.expand(tpos, a, tneg, t, sub, dom, dead)
-            if dup:
-                self.nodes_duplicate += self._unscanned(tpos | tneg, dup, sub)
-                dom |= dup
-                free ^= dup
-        return out
-
     def run(self, rows) -> None:
-        """Search every root: the case children of the empty tidset."""
+        """Search every root, the case children of the empty tidset, depth first.
+
+        A node scans each child and updates ``free``, ``dom`` and ``dead`` from
+        the scan; a child with children to scan starts from their old values,
+        with the node pushed on ``stack``. ``ctl`` holds a case node's control
+        children until its case children are done.
+        """
+        n_case, case_mask, control_mask = self.n_case, self.case_mask, self.control_mask
+        trace, log = self.trace, self._log
         union = 0
         for _, r in rows:
             union |= r
-        self._case_children(0, 0, union & self.case_mask, rows, 0, 0)
+        tpos = a = tneg = c = dom = dead = ctl = scans = 0
+        free = self._case_phase(0, 0, union & case_mask, rows, 0)
+        stack = []
+        while True:
+            if free:
+                e = free.bit_length() - 1
+                ebit = 1 << e
+                free ^= ebit
+                # every candidate lies in some row, so ``sub`` is never empty
+                sub = []
+                inter, union, out = -1, 0, 0
+                for ir in rows:
+                    r = ir[1]
+                    if r & ebit:
+                        sub.append(ir)
+                        inter &= r
+                        union |= r
+                    else:
+                        out |= r
+                scans += 1
+                dup = free & ~out
+                free ^= dup
+                if e < n_case:
+                    after = dead | control_mask & ~out
+                    node = tpos | ebit
+                    if trace is not None:
+                        log(node, sub, ebit)
+                    ext = inter & case_mask & ~node
+                    if ext >= ebit:
+                        self.nodes_duplicate += 1  # the closure reaches a tid >= e
+                    else:
+                        if ext:
+                            node |= ext
+                            self.nodes_visited += 1
+                            if trace is not None:
+                                log(node, sub, ebit)
+                        b = node.bit_count()
+                        kids = union & case_mask & ~node & (ebit - 1)
+                        if kids:
+                            kids = self._case_phase(node, b, kids, sub, dom)
+                        if kids or union & control_mask:
+                            stack.append((tpos, a, 0, 0, rows, free, dom, after, ctl, dup))
+                            tpos, a, rows, free, ctl = node, b, sub, kids, union & control_mask
+                            continue
+                    dead = after
+                else:
+                    node = tneg | ebit
+                    if trace is not None:
+                        log(tpos | node, sub, ebit)
+                    ext = inter & control_mask & ~node
+                    if ext >= ebit:
+                        self.nodes_duplicate += 1
+                    else:
+                        if ext:
+                            node |= ext
+                            self.nodes_visited += 1
+                            if trace is not None:
+                                log(tpos | node, sub, ebit)
+                        if inter & case_mask == tpos:  # else no descendant is case-closed
+                            k = node.bit_count()
+                            self._emit(tpos, node, a, k, sub)
+                            kids = union & control_mask & ~node & (ebit - 1)
+                            if kids:
+                                kids = self._control_phase(tpos | node, a, k, kids, sub, dom, dead)
+                                if kids:
+                                    stack.append((tpos, a, tneg, c, rows, free, dom, dead, 0, dup))
+                                    tneg, c, rows, free = node, k, sub, kids
+                                    continue
+            elif ctl:  # the case children are done: open the control phase
+                self._top(a)  # the verdicts here and in the control subtree read top[a]
+                free = self._control_phase(tpos, a, 0, ctl, rows, 0, dead)
+                dom = ctl = 0
+                continue
+            elif stack:
+                tpos, a, tneg, c, rows, free, dom, dead, ctl, dup = stack.pop()
+            else:
+                break
+            # siblings that a scan showed dominated, traced after the scanned child's subtree
+            if dup:
+                self.nodes_duplicate += self._unscanned(tpos | tneg, dup, rows)
+                dom |= dup
+        self.row_scans = scans
+        self.nodes_visited += scans  # each scan visits one child
 
-    def _case_children(self, tpos: int, a: int, free: int, rows, dom: int, dead: int) -> int:
-        """Expand the children adding one case tid of ``free`` to ``tpos``; return ``dead``
-        and the control tids that lie, in ``rows``, only where a scanned child's tid does.
-
-        The children that cannot reach the least hopeful case count, then those
-        in ``dom``, are counted without a row scan; the others go from the highest
-        down, and those a scan shows dominated are counted right after it.
-        """
+    def _case_phase(self, tpos: int, a: int, free: int, rows, dom: int) -> int:
+        """Count unscanned the case children ``free`` of ``tpos`` (``a`` case tids) that
+        cannot reach the least hopeful case count, then those in ``dom``; return the rest."""
         k = self._least_hopeful(a + 1) - a
         if k > 1 and free:
             # a descendant of child t adds only tids of free below t, and each
@@ -296,17 +300,23 @@ class _Search:
         if gone:
             self.nodes_duplicate += self._unscanned(tpos, gone, rows)
             free ^= gone
-        while free:
-            t = free.bit_length() - 1
-            free ^= 1 << t
-            out = self.expand(tpos, a, 0, t, rows, dom, dead)
-            dead |= self.control_mask & ~out
-            dup = free & ~out
-            if dup:
-                self.nodes_duplicate += self._unscanned(tpos, dup, rows)
-                dom |= dup
-                free ^= dup
-        return dead
+        return free
+
+    def _control_phase(self, node: int, a: int, c: int, free: int, rows, dom: int, dead: int) -> int:
+        """Count unscanned the control children ``free`` of ``node``: all as pruned when
+        c >= top[a], else those in ``dom`` as duplicates; drop ``dead``; return the rest."""
+        if c >= self.top[a]:
+            self.nodes_pruned += self._unscanned(node, free, rows)
+            return 0
+        gone = free & dom
+        if gone:
+            self.nodes_duplicate += self._unscanned(node, gone, rows)
+            free ^= gone
+        gone = free & dead
+        if gone:
+            self.nodes_dead += gone.bit_count()
+            free ^= gone
+        return free
 
     def _unscanned(self, node: int, tids: int, rows) -> int:
         """Count as visited, and trace from the highest tid down, the children
@@ -386,12 +396,7 @@ def mine(
         raise ValueError("mining needs at least one case and one control transaction")
     start = time.perf_counter()
     search = _Search(dataset.n_case, dataset.n_control, cfg, trace)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2 * dataset.n_case + dataset.n_control + 50)
-    try:
-        search.run(tuple(enumerate(dataset.rows)))
-    finally:
-        sys.setrecursionlimit(limit)
+    search.run(tuple(enumerate(dataset.rows)))
     records = search.records
     records.sort(key=lambda r: r.itemset)
     for first, second in zip(records, records[1:]):
@@ -407,5 +412,6 @@ def mine(
         wall_time_seconds=time.perf_counter() - start,
         min_case_support=search.min_case_support(),
         nodes_dead=search.nodes_dead,
+        row_scans=search.row_scans,
     )
     return records, stats

@@ -129,7 +129,16 @@ class ReferenceSearch(_Search):
     Each child is scanned, or counted, where the engine traces it: cut,
     pruned and already dominated children before the others, and a child
     that a sibling's rows show dominated right after that sibling's scan.
+    The search recurses, one call per child, where the engine loops; its
+    ``row_scans`` counts every child it scans, so it exceeds the engine's
+    whenever the engine skips a scan.
     """
+
+    def run(self, rows) -> None:
+        union = 0
+        for _, r in rows:
+            union |= r
+        self._case_children(0, 0, union & self.case_mask, rows, 0, 0)
 
     def _hopeless(self, a: int, c: int) -> bool:
         n1, n2 = self.n_case, self.n_control
@@ -153,8 +162,7 @@ class ReferenceSearch(_Search):
                 sub.append(ir)
                 inter &= r
                 union |= r
-        if not sub:
-            return
+        self.row_scans += 1
         tpos |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
@@ -214,8 +222,7 @@ class ReferenceSearch(_Search):
                 sub.append(ir)
                 inter &= r
                 union |= r
-        if not sub:
-            return
+        self.row_scans += 1
         tneg |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
@@ -326,5 +333,6 @@ def reference_mine(
         wall_time_seconds=time.perf_counter() - start,
         min_case_support=search.min_case_support(),
         nodes_dead=search.nodes_dead,
+        row_scans=search.row_scans,
     )
     return records, stats

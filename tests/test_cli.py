@@ -146,6 +146,7 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert stats["nodes_pruned"] == 35
     assert stats["nodes_duplicate"] == 16
     assert stats["nodes_dead"] == 5
+    assert stats["row_scans"] == 55
     assert stats["patterns_emitted"] == 15
     assert stats["min_case_support"] == 2
     assert stats["wall_time_seconds"] >= 0.0
@@ -169,6 +170,7 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert stats["min_case_support"] is None
     assert stats["nodes_visited"] == 160
     assert stats["nodes_dead"] == 9
+    assert stats["row_scans"] == 107
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):

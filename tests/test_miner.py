@@ -1,4 +1,3 @@
-import inspect
 import pickle
 import random
 import sys
@@ -24,7 +23,6 @@ from sigpat.miner import _Search
 
 from conftest import random_dataset, random_thresholds
 from reference import (
-    ReferenceSearch,
     common_items,
     ista_mine,
     reference_mine,
@@ -56,6 +54,7 @@ def test_mine_worked_table_counts(table1):
     assert stats.nodes_pruned == 0
     assert stats.nodes_duplicate == 29
     assert stats.nodes_dead == 9
+    assert stats.row_scans == 107
     assert stats.min_case_support is None
     assert stats.wall_time_seconds >= 0.0
 
@@ -65,6 +64,7 @@ def test_mine_worked_table_counts(table1):
     assert stats.nodes_pruned == 35
     assert stats.nodes_duplicate == 16
     assert stats.nodes_dead == 5
+    assert stats.row_scans == 55
     assert stats.min_case_support == 2
 
 
@@ -213,6 +213,11 @@ def counters(stats: MineStats) -> MineStats:
     return stats._replace(wall_time_seconds=0.0)
 
 
+def visits(stats: MineStats) -> MineStats:
+    """The counters that the engine shares with the reference, which scans more."""
+    return counters(stats)._replace(row_scans=0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(twin_heavy_datasets())
 # below root 1, control 3 closes over case 0 and has the child 2
@@ -231,7 +236,20 @@ def test_mine_matches_row_scanning_reference(d):
             untraced_records, untraced_stats = mine(d, cfg)
             assert trace == ref_trace
             assert records == ref_records == untraced_records
-            assert counters(stats) == counters(ref_stats) == counters(untraced_stats)
+            assert counters(stats) == counters(untraced_stats)
+            assert visits(stats) == visits(ref_stats)
+            assert ref_stats.row_scans >= stats.row_scans
+
+
+def test_reference_scans_every_child_itself(table1):
+    # the reference runs its own search, which scans the children that the
+    # engine counts without a scan: were it to run the engine's loop, the
+    # two would make the same scans
+    records, stats = mine(table1)
+    ref_records, ref_stats = reference_mine(table1, MinerConfig())
+    assert records == ref_records
+    assert visits(stats) == visits(ref_stats)
+    assert ref_stats.row_scans > stats.row_scans
 
 
 THRESHOLD_VALUES = {
@@ -312,36 +330,16 @@ def test_mine_matches_closed_tidset_intersections(thresholds):
         assert stats.nodes_dead > 0
 
 
-class Counting(_Search):
-    """The engine, noting each row scan: case tid e as e, control tid e as -e."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.scanned = []
-
-    def expand(self, tpos, a, tneg, e, rows, dom, dead):
-        self.scanned.append(e if e < self.n_case else -e)
-        return super().expand(tpos, a, tneg, e, rows, dom, dead)
-
-
-def counts(search: _Search) -> tuple[int, int, int]:
-    return search.nodes_visited, search.nodes_duplicate, search.nodes_dead
-
-
-def scans(d, thresholds: Thresholds, trace: list[TraceNode] | None) -> Counting:
-    search = Counting(d.n_case, d.n_control, MinerConfig(thresholds=thresholds), trace)
-    search.run(tuple(enumerate(d.rows)))
-    return search
-
-
 def check_tracing_scans_the_same(d) -> None:
     for thresholds in THRESHOLD_SETS:
-        traced = scans(d, thresholds, [])
-        untraced = scans(d, thresholds, None)
-        assert traced.scanned == untraced.scanned
-        assert len(traced.trace) == traced.nodes_visited
-        assert counts(traced) == counts(untraced)
-        assert traced.records == untraced.records
+        cfg = MinerConfig(thresholds=thresholds)
+        trace: list[TraceNode] = []
+        records, stats = mine(d, cfg, trace=trace)
+        untraced_records, untraced_stats = mine(d, cfg)
+        assert stats.row_scans == untraced_stats.row_scans
+        assert len(trace) == stats.nodes_visited
+        assert counters(stats) == counters(untraced_stats)
+        assert records == untraced_records
 
 
 def test_tracing_scans_the_same_rows_on_worked_table(table1):
@@ -352,7 +350,7 @@ def test_tracing_scans_the_same_rows_on_worked_table(table1):
 @given(twin_heavy_datasets())
 def test_tracing_scans_the_same_rows(d):
     # a traced search skips the same children as an untraced one, so both
-    # make the same row scans in the same order
+    # make the same number of row scans
     check_tracing_scans_the_same(d)
 
 
@@ -377,27 +375,35 @@ def test_trace_lists_a_dominated_child_after_the_scan_that_shows_it():
     assert stats.nodes_duplicate == 1
 
 
+def check_scans(d, cfg: MinerConfig, scans: int) -> MineStats:
+    """Mine ``d``, check it makes ``scans`` row scans and matches the reference."""
+    records, stats = mine(d, cfg)
+    ref_records, ref_stats = reference_mine(d, cfg)
+    assert stats.row_scans == scans
+    assert visits(stats) == visits(ref_stats)
+    assert records == ref_records
+    return stats
+
+
+def counts(stats: MineStats) -> tuple[int, int, int]:
+    return stats.nodes_visited, stats.nodes_duplicate, stats.nodes_dead
+
+
 def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
-    # case tids 0-6 all hold x and only tid 3 holds y: below root 3, child 2
-    # is scanned first and lies in row x alone, so children 1 and 0, which
-    # lie only in row x too, are counted as its duplicates without a scan;
-    # control 7 lies only in row x, which holds case 2, so it is dead
-    d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]])
-    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.expand(0, 0, 0, 3, tuple(enumerate(d.rows)), 0, 0)
-    assert search.scanned == [3, 2]
-    assert counts(search) == (4, 3, 1)
-    # controls 7 (x) and 8-10 (x, y): control child 10 closes over 8 and 9,
-    # which lie only where 10 does, so they are counted without a scan too
-    d = from_transactions([["x"]] * 3 + [["x", "y"]] + [["x"]] * 3, [["x"]] + [["x", "y"]] * 3)
-    rows = tuple(enumerate(d.rows))
-    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.expand(0, 0, 0, 3, rows, 0, 0)
-    ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
-    ref.expand_case(0, 3, rows, 0, 0)
-    assert search.scanned == [3, 2, -10]
-    assert counts(search) == counts(ref) == (8, 5, 2)
-    assert search.records == ref.records
+    # cases 0-2 hold x and case 3 holds x and y: below root 3, child 2 is
+    # scanned first and lies in row x alone, so children 1 and 0, which lie
+    # only in row x too, are counted as its duplicates without a scan; so
+    # are roots 2, 1 and 0, which lie only in rows holding root 3
+    d = from_transactions([["x"]] * 3 + [["x", "y"]], [["z"]])
+    stats = check_scans(d, MinerConfig(), 2)
+    assert counts(stats) == (8, 5, 0)
+    # controls 4-7 hold x: below child 2, closed to cases 0-3, control child
+    # 7 closes over 4-6, which lie only where 7 does, so they are counted
+    # without a scan too; below root 3 the controls lie only in row x, which
+    # holds case 2, so they are dead
+    d = from_transactions([["x"]] * 3 + [["x", "y"]], [["x"]] * 4)
+    stats = check_scans(d, MinerConfig(), 3)
+    assert counts(stats) == (13, 8, 4)
 
 
 def test_twin_above_the_opening_tid_is_not_scanned():
@@ -405,13 +411,8 @@ def test_twin_above_the_opening_tid_is_not_scanned():
     # shows that case 1 lies only in rows holding 3, so below root 2 (closed
     # to {0, 2}) child 1, whose closure adds 3, is counted without a scan
     d = from_transactions([["x", "z"], ["x", "y"], ["x", "z"], ["x", "y"]], [["x"]])
-    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.run(tuple(enumerate(d.rows)))
-    ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
-    ref.run(tuple(enumerate(d.rows)))
-    assert search.scanned == [3, 2, -4, 2]
-    assert counts(search) == counts(ref) == (11, 4, 2)
-    assert search.records == ref.records
+    stats = check_scans(d, MinerConfig(), 4)
+    assert counts(stats) == (11, 4, 2)
 
 
 def test_dead_control_child_is_not_scanned():
@@ -419,14 +420,9 @@ def test_dead_control_child_is_not_scanned():
     # so below root 0 the control child 2 cannot be case-closed: it is
     # counted in nodes_dead, not as visited, and not scanned
     d = from_transactions([["a", "c"], ["a", "b"]], [["a", "b"]])
-    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.run(tuple(enumerate(d.rows)))
-    ref = ReferenceSearch(d.n_case, d.n_control, MinerConfig(), None)
-    ref.run(tuple(enumerate(d.rows)))
-    assert search.scanned == [1, 0, -2, -2, 0]
-    assert counts(search) == counts(ref) == (5, 0, 1)
-    records, stats = mine(d)
-    assert records == mine_oracle(d) and stats.nodes_dead == 1
+    stats = check_scans(d, MinerConfig(), 5)
+    assert counts(stats) == (5, 0, 1)
+    assert mine(d)[0] == mine_oracle(d)
 
 
 def chain_dataset(n: int):
@@ -440,31 +436,26 @@ def test_chain_scans_each_control_once():
     # closes over the ones above it, so a control child's scan shows all its
     # lower siblings dominated and the n(n+1)/2 visited nodes take n+1 scans
     n = 200
-    d = chain_dataset(n)
-    search = Counting(d.n_case, d.n_control, MinerConfig(), None)
-    search.run(tuple(enumerate(d.rows)))
-    assert len(search.scanned) == n + 1
-    assert search.nodes_visited == n * (n + 1) // 2 + 1
-    assert len(search.records) == n
+    stats = check_scans(chain_dataset(n), MinerConfig(), n + 1)
+    assert stats.nodes_visited == n * (n + 1) // 2 + 1
+    assert stats.patterns_emitted == n
 
 
-def test_long_chain_fits_the_stack():
-    # every control level of the search costs one stack frame: mine raises
-    # this low limit by 2 * n_case + n_control + 50, which a search taking two
-    # frames per control level would overrun
-    n = 300
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 50)
-    try:
-        records, stats = mine(chain_dataset(n))
-    finally:
-        sys.setrecursionlimit(limit)
-    assert len(records) == stats.patterns_emitted == n
+def test_long_chain_fits_the_stack(monkeypatch):
+    # the search loops instead of recursing, so 1,500 control levels need no
+    # more stack than one, and mine never touches the recursion limit
+    def refuse(limit):
+        raise AssertionError("mine changed the recursion limit")
+
+    assert sys.getrecursionlimit() < 1500
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    records, stats = mine(chain_dataset(1500))
+    assert len(records) == stats.patterns_emitted == 1500
 
 
 def test_cli_mines_a_chain_deeper_than_the_default_recursion_limit(tmp_path, capsys):
-    # 1,500 control levels take more frames than Python's default limit of
-    # 1,000: mine raises the limit while it searches, then restores it
+    # 1,500 control levels, more than Python's default limit of 1,000 frames:
+    # the search loop walks them in one frame
     path, out = tmp_path / "chain.tct", tmp_path / "patterns.csv"
     dump_transactions(chain_dataset(1500), path)
     limit = sys.getrecursionlimit()
@@ -472,17 +463,6 @@ def test_cli_mines_a_chain_deeper_than_the_default_recursion_limit(tmp_path, cap
     assert sys.getrecursionlimit() == limit
     assert len(out.read_text().splitlines()) == 1 + 1500
     assert capsys.readouterr().err == ""
-
-
-def test_mine_restores_the_recursion_limit_when_the_search_raises():
-    class Refusing(list):
-        def append(self, node):
-            raise RuntimeError("refused")
-
-    limit = sys.getrecursionlimit()
-    with pytest.raises(RuntimeError, match="refused"):
-        mine(chain_dataset(3), trace=Refusing())
-    assert sys.getrecursionlimit() == limit
 
 
 @st.composite
@@ -539,24 +519,24 @@ def test_case_count_cut_loses_no_pattern(d, thresholds):
 
 def test_case_children_below_the_floor_are_not_scanned():
     # min_sd 0.5 over six cases and six controls needs four case tids, and
-    # every item sits in three cases, so no case child can reach four
+    # every item sits in three cases, so no root can reach four
+    cfg = MinerConfig(thresholds=Thresholds(min_sd=0.5))
     d = from_transactions(
         [["x"], ["x", "z"], ["x"], ["y", "z"], ["y"], ["y", "z"]], [["x", "y", "z"]] * 6
     )
-    cfg = MinerConfig(thresholds=Thresholds(min_sd=0.5))
-    rows = tuple(enumerate(d.rows))
-    search = Counting(d.n_case, d.n_control, cfg, None)
-    assert search.min_case_support() == 4
-    search.run(rows)
-    assert search.scanned == []
-    assert (search.nodes_visited, search.nodes_pruned) == (6, 6)
-    # root 5 entered directly: its closure adds case 3, and its case
-    # children 1 and 4 are cut without a scan
-    search = Counting(d.n_case, d.n_control, cfg, None)
-    search.expand(0, 0, 0, 5, rows, 0, 0)
-    assert search.scanned == [5]
-    assert (search.nodes_visited, search.nodes_pruned) == (10, 8)
-    assert mine(d, cfg)[0] == mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))[0] == []
+    stats = check_scans(d, cfg, 0)
+    assert (stats.nodes_visited, stats.nodes_pruned) == (6, 6)
+    assert stats.min_case_support == 4
+    # with case 5 in row x too, root 5 alone is kept: x holds it and cases
+    # 0-2. Below it the case children 4, 3, 1 and 0 are cut without a scan,
+    # child 2 is scanned and closes to cases 0-2 and 5, and the six control
+    # children of root 5 are pruned
+    d = from_transactions(
+        [["x"], ["x", "z"], ["x"], ["y", "z"], ["y"], ["x", "y", "z"]], [["y", "z"]] * 6
+    )
+    stats = check_scans(d, cfg, 2)
+    assert (stats.nodes_visited, stats.nodes_pruned) == (18, 15)
+    assert mine(d, cfg)[0] == mine(d, cfg._replace(prune=False))[0] == []
 
 
 def test_mine_stats_type():
