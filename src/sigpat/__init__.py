@@ -2,7 +2,6 @@
 
 from .dataset import (
     DatasetFormatError,
-    Tidset,
     TwoClassDataset,
     from_transactions,
     load_genotype_matrix,
@@ -11,7 +10,6 @@ from .dataset import (
 from .measures import Thresholds
 from .miner import (
     InternalInvariantError,
-    MinerConfig,
     MineStats,
     PatternRecord,
     TraceNode,
@@ -24,10 +22,8 @@ __all__ = [
     "DatasetFormatError",
     "InternalInvariantError",
     "MineStats",
-    "MinerConfig",
     "PatternRecord",
     "Thresholds",
-    "Tidset",
     "TraceNode",
     "TwoClassDataset",
     "from_transactions",

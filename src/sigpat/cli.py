@@ -30,7 +30,7 @@ from .dataset import (
     load_transactions,
 )
 from .measures import ContingencyTable, Thresholds, association_pvalue
-from .miner import InternalInvariantError, MinerConfig, PatternRecord, mine
+from .miner import InternalInvariantError, PatternRecord, mine
 
 COLUMNS = (
     "items", "n_case_tids", "n_control_tids", "sup_case", "sup_control", "sd", "gr", "ors",
@@ -197,11 +197,6 @@ def build_parser() -> _Parser:
     )
     _add_input_flags(mine_p)
     _add_threshold_flags(mine_p)
-    mine_p.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable threshold pruning (output is unchanged, runs slower)",
-    )
     _add_output_flags(mine_p)
     mine_p.add_argument(
         "--stats",
@@ -272,8 +267,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     dataset = _load_dataset(args)
     load_seconds = time.perf_counter() - start
-    config = MinerConfig(thresholds=_build_thresholds(args), prune=not args.no_prune)
-    records, stats = mine(dataset, config)
+    records, stats = mine(dataset, _build_thresholds(args))
     start = time.perf_counter()
     _write_records(records, dataset, args.output, args.output_format)
     write_seconds = time.perf_counter() - start
@@ -305,7 +299,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import mine_oracle  # only this command loads the oracle
     dataset = _load_dataset(args)
-    records = mine_oracle(dataset, MinerConfig(thresholds=_build_thresholds(args)))
+    records = mine_oracle(dataset, _build_thresholds(args))
     _write_records(records, dataset, args.output, args.output_format)
     return 0
 

@@ -30,33 +30,6 @@ def bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Tidset(NamedTuple):
-    pos: tuple[int, ...] = ()
-    neg: tuple[int, ...] = ()
-
-
-class Tidset(_Tidset):
-    """A set of internal transaction ids split into case and control parts.
-
-    ``pos`` holds case tids (all < n_case), ``neg`` holds control tids
-    (all >= n_case). Both tuples are strictly increasing.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Tidset:
-        self = super().__new__(cls, *args, **kwargs)
-        if any(x >= y for part in self for x, y in zip(part, part[1:])):
-            raise ValueError("tids must be strictly increasing")
-        return self
-
-    #: ``_replace`` builds through ``_make``, so it is checked as well
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __len__(self) -> int:
-        return len(self.pos) + len(self.neg)
-
-
 class TwoClassDataset(NamedTuple):
     items: tuple[str, ...]
     n_case: int
@@ -193,12 +166,15 @@ def from_transactions(
     control: Sequence[Iterable[str]],
     external_ids: Sequence[str] | None = None,
 ) -> TwoClassDataset:
-    """Build a dataset from in-memory item-name transactions (cases first)."""
+    """Build a dataset from in-memory item-name transactions (cases first),
+    named by ``external_ids`` in the same order or by 1-based position."""
+    transactions = list(case) + list(control)
+    n = len(transactions)
+    ids = external_ids if external_ids is not None else [str(k + 1) for k in range(n)]
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} external ids for {n} transactions")
     item_ids: dict[str, int] = {}
-    tx: list[tuple[str, list[int]]] = []
-    for k, names in enumerate(list(case) + list(control)):
-        ext = external_ids[k] if external_ids is not None else str(k + 1)
-        tx.append((ext, _intern(names, item_ids)))
+    tx = [(ext, _intern(names, item_ids)) for ext, names in zip(ids, transactions)]
     if not tx:
         raise DatasetFormatError("empty dataset: no transactions found")
     return _build(list(item_ids), tx, len(case))

@@ -82,10 +82,6 @@ class Thresholds(_Thresholds):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @property
-    def has_any(self) -> bool:
-        return any(value is not None for value in self)
-
 
 def discriminance(table: ContingencyTable) -> tuple[float, float, float]:
     """(support difference, growth rate, odds ratio) with the 0/inf conventions.

@@ -70,8 +70,8 @@ node exactly as in a dataset-reduction scheme, since the itemset of a node
 is the itemset of its surviving rows.
 
 An emitted record keeps the node's two tid masks and the memoised table and
-scores of its key as they are; its ``tidset`` is built from the masks only
-when a caller reads it.
+scores of its key as they are. With no thresholds set, top[a] is n_control
+for every a, so nothing is pruned or cut and the least case count is 1.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple, Optional
 
-from .dataset import Tidset, TwoClassDataset, bit_positions
+from .dataset import TwoClassDataset, bit_positions
 from .measures import (
     ContingencyTable,
     ScoreSet,
@@ -90,17 +90,12 @@ from .measures import (
 )
 
 #: ``perfbench/traced.py`` wraps ``confidence_intervals`` here, so it stays though unused
-__all__ = ["InternalInvariantError", "MineStats", "MinerConfig", "PatternRecord", "TraceNode",
+__all__ = ["InternalInvariantError", "MineStats", "PatternRecord", "TraceNode",
            "confidence_intervals", "mine"]
 
 
 class InternalInvariantError(RuntimeError):
     """The engine produced output that violates its own guarantees."""
-
-
-class MinerConfig(NamedTuple):
-    thresholds: Thresholds = Thresholds()
-    prune: bool = True
 
 
 class PatternRecord(NamedTuple):
@@ -117,11 +112,6 @@ class PatternRecord(NamedTuple):
     table: ContingencyTable
     scores: ScoreSet
 
-    @property
-    def tidset(self) -> Tidset:
-        """The supporting tidset, built from the masks on each access."""
-        return Tidset(bit_positions(self.pos_mask), bit_positions(self.neg_mask))
-
 
 class MineStats(NamedTuple):
     nodes_visited: int = 0
@@ -131,7 +121,7 @@ class MineStats(NamedTuple):
     patterns_emitted: int = 0
     wall_time_seconds: float = 0.0
     #: the least case count a pattern needs to pass the thresholds; None
-    #: without pruning or when no case count passes
+    #: when no case count passes
     min_case_support: Optional[int] = None
     #: control children dropped unscanned and not visited: they are not case-closed
     nodes_dead: int = 0
@@ -151,26 +141,25 @@ class _Search:
     """Search state shared by all roots; rows are (item id, bit row) pairs."""
 
     __slots__ = (
-        "n_case", "n_control", "case_mask", "control_mask", "thresholds", "prune",
+        "n_case", "n_control", "case_mask", "control_mask", "thresholds",
         "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate", "nodes_dead",
         "row_scans", "top", "_least", "_scored",
     )
 
     def __init__(
-        self, n_case: int, n_control: int, cfg: MinerConfig, trace: list[TraceNode] | None
+        self, n_case: int, n_control: int, thresholds: Thresholds, trace: list[TraceNode] | None
     ):
         self.n_case = n_case
         self.n_control = n_control
         self.case_mask = (1 << n_case) - 1
         self.control_mask = ((1 << n_control) - 1) << n_case
-        self.thresholds = cfg.thresholds
-        self.prune = cfg.prune and cfg.thresholds.has_any
+        self.thresholds = thresholds
         self.records: list[PatternRecord] = []
         self.trace = trace
         self.nodes_visited = self.nodes_pruned = self.nodes_duplicate = self.nodes_dead = 0
         self.row_scans = 0
-        #: top[a], -1 until ``_top`` computes it; every a keeps hope without pruning
-        self.top = [-1 if self.prune else n_control] * (n_case + 1)
+        #: top[a], -1 until ``_top`` computes it
+        self.top = [-1] * (n_case + 1)
         self._least: dict[int, int] = {}
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
 
@@ -340,7 +329,8 @@ class _Search:
                     caps.append(n2 * (a / n1 - th.min_sd))
                 caps += [a * n2 / (a + t * b) for t in (th.min_ors, th.min_lci_ors) if t and t > 0]
                 caps += [a * n2 / (n1 * t) for t in (th.min_gr, th.min_lci_gr) if t and t > 0]
-            cs = (n2, *range(min(n2 - 1, int(min(caps)) + 1), 0, -1))
+            # a cap of -inf, when min_sd * n2 overflows, is clamped, as int() refuses it
+            cs = (n2, *range(min(n2 - 1, int(max(min(caps), -1)) + 1), 0, -1))
             passing = (c for c in cs if check_significance(ContingencyTable(a, b, c, n2 - c), th))
             top = self.top[a] = next(passing, 0)
         return top
@@ -356,9 +346,7 @@ class _Search:
         return least
 
     def min_case_support(self) -> int | None:
-        """``_least_hopeful(1)``, or None without pruning or when no count passes."""
-        if not self.prune:
-            return None
+        """``_least_hopeful(1)``, or None when no count passes."""
         m = self._least_hopeful(1)
         return m if m <= self.n_case else None
 
@@ -378,11 +366,13 @@ class _Search:
 
 def mine(
     dataset: TwoClassDataset,
-    config: MinerConfig | None = None,
+    thresholds: Thresholds = Thresholds(),
     trace: list[TraceNode] | None = None,
 ) -> tuple[list[PatternRecord], MineStats]:
-    """Enumerate all significant discriminative closed patterns of ``dataset``.
+    """Enumerate the closed patterns of ``dataset`` that pass ``thresholds``.
 
+    The thresholds prune the search as well as filter its output; with none
+    set every closed pattern with case and control tids is returned.
     Returns the records sorted by itemset (lexicographic on item ids) plus
     search statistics. ``trace``, when given a list, receives every visited
     node in visiting order: depth first, the children of each node from the
@@ -391,11 +381,10 @@ def mine(
     scan that shows it a duplicate, or before the scanned children when it is
     cut, pruned or dominated by a scan above its parent.
     """
-    cfg = config if config is not None else MinerConfig()
     if dataset.n_case < 1 or dataset.n_control < 1:
         raise ValueError("mining needs at least one case and one control transaction")
     start = time.perf_counter()
-    search = _Search(dataset.n_case, dataset.n_control, cfg, trace)
+    search = _Search(dataset.n_case, dataset.n_control, thresholds, trace)
     search.run(tuple(enumerate(dataset.rows)))
     records = search.records
     records.sort(key=lambda r: r.itemset)

@@ -10,8 +10,8 @@ are capped hard because the walk is exponential in the item count.
 from __future__ import annotations
 
 from .dataset import TwoClassDataset, bit_positions
-from .measures import ContingencyTable, check_significance, score_set
-from .miner import MinerConfig, PatternRecord
+from .measures import ContingencyTable, Thresholds, check_significance, score_set
+from .miner import PatternRecord
 
 MAX_TRANSACTIONS = 24
 MAX_ITEMS = 20
@@ -73,11 +73,10 @@ def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], in
 
 
 def mine_oracle(
-    dataset: TwoClassDataset, config: MinerConfig | None = None
+    dataset: TwoClassDataset, thresholds: Thresholds = Thresholds()
 ) -> list[PatternRecord]:
-    """Reference answer for :func:`sigpat.miner.mine` on a small dataset."""
-    cfg = config if config is not None else MinerConfig()
-    thresholds = cfg.thresholds
+    """Reference answer for :func:`sigpat.miner.mine` on a small dataset: the
+    closed patterns with case and control tids that pass ``thresholds``."""
     records: list[PatternRecord] = []
     for itemset, pos_mask, neg_mask in enumerate_closed(dataset):
         # the mining task targets patterns of the case class that also occur

@@ -19,25 +19,29 @@ child's rows on their own and its prune verdicts by trying every control count.
 
 ``ista_mine`` lists every closed tidset as an intersection of item rows, with
 no search at all, so it checks that no pattern is missing on inputs too large
-for the oracle.
+for the oracle. ``unpruned_mine`` filters the output of a search that no
+threshold prunes, so it checks that pruning loses no pattern.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import NamedTuple
 
-from sigpat.dataset import Tidset, TwoClassDataset, bit_positions
+from sigpat.dataset import TwoClassDataset, bit_positions
 from sigpat.measures import ContingencyTable, Thresholds, check_significance, score_set
-from sigpat.miner import MinerConfig, MineStats, PatternRecord, TraceNode, _Search
+from sigpat.miner import MineStats, PatternRecord, TraceNode, _Search, mine
 
 #: An itemset is a strictly increasing tuple of internal item ids.
 ItemSet = tuple[int, ...]
 
 
-def tidset_of(pos: Iterable[int] = (), neg: Iterable[int] = ()) -> Tidset:
-    """A tidset from tids in any order, repeats dropped."""
-    return Tidset(tuple(sorted(set(pos))), tuple(sorted(set(neg))))
+class Tidset(NamedTuple):
+    """Internal tids split into the case part ``pos`` (all < n_case) and the
+    control part ``neg`` (all >= n_case), each strictly increasing."""
+
+    pos: tuple[int, ...] = ()
+    neg: tuple[int, ...] = ()
 
 
 def tidset_mask(q: Tidset, dataset: TwoClassDataset) -> int:
@@ -142,7 +146,7 @@ class ReferenceSearch(_Search):
 
     def _hopeless(self, a: int, c: int) -> bool:
         n1, n2 = self.n_case, self.n_control
-        return self.prune and not any(
+        return not any(
             check_significance(ContingencyTable(a, n1 - a, x, n2 - x), self.thresholds)
             for x in range(c, n2 + 1)
         )
@@ -315,14 +319,23 @@ def only_with(rows, e: int, tids: int) -> int:
     )
 
 
+def unpruned_mine(
+    dataset: TwoClassDataset, thresholds: Thresholds
+) -> tuple[list[PatternRecord], MineStats]:
+    """The records of ``mine`` without thresholds that pass ``thresholds``, and
+    the statistics of that run, which prunes and cuts nothing."""
+    records, stats = mine(dataset)
+    return [r for r in records if check_significance(r.table, thresholds, r.scores)], stats
+
+
 def reference_mine(
     dataset: TwoClassDataset,
-    config: MinerConfig,
+    thresholds: Thresholds = Thresholds(),
     trace: list[TraceNode] | None = None,
 ) -> tuple[list[PatternRecord], MineStats]:
     """``mine`` over ``ReferenceSearch``: the same roots, order and statistics."""
     start = time.perf_counter()
-    search = ReferenceSearch(dataset.n_case, dataset.n_control, config, trace)
+    search = ReferenceSearch(dataset.n_case, dataset.n_control, thresholds, trace)
     search.run(tuple(enumerate(dataset.rows)))
     records = sorted(search.records, key=lambda r: r.itemset)
     stats = MineStats(

@@ -11,12 +11,13 @@ import time
 
 import pytest
 
-from sigpat import MinerConfig, Thresholds, TraceNode, mine, mine_oracle
+from sigpat import Thresholds, TraceNode, mine, mine_oracle
 from sigpat.cli import main
 from sigpat.dataset import generate_synthetic
 from sigpat.measures import ContingencyTable, confidence_intervals, discriminance
 
 from conftest import planted_genotype_matrix, random_dataset, random_thresholds
+from reference import unpruned_mine
 
 EXACT = 1e-9
 
@@ -131,9 +132,8 @@ def test_04_oracle_equivalence_sweep(sweep, report):
     start = time.perf_counter()
     ok = True
     for dataset, thresholds in sweep:
-        cfg = MinerConfig(thresholds=thresholds)
-        records, _ = mine(dataset, cfg)
-        ok = ok and records == mine_oracle(dataset, cfg)
+        records, _ = mine(dataset, thresholds)
+        ok = ok and records == mine_oracle(dataset, thresholds)
         if not ok:
             break
     elapsed = time.perf_counter() - start
@@ -146,10 +146,8 @@ def test_05_prune_safety(sweep, table1, report):
     ok = True
     strict = False
     for dataset, thresholds in fixtures:
-        pruned, pruned_stats = mine(dataset, MinerConfig(thresholds=thresholds))
-        full, full_stats = mine(
-            dataset, MinerConfig(thresholds=thresholds, prune=False)
-        )
+        pruned, pruned_stats = mine(dataset, thresholds)
+        full, full_stats = unpruned_mine(dataset, thresholds)
         ok = ok and pruned == full
         # a pruned child counts as visited where the unpruned search may
         # count it as dead, without a scan
@@ -196,13 +194,10 @@ def test_06_score_monotonicity_grid(report):
 def test_07_threshold_workload_trend(report):
     dataset = generate_synthetic(50, 50, 262, 0.33, seed=42)
     start = time.perf_counter()
-    broad, broad_stats = mine(dataset, MinerConfig(thresholds=Thresholds(min_ors=2.0)))
+    broad, broad_stats = mine(dataset, Thresholds(min_ors=2.0))
     broad_time = time.perf_counter() - start
     start = time.perf_counter()
-    narrow, narrow_stats = mine(
-        dataset,
-        MinerConfig(thresholds=Thresholds(min_ors=2.0, min_lci_ors=2.0)),
-    )
+    narrow, narrow_stats = mine(dataset, Thresholds(min_ors=2.0, min_lci_ors=2.0))
     narrow_time = time.perf_counter() - start
     ok = (
         len(broad) > 0

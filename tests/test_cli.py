@@ -5,6 +5,7 @@ from pathlib import Path
 
 from sigpat import mine
 from sigpat.cli import main
+from sigpat.dataset import bit_positions
 from sigpat.miner import InternalInvariantError
 
 GENO_MATRIX = "snp,bob,eve,kim,sam,ana,joe\nrs1,2,0,2,1,2,0\nrs2,1,0,1,2,1,0\nrs3,0,0,1,0,2,1\n"
@@ -73,13 +74,6 @@ def test_mine_matches_oracle_bytes_json(table1_path, capsys):
     assert mined == reference
 
 
-def test_mine_no_prune_same_bytes(table1_path, capsys):
-    args = ("--input", str(table1_path), "--min-ors", "2", "--min-sd", "0.1")
-    _, pruned, _ = run(capsys, "mine", *args)
-    _, full, _ = run(capsys, "mine", *args, "--no-prune")
-    assert pruned == full
-
-
 def test_mine_json_round_trip(table1_path, table1, capsys):
     rc, out, _ = run(
         capsys, "mine", "--input", str(table1_path), "--output-format", "json"
@@ -90,12 +84,12 @@ def test_mine_json_round_trip(table1_path, table1, capsys):
     assert len(payload) == len(records)
     for row, rec in zip(payload, records):
         assert row["items"] == [table1.items[i] for i in rec.itemset]
-        assert row["n_case_tids"] == len(rec.tidset.pos)
-        assert row["n_control_tids"] == len(rec.tidset.neg)
+        assert row["n_case_tids"] == rec.pos_mask.bit_count()
+        assert row["n_control_tids"] == rec.neg_mask.bit_count()
         assert row["sd"] == rec.scores.sd
         assert row["lci_ors"] == rec.scores.lci_ors
         assert row["ci_corrected"] is rec.scores.corrected_ci
-        assert row["case_tids"] == [str(t + 1) for t in rec.tidset.pos]
+        assert row["case_tids"] == [str(t + 1) for t in bit_positions(rec.pos_mask)]
 
 
 def test_infinite_odds_ratio_rendering(tmp_path, capsys):
@@ -157,9 +151,6 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
         "mine",
         "--input",
         str(table1_path),
-        "--min-ors",
-        "2",
-        "--no-prune",
         "--output",
         str(tmp_path / "out.csv"),
         "--stats",
@@ -167,7 +158,9 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     )
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    assert stats["min_case_support"] is None
+    # without thresholds nothing is pruned and one case tid is enough
+    assert stats["min_case_support"] == 1
+    assert stats["nodes_pruned"] == 0
     assert stats["nodes_visited"] == 160
     assert stats["nodes_dead"] == 9
     assert stats["row_scans"] == 107

@@ -1,7 +1,7 @@
-"""Random, often malformed, input files through the CLI loaders.
+"""Random, often malformed, input files and threshold values through the CLI.
 
-Whatever the bytes, ``sigpat`` must end with a documented exit code (0 ok,
-1 usage, 2 malformed input) and never with an escaping exception.
+Whatever the bytes and the values, ``sigpat`` must end with a documented exit
+code (0 ok, 1 usage, 2 malformed input) and never with an escaping exception.
 """
 
 import contextlib
@@ -9,10 +9,10 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigpat.cli import main
+from sigpat.cli import THRESHOLD_FLAGS, main
 
 
 def _encoded(draw, lines):
@@ -53,6 +53,15 @@ def genotype_files(draw):
     return _encoded(draw, matrix), _encoded(draw, labels)
 
 
+@st.composite
+def threshold_flags(draw):
+    """Zero to five threshold flags, each with any float, NaN and infinities
+    too, written as ``--min-sd=<value>`` so that a leading minus still parses."""
+    flag = st.sampled_from(["--" + name.replace("_", "-") for name in THRESHOLD_FLAGS])
+    pairs = draw(st.lists(st.tuples(flag, st.floats()), max_size=5))
+    return [f"{name}={value!r}" for name, value in pairs]
+
+
 def run_cli(*argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -61,12 +70,15 @@ def run_cli(*argv):
 
 
 @settings(max_examples=150, deadline=None)
-@given(transactions())
-def test_mine_fuzzed_transactions(data):
+@given(transactions(), threshold_flags())
+# min_sd * n_control overflows to -inf where top[a] is computed
+@example(b"1 a\n1 a b\n0 a\n0 b\n", ["--min-sd=1e308"])
+def test_mine_fuzzed_transactions(data, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.tct"
         path.write_bytes(data)
-        rc, err = run_cli("mine", "--input", str(path), "--output", str(Path(tmp) / "out.csv"))
+        out = str(Path(tmp) / "out.csv")
+        rc, err = run_cli("mine", "--input", str(path), *flags, "--output", out)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
 

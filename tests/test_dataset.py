@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sigpat import dataset as dataset_module
 from sigpat.dataset import (
     DatasetFormatError,
-    Tidset,
     TwoClassDataset,
     bit_positions,
     dump_transactions,
@@ -24,24 +23,13 @@ from sigpat.dataset import (
 )
 
 from conftest import TABLE1_TEXT
-from reference import tidset_from_masks, tidset_mask, tidset_of
+from reference import Tidset, tidset_from_masks, tidset_mask
 
 
 def test_bit_positions():
     assert bit_positions(0) == ()
     assert bit_positions(0b1011) == (0, 1, 3)
     assert bit_positions((1 << 17) | (1 << 5) | 1) == (0, 5, 17)
-
-
-def test_tidset_validation():
-    t = tidset_of([2, 0], [5])
-    assert t.pos == (0, 2)
-    assert t.neg == (5,)
-    assert len(t) == 3
-    with pytest.raises(ValueError):
-        Tidset((1, 1), ())
-    with pytest.raises(ValueError):
-        Tidset((2, 1), ())
 
 
 def test_tidset_mask(table1):
@@ -166,6 +154,16 @@ def test_from_transactions_ordering():
 def test_from_transactions_empty():
     with pytest.raises(DatasetFormatError):
         from_transactions([], [])
+
+
+def test_from_transactions_external_ids():
+    d = from_transactions([["x"]], [["y"]], ["p", "q"])
+    assert d.external_ids == ("p", "q")
+    # one id per transaction: neither a short list nor a long one is taken
+    with pytest.raises(ValueError, match="1 external ids for 2 transactions"):
+        from_transactions([["x"]], [["y"]], ["p"])
+    with pytest.raises(ValueError, match="3 external ids for 2 transactions"):
+        from_transactions([["x"]], [["y"]], ["x", "y", "z"])
 
 
 def test_dump_transactions_roundtrip(table1):

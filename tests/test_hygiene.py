@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,3 +248,26 @@ def test_cli_run_loads_only_what_it_uses(tmp_path, command, loaded):
     _, after = fresh_modules(code, *command.format(tmp=tmp_path).split())
     assert (tmp_path / "out").exists()
     assert (DEFERRED | {"sigpat.oracle"}) & after == loaded
+
+
+def parser_flags() -> set[str]:
+    """The long options that the subcommands of ``build_parser()`` define, but ``--help``."""
+    from sigpat.cli import build_parser
+
+    parser = build_parser()
+    # the subcommands action is the one whose choices map names to parsers
+    commands = next(a for a in parser._actions if isinstance(a.choices, dict))
+    return {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    } - {"--help"}
+
+
+def test_readme_names_the_flags_the_parser_defines():
+    # README documents every flag, and names none that is gone
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
+    assert named == parser_flags()

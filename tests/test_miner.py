@@ -7,10 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigpat import (
-    MinerConfig,
     MineStats,
     Thresholds,
-    Tidset,
     TraceNode,
     from_transactions,
     mine,
@@ -23,11 +21,14 @@ from sigpat.miner import _Search
 
 from conftest import random_dataset, random_thresholds
 from reference import (
+    Tidset,
     common_items,
     ista_mine,
     reference_mine,
     supporting_tids,
+    tidset_from_masks,
     tidset_mask,
+    unpruned_mine,
 )
 
 THRESHOLD_SETS = [
@@ -42,8 +43,8 @@ THRESHOLD_SETS = [
 
 @pytest.mark.parametrize("thresholds", THRESHOLD_SETS)
 def test_mine_matches_oracle_on_worked_table(table1, thresholds):
-    records, _ = mine(table1, MinerConfig(thresholds=thresholds))
-    assert records == mine_oracle(table1, MinerConfig(thresholds=thresholds))
+    records, _ = mine(table1, thresholds)
+    assert records == mine_oracle(table1, thresholds)
 
 
 def test_mine_worked_table_counts(table1):
@@ -55,10 +56,10 @@ def test_mine_worked_table_counts(table1):
     assert stats.nodes_duplicate == 29
     assert stats.nodes_dead == 9
     assert stats.row_scans == 107
-    assert stats.min_case_support is None
+    assert stats.min_case_support == 1
     assert stats.wall_time_seconds >= 0.0
 
-    records, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)))
+    records, stats = mine(table1, Thresholds(min_ors=2.0))
     assert len(records) == 15
     assert stats.nodes_visited == 124
     assert stats.nodes_pruned == 35
@@ -75,39 +76,32 @@ def test_mine_output_invariants(table1):
     assert len(set(itemsets)) == len(itemsets)
     for r in records:
         assert r.itemset == tuple(sorted(r.itemset))
-        assert r.tidset.pos and r.tidset.neg
-        assert r.table.a == len(r.tidset.pos)
-        assert r.table.c == len(r.tidset.neg)
+        q = tidset_from_masks(r.pos_mask, r.neg_mask)
+        assert q.pos and q.neg
+        assert r.table.a == len(q.pos)
+        assert r.table.c == len(q.neg)
         assert r.table.a + r.table.b == table1.n_case
         assert r.table.c + r.table.d == table1.n_control
-        assert supporting_tids(r.itemset, table1) == r.tidset
-        assert common_items(r.tidset, table1) == r.itemset
+        assert supporting_tids(r.itemset, table1) == q
+        assert common_items(q, table1) == r.itemset
 
 
 def test_mine_prune_changes_nothing_but_work(table1):
     th = Thresholds(min_ors=2.0)
-    pruned, st_pruned = mine(table1, MinerConfig(thresholds=th))
-    full, st_full = mine(table1, MinerConfig(thresholds=th, prune=False))
+    pruned, st_pruned = mine(table1, th)
+    full, st_full = unpruned_mine(table1, th)
     assert pruned == full
     assert st_full.nodes_pruned == 0
     assert st_pruned.nodes_visited < st_full.nodes_visited
 
 
-def test_mine_prune_noop_without_thresholds(table1):
-    on, st_on = mine(table1, MinerConfig(prune=True))
-    off, st_off = mine(table1, MinerConfig(prune=False))
-    assert on == off
-    assert st_on.nodes_visited == st_off.nodes_visited
-    assert st_on.nodes_pruned == 0
-
-
 def test_lci_gr_prunes_on_four_controls(table1):
     # the growth-rate lower bound is not monotone in the control count on
     # four controls, but the exact table top[a] still prunes there safely
-    cfg = MinerConfig(thresholds=Thresholds(min_lci_gr=0.3))
-    records, stats = mine(table1, cfg)
+    th = Thresholds(min_lci_gr=0.3)
+    records, stats = mine(table1, th)
     assert stats.nodes_pruned == 29
-    assert records == mine(table1, cfg._replace(prune=False))[0]
+    assert records == unpruned_mine(table1, th)[0]
 
 
 def test_mine_trace_soundness(table1):
@@ -125,7 +119,7 @@ def test_mine_trace_soundness_with_pruning(table1):
     # pruned and cut children are counted and traced by their parent without
     # a row scan
     trace: list[TraceNode] = []
-    _, stats = mine(table1, MinerConfig(thresholds=Thresholds(min_ors=2.0)), trace=trace)
+    _, stats = mine(table1, Thresholds(min_ors=2.0), trace=trace)
     assert len(trace) == stats.nodes_visited == 124
     assert stats.nodes_pruned == 35
     for node in trace:
@@ -147,10 +141,9 @@ def test_mine_pinned_counters(thresholds, counts):
     case = [[x for x in names if rng.random() < 0.4] for _ in range(12)]
     control = [[x for x in names if rng.random() < 0.4] for _ in range(12)]
     d = from_transactions(case, control)
-    records, stats = mine(d, MinerConfig(thresholds=thresholds))
+    records, stats = mine(d, thresholds)
     assert (stats.nodes_visited, stats.nodes_pruned, stats.patterns_emitted) == counts
-    unpruned, _ = mine(d, MinerConfig(thresholds=thresholds, prune=False))
-    assert records == unpruned
+    assert records == unpruned_mine(d, thresholds)[0]
 
 
 def test_mine_trace_contains_closure_jumps(table1):
@@ -179,18 +172,17 @@ def test_mine_trivial_dataset():
     d = from_transactions([["x"]], [["x"]])
     records, _ = mine(d)
     assert len(records) == 1
-    assert records[0].tidset == Tidset((0,), (1,))
+    assert (records[0].pos_mask, records[0].neg_mask) == (0b01, 0b10)
 
 
 def test_mine_matches_oracle_random_sweep():
     rng = random.Random(5150)
     for _ in range(40):
         d = random_dataset(rng, max_case=7, max_control=7, max_items=11)
-        cfg = MinerConfig(thresholds=random_thresholds(rng))
-        records, _ = mine(d, cfg)
-        assert records == mine_oracle(d, cfg)
-        unpruned, _ = mine(d, MinerConfig(thresholds=cfg.thresholds, prune=False))
-        assert records == unpruned
+        thresholds = random_thresholds(rng)
+        records, _ = mine(d, thresholds)
+        assert records == mine_oracle(d, thresholds)
+        assert records == unpruned_mine(d, thresholds)[0]
 
 
 @st.composite
@@ -227,18 +219,16 @@ def test_mine_matches_row_scanning_reference(d):
     # parent without a row scan; counters, traces and records must equal
     # those of the search that scans rows for every child
     for thresholds in THRESHOLD_SETS:
-        for prune in (True, False):
-            cfg = MinerConfig(thresholds=thresholds, prune=prune)
-            trace: list[TraceNode] = []
-            ref_trace: list[TraceNode] = []
-            records, stats = mine(d, cfg, trace=trace)
-            ref_records, ref_stats = reference_mine(d, cfg, trace=ref_trace)
-            untraced_records, untraced_stats = mine(d, cfg)
-            assert trace == ref_trace
-            assert records == ref_records == untraced_records
-            assert counters(stats) == counters(untraced_stats)
-            assert visits(stats) == visits(ref_stats)
-            assert ref_stats.row_scans >= stats.row_scans
+        trace: list[TraceNode] = []
+        ref_trace: list[TraceNode] = []
+        records, stats = mine(d, thresholds, trace=trace)
+        ref_records, ref_stats = reference_mine(d, thresholds, trace=ref_trace)
+        untraced_records, untraced_stats = mine(d, thresholds)
+        assert trace == ref_trace
+        assert records == ref_records == untraced_records
+        assert counters(stats) == counters(untraced_stats)
+        assert visits(stats) == visits(ref_stats)
+        assert ref_stats.row_scans >= stats.row_scans
 
 
 def test_reference_scans_every_child_itself(table1):
@@ -246,7 +236,7 @@ def test_reference_scans_every_child_itself(table1):
     # engine counts without a scan: were it to run the engine's loop, the
     # two would make the same scans
     records, stats = mine(table1)
-    ref_records, ref_stats = reference_mine(table1, MinerConfig())
+    ref_records, ref_stats = reference_mine(table1)
     assert records == ref_records
     assert visits(stats) == visits(ref_stats)
     assert ref_stats.row_scans > stats.row_scans
@@ -271,18 +261,20 @@ def any_thresholds(draw):
 @settings(max_examples=300, deadline=None)
 @given(twin_heavy_datasets(), any_thresholds())
 def test_exact_prune_keeps_every_pattern(d, thresholds):
-    cfg = MinerConfig(thresholds=thresholds)
-    records, _ = mine(d, cfg)
-    assert records == mine(d, cfg._replace(prune=False))[0]
+    records, _ = mine(d, thresholds)
+    assert records == unpruned_mine(d, thresholds)[0]
     if d.n <= 16:
-        assert records == mine_oracle(d, cfg)
+        assert records == mine_oracle(d, thresholds)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 60), any_thresholds())
+# min_sd * n_control overflows to -inf, which caps every c < n_control
+@example(5, 7, Thresholds(min_sd=1e308))
+@example(5, 7, Thresholds(min_sd=1.7e308))
 def test_top_matches_a_naive_scan(n_case, n_control, thresholds):
     # top[a] scans down from the thresholds' caps; a naive scan tries every c
-    search = _Search(n_case, n_control, MinerConfig(thresholds=thresholds), None)
+    search = _Search(n_case, n_control, thresholds, None)
     for a in range(1, n_case + 1):
         passing = [
             c
@@ -325,17 +317,16 @@ def test_mine_matches_closed_tidset_intersections(thresholds):
     # the oracle
     for seed, shape in enumerate(MID_SIZE):
         d = pooled_dataset(seed, *shape)
-        records, stats = mine(d, MinerConfig(thresholds=thresholds))
+        records, stats = mine(d, thresholds)
         assert records == ista_mine(d, thresholds)
         assert stats.nodes_dead > 0
 
 
 def check_tracing_scans_the_same(d) -> None:
     for thresholds in THRESHOLD_SETS:
-        cfg = MinerConfig(thresholds=thresholds)
         trace: list[TraceNode] = []
-        records, stats = mine(d, cfg, trace=trace)
-        untraced_records, untraced_stats = mine(d, cfg)
+        records, stats = mine(d, thresholds, trace=trace)
+        untraced_records, untraced_stats = mine(d, thresholds)
         assert stats.row_scans == untraced_stats.row_scans
         assert len(trace) == stats.nodes_visited
         assert counters(stats) == counters(untraced_stats)
@@ -363,7 +354,7 @@ def test_trace_lists_a_dominated_child_after_the_scan_that_shows_it():
     trace: list[TraceNode] = []
     ref_trace: list[TraceNode] = []
     _, stats = mine(d, trace=trace)
-    reference_mine(d, MinerConfig(), trace=ref_trace)
+    reference_mine(d, trace=ref_trace)
     assert trace == ref_trace == [
         TraceNode((2,), (), (x,)),
         TraceNode((0, 2), (), (x,)),
@@ -375,10 +366,10 @@ def test_trace_lists_a_dominated_child_after_the_scan_that_shows_it():
     assert stats.nodes_duplicate == 1
 
 
-def check_scans(d, cfg: MinerConfig, scans: int) -> MineStats:
+def check_scans(d, scans: int, thresholds: Thresholds = Thresholds()) -> MineStats:
     """Mine ``d``, check it makes ``scans`` row scans and matches the reference."""
-    records, stats = mine(d, cfg)
-    ref_records, ref_stats = reference_mine(d, cfg)
+    records, stats = mine(d, thresholds)
+    ref_records, ref_stats = reference_mine(d, thresholds)
     assert stats.row_scans == scans
     assert visits(stats) == visits(ref_stats)
     assert records == ref_records
@@ -395,14 +386,14 @@ def test_children_dominated_by_a_scanned_sibling_are_not_scanned():
     # only in row x too, are counted as its duplicates without a scan; so
     # are roots 2, 1 and 0, which lie only in rows holding root 3
     d = from_transactions([["x"]] * 3 + [["x", "y"]], [["z"]])
-    stats = check_scans(d, MinerConfig(), 2)
+    stats = check_scans(d, 2)
     assert counts(stats) == (8, 5, 0)
     # controls 4-7 hold x: below child 2, closed to cases 0-3, control child
     # 7 closes over 4-6, which lie only where 7 does, so they are counted
     # without a scan too; below root 3 the controls lie only in row x, which
     # holds case 2, so they are dead
     d = from_transactions([["x"]] * 3 + [["x", "y"]], [["x"]] * 4)
-    stats = check_scans(d, MinerConfig(), 3)
+    stats = check_scans(d, 3)
     assert counts(stats) == (13, 8, 4)
 
 
@@ -411,7 +402,7 @@ def test_twin_above_the_opening_tid_is_not_scanned():
     # shows that case 1 lies only in rows holding 3, so below root 2 (closed
     # to {0, 2}) child 1, whose closure adds 3, is counted without a scan
     d = from_transactions([["x", "z"], ["x", "y"], ["x", "z"], ["x", "y"]], [["x"]])
-    stats = check_scans(d, MinerConfig(), 4)
+    stats = check_scans(d, 4)
     assert counts(stats) == (11, 4, 2)
 
 
@@ -420,7 +411,7 @@ def test_dead_control_child_is_not_scanned():
     # so below root 0 the control child 2 cannot be case-closed: it is
     # counted in nodes_dead, not as visited, and not scanned
     d = from_transactions([["a", "c"], ["a", "b"]], [["a", "b"]])
-    stats = check_scans(d, MinerConfig(), 5)
+    stats = check_scans(d, 5)
     assert counts(stats) == (5, 0, 1)
     assert mine(d)[0] == mine_oracle(d)
 
@@ -436,7 +427,7 @@ def test_chain_scans_each_control_once():
     # closes over the ones above it, so a control child's scan shows all its
     # lower siblings dominated and the n(n+1)/2 visited nodes take n+1 scans
     n = 200
-    stats = check_scans(chain_dataset(n), MinerConfig(), n + 1)
+    stats = check_scans(chain_dataset(n), n + 1)
     assert stats.nodes_visited == n * (n + 1) // 2 + 1
     assert stats.patterns_emitted == n
 
@@ -502,11 +493,11 @@ def test_case_count_cut_loses_no_pattern(d, thresholds):
     # case children that cannot reach the least hopeful case count are cut
     # in the parent: the records stay those of the unpruned search
     trace: list[TraceNode] = []
-    records, stats = mine(d, MinerConfig(thresholds=thresholds), trace=trace)
-    unpruned, full = mine(d, MinerConfig(thresholds=thresholds, prune=False))
+    records, stats = mine(d, thresholds, trace=trace)
+    unpruned, full = unpruned_mine(d, thresholds)
     assert records == unpruned
     if d.n <= 12:
-        assert records == mine_oracle(d, MinerConfig(thresholds=thresholds))
+        assert records == mine_oracle(d, thresholds)
     # a pruned or cut child counts as visited where the unpruned search may
     # count it as dead
     assert stats.nodes_visited + stats.nodes_dead <= full.nodes_visited + full.nodes_dead
@@ -520,11 +511,11 @@ def test_case_count_cut_loses_no_pattern(d, thresholds):
 def test_case_children_below_the_floor_are_not_scanned():
     # min_sd 0.5 over six cases and six controls needs four case tids, and
     # every item sits in three cases, so no root can reach four
-    cfg = MinerConfig(thresholds=Thresholds(min_sd=0.5))
+    th = Thresholds(min_sd=0.5)
     d = from_transactions(
         [["x"], ["x", "z"], ["x"], ["y", "z"], ["y"], ["y", "z"]], [["x", "y", "z"]] * 6
     )
-    stats = check_scans(d, cfg, 0)
+    stats = check_scans(d, 0, th)
     assert (stats.nodes_visited, stats.nodes_pruned) == (6, 6)
     assert stats.min_case_support == 4
     # with case 5 in row x too, root 5 alone is kept: x holds it and cases
@@ -534,9 +525,9 @@ def test_case_children_below_the_floor_are_not_scanned():
     d = from_transactions(
         [["x"], ["x", "z"], ["x"], ["y", "z"], ["y"], ["x", "y", "z"]], [["y", "z"]] * 6
     )
-    stats = check_scans(d, cfg, 2)
+    stats = check_scans(d, 2, th)
     assert (stats.nodes_visited, stats.nodes_pruned) == (18, 15)
-    assert mine(d, cfg)[0] == mine(d, cfg._replace(prune=False))[0] == []
+    assert mine(d, th)[0] == unpruned_mine(d, th)[0] == []
 
 
 def test_mine_stats_type():
@@ -547,8 +538,7 @@ def test_mine_stats_type():
 def check_records_api(records, dataset):
     assert records == mine_oracle(dataset)
     for r in records:
-        q = r.tidset
-        assert type(q) is Tidset
+        q = tidset_from_masks(r.pos_mask, r.neg_mask)
         assert q == supporting_tids(r.itemset, dataset)
         assert r.pos_mask | r.neg_mask == tidset_mask(q, dataset)
         assert r.pos_mask & dataset.control_mask == 0
@@ -573,18 +563,16 @@ def test_records_are_frozen_and_hashable(table1):
     for field in r._fields:
         with pytest.raises(AttributeError):
             setattr(r, field, None)
-    with pytest.raises(ValueError):
-        Tidset((2, 1), (5,))
 
 
 def test_value_types_are_frozen_checked_and_picklable(table1):
     records, stats = mine(table1)
     r = records[0]
-    config = MinerConfig(thresholds=Thresholds(min_ors=2.0))
-    values = (r.tidset, table1, r.table, r.scores, config.thresholds, config, r, stats)
+    thresholds = Thresholds(min_ors=2.0)
+    values = (table1, r.table, r.scores, thresholds, r, stats)
     assert [type(v).__name__ for v in values] == [
-        "Tidset", "TwoClassDataset", "ContingencyTable", "ScoreSet",
-        "Thresholds", "MinerConfig", "PatternRecord", "MineStats",
+        "TwoClassDataset", "ContingencyTable", "ScoreSet", "Thresholds", "PatternRecord",
+        "MineStats",
     ]
     for value in values:
         # neither an unknown attribute nor a field can be set, and no
@@ -597,10 +585,8 @@ def test_value_types_are_frozen_checked_and_picklable(table1):
     with pytest.raises(ValueError, match="non-negative"):
         r.table._replace(a=-1)
     with pytest.raises(ValueError, match="min_gr must be non-negative"):
-        config.thresholds._replace(min_gr=-1)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Tidset((1, 2), (5,))._replace(pos=(2, 1))
+        thresholds._replace(min_gr=-1)
     assert r.table._replace(a=0).a == 0
-    for value in (r, table1, stats, config):
+    for value in (r, table1, stats, thresholds):
         back = pickle.loads(pickle.dumps(value))
         assert back == value and type(back) is type(value)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from sigpat import MinerConfig, Thresholds, Tidset, from_transactions, mine_oracle
+from sigpat import Thresholds, from_transactions, mine_oracle
 from sigpat.dataset import generate_synthetic
 from sigpat.oracle import InstanceTooLargeError, enumerate_closed
 
 from conftest import random_dataset
-from reference import common_items, supporting_tids, tidset_from_masks
+from reference import Tidset, common_items, supporting_tids, tidset_from_masks
 
 
 def ids_of(dataset, names):
@@ -41,7 +41,7 @@ def test_enumerate_closed_soundness(table1):
     for itemset, tidset in closed_tidsets(table1):
         assert supporting_tids(itemset, table1) == tidset
         assert common_items(tidset, table1) == itemset
-        assert len(tidset) > 0
+        assert tidset.pos or tidset.neg
 
 
 def test_enumerate_closed_sorted_unique(table1):
@@ -76,7 +76,7 @@ def test_enumerate_closed_random_cross_check():
             probe = tuple(i for i in range(m) if rng.random() < 0.3)
             q = supporting_tids(probe, d)
             closure = common_items(q, d)
-            if len(q) == 0 or not closure:
+            if not (q.pos or q.neg) or not closure:
                 continue
             assert closure in seen
 
@@ -85,15 +85,12 @@ def test_mine_oracle_requires_both_classes_in_support(table1):
     records = mine_oracle(table1)
     assert records
     for r in records:
-        assert r.tidset.pos and r.tidset.neg
-        assert supporting_tids(r.itemset, table1) == r.tidset
+        assert r.pos_mask and r.neg_mask
+        assert supporting_tids(r.itemset, table1) == tidset_from_masks(r.pos_mask, r.neg_mask)
 
 
 def test_mine_oracle_thresholds(table1):
-    strict = mine_oracle(
-        table1,
-        MinerConfig(thresholds=Thresholds(min_sd=0.1, min_gr=1.2, min_ors=1.5)),
-    )
+    strict = mine_oracle(table1, Thresholds(min_sd=0.1, min_gr=1.2, min_ors=1.5))
     assert strict
     loose = mine_oracle(table1)
     assert {r.itemset for r in strict} <= {r.itemset for r in loose}
@@ -106,7 +103,7 @@ def test_mine_oracle_thresholds(table1):
 def test_mine_oracle_unreachable_threshold(table1):
     # support difference can never reach 1.0 when the pattern must occur
     # in at least one control transaction
-    records = mine_oracle(table1, MinerConfig(thresholds=Thresholds(min_sd=1.0)))
+    records = mine_oracle(table1, Thresholds(min_sd=1.0))
     assert records == []
 
 

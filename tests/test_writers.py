@@ -1,7 +1,7 @@
 """The CSV and JSON writers and the filter report against per-row reference writers.
 
 ``reference_csv`` and ``reference_json`` encode every record on its own,
-reading the tidset of each record, through ``csv_line`` and ``json.dump``;
+reading its tids from its masks, through ``csv_line`` and ``json.dump``;
 the writers under test encode the count and score columns once per (table,
 scores) pair and the external ids once per tid mask, and fill a line
 template per record. ``reference_report`` decides every item of a genotype
@@ -26,10 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpat import (
-    MinerConfig, Thresholds, from_transactions, load_genotype_matrix, mine, mine_oracle,
-)
+from sigpat import Thresholds, from_transactions, load_genotype_matrix, mine, mine_oracle
 from sigpat.cli import COLUMNS, main, write_csv, write_json
+from sigpat.dataset import bit_positions
 from sigpat.measures import ContingencyTable, association_pvalue
 
 
@@ -57,10 +56,11 @@ def reference_fields(r, dataset):
     names = dataset.items
     ext = dataset.external_ids
     s = r.scores
+    pos, neg = bit_positions(r.pos_mask), bit_positions(r.neg_mask)
     return (
         [names[i] for i in r.itemset],
-        len(r.tidset.pos),
-        len(r.tidset.neg),
+        len(pos),
+        len(neg),
         r.table.a / r.table.n_case,
         r.table.c / r.table.n_control,
         s.sd,
@@ -71,8 +71,8 @@ def reference_fields(r, dataset):
         s.lci_ors,
         s.uci_ors,
         s.corrected_ci,
-        [ext[t] for t in r.tidset.pos],
-        [ext[t] for t in r.tidset.neg],
+        [ext[t] for t in pos],
+        [ext[t] for t in neg],
     )
 
 
@@ -156,15 +156,15 @@ def instances(draw):
         min_lci_gr=draw(optional(0.0, 2.0)),
         min_lci_ors=draw(optional(0.0, 2.0)),
     )
-    return dataset, MinerConfig(thresholds=thresholds)
+    return dataset, thresholds
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_writers_match_reference_writers(instance):
-    dataset, cfg = instance
-    mined, _ = mine(dataset, cfg)
-    for records in (mined, mine_oracle(dataset, cfg)):
+    dataset, thresholds = instance
+    mined, _ = mine(dataset, thresholds)
+    for records in (mined, mine_oracle(dataset, thresholds)):
         assert written(write_csv, records, dataset) == written(
             reference_csv, records, dataset
         )
@@ -174,8 +174,8 @@ def test_writers_match_reference_writers(instance):
 
 
 def test_writers_match_reference_writers_worked_table(table1):
-    for cfg in (MinerConfig(), MinerConfig(thresholds=Thresholds(min_ors=2.0))):
-        for records in (mine(table1, cfg)[0], mine_oracle(table1, cfg)):
+    for thresholds in (Thresholds(), Thresholds(min_ors=2.0)):
+        for records in (mine(table1, thresholds)[0], mine_oracle(table1, thresholds)):
             assert len(records) > 1
             assert written(write_csv, records, table1) == written(
                 reference_csv, records, table1
