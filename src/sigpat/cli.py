@@ -37,16 +37,12 @@ COLUMNS = (
     "lci_gr", "uci_gr", "lci_ors", "uci_ors", "ci_corrected", "case_tids", "control_tids",
 )
 
-THRESHOLD_FLAGS = ("min_sd", "min_gr", "min_ors", "min_lci_gr", "min_lci_ors")
-
-
-class _UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which ``main`` reports with exit code 1."""
+
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value: float) -> str:
@@ -242,16 +238,13 @@ def build_parser() -> _Parser:
 
 
 def _build_thresholds(args: argparse.Namespace) -> Thresholds:
-    try:
-        return Thresholds(**{name: getattr(args, name) for name in THRESHOLD_FLAGS})
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return Thresholds._make(getattr(args, name) for name in Thresholds._fields)
 
 
 def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
     if args.format == "genotype":
         if not args.labels:
-            raise _UsageError("--labels is required with --format genotype")
+            raise ValueError("--labels is required with --format genotype")
         dataset = load_genotype_matrix(args.input, args.labels)
     else:
         dataset = load_transactions(args.input)
@@ -275,23 +268,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         import json
 
         with _open_out(args.stats) as out:
-            json.dump(
-                {
-                    "schema": 1,
-                    "nodes_visited": stats.nodes_visited,
-                    "nodes_pruned": stats.nodes_pruned,
-                    "nodes_duplicate": stats.nodes_duplicate,
-                    "nodes_dead": stats.nodes_dead,
-                    "row_scans": stats.row_scans,
-                    "patterns_emitted": stats.patterns_emitted,
-                    "min_case_support": stats.min_case_support,
-                    "wall_time_seconds": stats.wall_time_seconds,
-                    "load_seconds": load_seconds,
-                    "write_seconds": write_seconds,
-                },
-                out,
-                indent=2,
-            )
+            json.dump({"schema": 1, **stats._asdict(), "load_seconds": load_seconds,
+                       "write_seconds": write_seconds}, out, indent=2)
             out.write("\n")
     return 0
 
@@ -305,12 +283,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        dataset = generate_synthetic(
-            args.cases, args.controls, args.items, args.density, args.seed
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    dataset = generate_synthetic(args.cases, args.controls, args.items, args.density, args.seed)
     with _open_out(args.output) as out:
         dump_transactions(dataset, out)
     return 0
@@ -318,7 +291,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _validate_fraction(value: Optional[float], flag: str) -> None:
     if value is not None and not 0.0 <= value <= 1.0:
-        raise _UsageError(f"{flag} must lie in [0, 1], got {value}")
+        raise ValueError(f"{flag} must lie in [0, 1], got {value}")
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
@@ -371,13 +344,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DatasetFormatError, OSError) as exc:
+    except (DatasetFormatError, OSError) as exc:  # a DatasetFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

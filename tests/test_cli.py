@@ -6,7 +6,7 @@ from pathlib import Path
 from sigpat import mine
 from sigpat.cli import main
 from sigpat.dataset import bit_positions
-from sigpat.miner import InternalInvariantError
+from sigpat.miner import InternalInvariantError, MineStats
 
 GENO_MATRIX = "snp,bob,eve,kim,sam,ana,joe\nrs1,2,0,2,1,2,0\nrs2,1,0,1,2,1,0\nrs3,0,0,1,0,2,1\n"
 GENO_LABELS = "bob,1\neve,0\nkim,1\nsam,0\nana,1\njoe,0\n"
@@ -135,7 +135,8 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     )
     assert rc == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    assert next(iter(stats.items())) == ("schema", 1)
+    assert list(stats) == ["schema", *MineStats._fields, "load_seconds", "write_seconds"]
+    assert stats["schema"] == 1
     assert stats["nodes_visited"] == 124
     assert stats["nodes_pruned"] == 35
     assert stats["nodes_duplicate"] == 16
@@ -170,12 +171,30 @@ def test_mine_negative_threshold_rejected(table1_path, capsys):
     rc, _, err = run(capsys, "mine", "--input", str(table1_path), "--min-gr", "-1")
     assert rc == 1
     assert "min_gr" in err
+    # a negative --min-sd is valid; written with "=", exponent form reads as a value
+    rc, out, _ = run(capsys, "mine", "--input", str(table1_path), "--min-sd=-1e-3")
+    assert rc == 0
+    assert (rc, out) == run(capsys, "mine", "--input", str(table1_path), "--min-sd", "-0.001")[:2]
 
 
-def test_exit_code_usage():
-    assert main(["mine"]) == 1
-    assert main(["bogus"]) == 1
-    assert main(["mine", "--input", "x", "--format", "genotype"]) == 1
+def test_exit_code_usage(table1_path, capsys):
+    data = str(table1_path)
+    gen = ("gen", "--cases", "2", "--controls", "2", "--items", "5")
+    cases = [
+        (("mine",), "the following arguments are required: --input"),
+        (("bogus",), "argument command: invalid choice: 'bogus' "
+                     "(choose from 'mine', 'oracle', 'gen', 'filter-genotypes')"),
+        (("mine", "--input", "x", "--format", "genotype"),
+         "--labels is required with --format genotype"),
+        (("mine", "--input", data, "--min-sd", "nan"), "min_sd must be finite, got nan"),
+        (("mine", "--input", data, "--min-gr", "-1"), "min_gr must be non-negative, got -1.0"),
+        ((*gen, "--density", "2", "--seed", "1"), "density must be within [0, 1], got 2.0"),
+        ((*gen, "--density", "0.5", "--seed", "-1"), "seed must be non-negative, got -1"),
+        (("filter-genotypes", "--input", "x", "--labels", "y", "--max-pvalue", "2"),
+         "--max-pvalue must lie in [0, 1], got 2.0"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_exit_code_missing_file(capsys):
@@ -219,7 +238,7 @@ def test_exit_code_oracle_too_large(tmp_path, capsys):
 
 
 def test_exit_code_internal_invariant(table1_path, capsys, monkeypatch):
-    def boom(dataset, config):
+    def boom(dataset, thresholds):
         raise InternalInvariantError("duplicate pattern")
 
     monkeypatch.setattr("sigpat.cli.mine", boom)

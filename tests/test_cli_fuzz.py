@@ -12,7 +12,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigpat.cli import THRESHOLD_FLAGS, main
+from sigpat.cli import main
+from sigpat.measures import Thresholds
 
 
 def _encoded(draw, lines):
@@ -57,7 +58,7 @@ def genotype_files(draw):
 def threshold_flags(draw):
     """Zero to five threshold flags, each with any float, NaN and infinities
     too, written as ``--min-sd=<value>`` so that a leading minus still parses."""
-    flag = st.sampled_from(["--" + name.replace("_", "-") for name in THRESHOLD_FLAGS])
+    flag = st.sampled_from(["--" + name.replace("_", "-") for name in Thresholds._fields])
     pairs = draw(st.lists(st.tuples(flag, st.floats()), max_size=5))
     return [f"{name}={value!r}" for name, value in pairs]
 

@@ -164,6 +164,11 @@ def test_from_transactions_external_ids():
         from_transactions([["x"]], [["y"]], ["p"])
     with pytest.raises(ValueError, match="3 external ids for 2 transactions"):
         from_transactions([["x"]], [["y"]], ["x", "y", "z"])
+    # and distinct ids: a mined row could not tell two "a" transactions apart
+    with pytest.raises(ValueError, match="duplicate external id 'a'"):
+        from_transactions([["x"], ["x"]], [["x"]], ["a", "a", "b"])
+    with pytest.raises(ValueError, match="duplicate external id 'b'"):
+        from_transactions([["x"]], [["x"], ["y"]], ["b", "c", "b"])
 
 
 def test_dump_transactions_roundtrip(table1):

@@ -271,3 +271,11 @@ def test_readme_names_the_flags_the_parser_defines():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
     assert named == parser_flags()
+
+
+def test_readme_names_the_stats_keys():
+    from sigpat.miner import MineStats
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = {"schema", *MineStats._fields, "load_seconds", "write_seconds"}
+    assert {key for key in keys if f"`{key}`" not in readme} == set()

@@ -147,7 +147,7 @@ def instances(draw):
     n_control = draw(st.integers(min_value=1, max_value=7))
     density = rng.uniform(0.3, 0.7)
     rows = [[x for x in names if rng.random() < density] for _ in range(n_case + n_control)]
-    ext = draw(st.lists(IDS, min_size=len(rows), max_size=len(rows)))
+    ext = draw(st.lists(IDS, min_size=len(rows), max_size=len(rows), unique=True))
     dataset = from_transactions(rows[:n_case], rows[n_case:], ext)
     thresholds = Thresholds(
         min_sd=draw(optional(-0.2, 0.6)),
