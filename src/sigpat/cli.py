@@ -260,17 +260,18 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     dataset = _load_dataset(args)
     load_seconds = time.perf_counter() - start
-    records, stats = mine(dataset, _build_thresholds(args))
-    start = time.perf_counter()
-    _write_records(records, dataset, args.output, args.output_format)
-    write_seconds = time.perf_counter() - start
-    if args.stats:
-        import json
+    # opened first, so that a path it cannot open fails the run before the search
+    with _open_out(args.stats) if args.stats else contextlib.nullcontext() as stats_out:
+        records, stats = mine(dataset, _build_thresholds(args))
+        start = time.perf_counter()
+        _write_records(records, dataset, args.output, args.output_format)
+        write_seconds = time.perf_counter() - start
+        if stats_out is not None:
+            import json
 
-        with _open_out(args.stats) as out:
             json.dump({"schema": 1, **stats._asdict(), "load_seconds": load_seconds,
-                       "write_seconds": write_seconds}, out, indent=2)
-            out.write("\n")
+                       "write_seconds": write_seconds}, stats_out, indent=2)
+            stats_out.write("\n")
     return 0
 
 
@@ -284,8 +285,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(args.cases, args.controls, args.items, args.density, args.seed)
-    with _open_out(args.output) as out:
-        dump_transactions(dataset, out)
+    dump_transactions(dataset, sys.stdout if args.output == "-" else args.output)
     return 0
 
 

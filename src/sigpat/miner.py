@@ -163,6 +163,28 @@ class _Search:
         self._least: dict[int, int] = {}
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
 
+    def search(self, rows: tuple[int, ...]) -> tuple[list[PatternRecord], MineStats]:
+        """Run the search over the item bit rows ``rows``; return ``mine``'s result."""
+        start = time.perf_counter()
+        self.run(tuple(enumerate(rows)))
+        records = self.records
+        records.sort(key=lambda r: r.itemset)
+        for first, second in zip(records, records[1:]):
+            if first.itemset == second.itemset:
+                raise InternalInvariantError(f"closed pattern emitted twice: {first.itemset}")
+        least = self._least_hopeful(1)
+        stats = MineStats(
+            nodes_visited=self.nodes_visited,
+            nodes_pruned=self.nodes_pruned,
+            nodes_duplicate=self.nodes_duplicate,
+            patterns_emitted=len(records),
+            wall_time_seconds=time.perf_counter() - start,
+            min_case_support=least if least <= self.n_case else None,
+            nodes_dead=self.nodes_dead,
+            row_scans=self.row_scans,
+        )
+        return records, stats
+
     def _log(self, tids: int, rows, bit: int) -> None:
         """Trace the node ``tids``, whose rows are those of ``rows`` holding ``bit``."""
         items = tuple(i for i, r in rows if r & bit)
@@ -182,7 +204,7 @@ class _Search:
         union = 0
         for _, r in rows:
             union |= r
-        tpos = a = tneg = c = dom = dead = ctl = scans = 0
+        tpos = a = tneg = dom = dead = ctl = scans = 0
         free = self._case_phase(0, 0, union & case_mask, rows, 0)
         stack = []
         while True:
@@ -223,7 +245,7 @@ class _Search:
                         if kids:
                             kids = self._case_phase(node, b, kids, sub, dom)
                         if kids or union & control_mask:
-                            stack.append((tpos, a, 0, 0, rows, free, dom, after, ctl, dup))
+                            stack.append((tpos, a, 0, rows, free, dom, after, ctl, dup))
                             tpos, a, rows, free, ctl = node, b, sub, kids, union & control_mask
                             continue
                     dead = after
@@ -247,8 +269,8 @@ class _Search:
                             if kids:
                                 kids = self._control_phase(tpos | node, a, k, kids, sub, dom, dead)
                                 if kids:
-                                    stack.append((tpos, a, tneg, c, rows, free, dom, dead, 0, dup))
-                                    tneg, c, rows, free = node, k, sub, kids
+                                    stack.append((tpos, a, tneg, rows, free, dom, dead, 0, dup))
+                                    tneg, rows, free = node, sub, kids
                                     continue
             elif ctl:  # the case children are done: open the control phase
                 self._top(a)  # the verdicts here and in the control subtree read top[a]
@@ -256,7 +278,7 @@ class _Search:
                 dom = ctl = 0
                 continue
             elif stack:
-                tpos, a, tneg, c, rows, free, dom, dead, ctl, dup = stack.pop()
+                tpos, a, tneg, rows, free, dom, dead, ctl, dup = stack.pop()
             else:
                 break
             # siblings that a scan showed dominated, traced after the scanned child's subtree
@@ -345,11 +367,6 @@ class _Search:
             self._least[m] = least
         return least
 
-    def min_case_support(self) -> int | None:
-        """``_least_hopeful(1)``, or None when no count passes."""
-        m = self._least_hopeful(1)
-        return m if m <= self.n_case else None
-
     def _emit(self, tpos: int, tneg: int, a: int, c: int, rows) -> None:
         key = (a, c)
         scored = self._scored.get(key)
@@ -377,30 +394,10 @@ def mine(
     search statistics. ``trace``, when given a list, receives every visited
     node in visiting order: depth first, the children of each node from the
     highest tid down, case children before control children. A child counted
-    without a row scan is listed when its parent decides it: right after the
-    scan that shows it a duplicate, or before the scanned children when it is
-    cut, pruned or dominated by a scan above its parent.
+    without a row scan is listed when its parent decides it: after the subtree
+    of the sibling whose scan shows it a duplicate, or before the scanned
+    children when it is cut, pruned or dominated by a scan above its parent.
     """
     if dataset.n_case < 1 or dataset.n_control < 1:
         raise ValueError("mining needs at least one case and one control transaction")
-    start = time.perf_counter()
-    search = _Search(dataset.n_case, dataset.n_control, thresholds, trace)
-    search.run(tuple(enumerate(dataset.rows)))
-    records = search.records
-    records.sort(key=lambda r: r.itemset)
-    for first, second in zip(records, records[1:]):
-        if first.itemset == second.itemset:
-            raise InternalInvariantError(
-                f"closed pattern emitted twice: {first.itemset}"
-            )
-    stats = MineStats(
-        nodes_visited=search.nodes_visited,
-        nodes_pruned=search.nodes_pruned,
-        nodes_duplicate=search.nodes_duplicate,
-        patterns_emitted=len(records),
-        wall_time_seconds=time.perf_counter() - start,
-        min_case_support=search.min_case_support(),
-        nodes_dead=search.nodes_dead,
-        row_scans=search.row_scans,
-    )
-    return records, stats
+    return _Search(dataset.n_case, dataset.n_control, thresholds, trace).search(dataset.rows)

@@ -76,7 +76,7 @@ def mine_oracle(
     dataset: TwoClassDataset, thresholds: Thresholds = Thresholds()
 ) -> list[PatternRecord]:
     """Reference answer for :func:`sigpat.miner.mine` on a small dataset: the
-    closed patterns with case and control tids that pass ``thresholds``."""
+    closed patterns with case and control tids that pass ``thresholds``, by itemset."""
     records: list[PatternRecord] = []
     for itemset, pos_mask, neg_mask in enumerate_closed(dataset):
         # the mining task targets patterns of the case class that also occur
@@ -89,5 +89,4 @@ def mine_oracle(
         scores = score_set(table)
         if check_significance(table, thresholds, scores):
             records.append(PatternRecord(itemset, pos_mask, neg_mask, table, scores))
-    records.sort(key=lambda r: r.itemset)
     return records

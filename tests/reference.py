@@ -25,7 +25,6 @@ threshold prunes, so it checks that pruning loses no pattern.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 from sigpat.dataset import TwoClassDataset, bit_positions
@@ -132,7 +131,7 @@ class ReferenceSearch(_Search):
     control child is checked to be not case-closed and is not scanned.
     Each child is scanned, or counted, where the engine traces it: cut,
     pruned and already dominated children before the others, and a child
-    that a sibling's rows show dominated right after that sibling's scan.
+    that a sibling's rows show dominated right after that sibling's subtree.
     The search recurses, one call per child, where the engine loops; its
     ``row_scans`` counts every child it scans, so it exceeds the engine's
     whenever the engine skips a scan.
@@ -334,18 +333,4 @@ def reference_mine(
     trace: list[TraceNode] | None = None,
 ) -> tuple[list[PatternRecord], MineStats]:
     """``mine`` over ``ReferenceSearch``: the same roots, order and statistics."""
-    start = time.perf_counter()
-    search = ReferenceSearch(dataset.n_case, dataset.n_control, thresholds, trace)
-    search.run(tuple(enumerate(dataset.rows)))
-    records = sorted(search.records, key=lambda r: r.itemset)
-    stats = MineStats(
-        nodes_visited=search.nodes_visited,
-        nodes_pruned=search.nodes_pruned,
-        nodes_duplicate=search.nodes_duplicate,
-        patterns_emitted=len(records),
-        wall_time_seconds=time.perf_counter() - start,
-        min_case_support=search.min_case_support(),
-        nodes_dead=search.nodes_dead,
-        row_scans=search.row_scans,
-    )
-    return records, stats
+    return ReferenceSearch(dataset.n_case, dataset.n_control, thresholds, trace).search(dataset.rows)

@@ -167,6 +167,23 @@ def test_mine_stats_file(table1_path, tmp_path, capsys):
     assert stats["row_scans"] == 107
 
 
+def test_mine_stats_path_is_opened_before_the_search(table1_path, tmp_path, capsys):
+    # a --stats path that cannot be opened ends the run before any pattern is written
+    missing = tmp_path / "missing" / "stats.json"
+    rc, out, err = run(capsys, "mine", "--input", str(table1_path), "--stats", str(missing))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    # and an input that is refused leaves no stats file
+    bad = tmp_path / "bad.tct"
+    bad.write_text("1 a\n7 b\n", encoding="utf-8")
+    stats_path = tmp_path / "stats.json"
+    rc, out, _ = run(capsys, "mine", "--input", str(bad), "--stats", str(stats_path))
+    assert rc == 2
+    assert out == ""
+    assert not stats_path.exists()
+
+
 def test_mine_negative_threshold_rejected(table1_path, capsys):
     rc, _, err = run(capsys, "mine", "--input", str(table1_path), "--min-gr", "-1")
     assert rc == 1

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -17,7 +18,7 @@ from sigpat import (
 from sigpat.cli import main
 from sigpat.dataset import dump_transactions
 from sigpat.measures import ContingencyTable, check_significance
-from sigpat.miner import _Search
+from sigpat.miner import InternalInvariantError, _Search
 
 from conftest import random_dataset, random_thresholds
 from reference import (
@@ -240,6 +241,19 @@ def test_reference_scans_every_child_itself(table1):
     assert records == ref_records
     assert visits(stats) == visits(ref_stats)
     assert ref_stats.row_scans > stats.row_scans
+
+
+def test_a_pattern_emitted_twice_is_an_internal_error(table1):
+    class EmitsTwice(_Search):
+        def _emit(self, tpos, tneg, a, c, rows):
+            super()._emit(tpos, tneg, a, c, rows)
+            super()._emit(tpos, tneg, a, c, rows)
+
+    records, _ = mine(table1)
+    search = EmitsTwice(table1.n_case, table1.n_control, Thresholds(), None)
+    message = f"closed pattern emitted twice: {records[0].itemset}"
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
+        search.search(table1.rows)
 
 
 THRESHOLD_VALUES = {
