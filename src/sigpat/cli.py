@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import re
 import sys
 import time
 from typing import IO, Iterator, Optional, Sequence
@@ -39,7 +40,11 @@ COLUMNS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ValueError, which ``main`` reports with exit code 1."""
+    """Raises a usage error as ValueError, for exit code 1; reads ``-1e-3`` as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValueError(message)
@@ -66,9 +71,13 @@ def _json_list(encoded: Iterator[str]) -> str:
 
 
 @contextlib.contextmanager
-def _open_out(path: str) -> Iterator[IO[str]]:
+def _open_out(path: Optional[str]) -> Iterator[Optional[IO[str]]]:
+    """Stdout for ``-``, None for no path, else the file, created or emptied; no
+    other function opens a file to write."""
     if path == "-":
         yield sys.stdout
+    elif path is None:
+        yield None
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -141,16 +150,6 @@ def write_json(
     out.write("[\n" + first)
     out.writelines(map(",\n".__add__, rows))
     out.write("\n]\n")
-
-
-def _write_records(
-    records: Sequence[PatternRecord], dataset: TwoClassDataset, path: str, fmt: str
-) -> None:
-    with _open_out(path) as out:
-        if fmt == "json":
-            write_json(records, dataset, out)
-        else:
-            write_csv(records, dataset, out)
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -260,11 +259,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     dataset = _load_dataset(args)
     load_seconds = time.perf_counter() - start
-    # opened first, so that a path it cannot open fails the run before the search
-    with _open_out(args.stats) if args.stats else contextlib.nullcontext() as stats_out:
+    with _open_out(args.output) as out, _open_out(args.stats) as stats_out:  # before the search
         records, stats = mine(dataset, _build_thresholds(args))
         start = time.perf_counter()
-        _write_records(records, dataset, args.output, args.output_format)
+        (write_json if args.output_format == "json" else write_csv)(records, dataset, out)
         write_seconds = time.perf_counter() - start
         if stats_out is not None:
             import json
@@ -276,16 +274,19 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import mine_oracle  # only this command loads the oracle
+    from .oracle import check_size, mine_oracle  # only this command loads the oracle
     dataset = _load_dataset(args)
-    records = mine_oracle(dataset, _build_thresholds(args))
-    _write_records(records, dataset, args.output, args.output_format)
+    check_size(dataset)  # so that an instance the oracle refuses leaves no --output file
+    with _open_out(args.output) as out:
+        records = mine_oracle(dataset, _build_thresholds(args))
+        (write_json if args.output_format == "json" else write_csv)(records, dataset, out)
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(args.cases, args.controls, args.items, args.density, args.seed)
-    dump_transactions(dataset, sys.stdout if args.output == "-" else args.output)
+    with _open_out(args.output) as out:
+        out.write(dump_transactions(dataset))
     return 0
 
 
@@ -328,17 +329,16 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         tuple(dataset.items[i] for i in kept_ids), dataset.n_case, dataset.n_control,
         tuple(dataset.rows[i] for i in kept_ids), dataset.external_ids,
     )
-    # A path goes to dump_transactions itself, so that a dataset it refuses
-    # leaves no file behind.
-    dump_transactions(filtered, sys.stdout if args.output == "-" else args.output)
-    if args.report:
-        with _open_out(args.report) as out:
-            out.write("item,p_value,control_support,kept\n")
+    text = dump_transactions(filtered)  # opened after, so a refused dataset leaves no file
+    with _open_out(args.output) as out, _open_out(args.report) as report:
+        out.write(text)
+        if report is not None:
+            report.write("item,p_value,control_support,kept\n")
             joined = "".join(dataset.items)  # holds , " or \n when some name does
             names = dataset.items if _csv_field(joined) == joined else map(_csv_field, dataset.items)
-            out.writelines(map(str.__add__, names, report_cols))
-            out.write(f"# total_kept {len(kept_ids)}\n")
-            out.write(f"# total_dropped {len(report_cols) - len(kept_ids)}\n")
+            report.writelines(map(str.__add__, names, report_cols))
+            report.write(f"# total_kept {len(kept_ids)}\n")
+            report.write(f"# total_dropped {len(report_cols) - len(kept_ids)}\n")
     return 0
 
 

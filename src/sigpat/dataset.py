@@ -9,11 +9,11 @@ intersections and support counts reduce to bitwise ops on Python ints.
 from __future__ import annotations
 
 import io
+import os
 import random
-from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence, Union
 
-Source = Union[str, Path, IO[str], IO[bytes]]
+Source = Union[str, os.PathLike, IO[str], IO[bytes]]
 
 
 class DatasetFormatError(ValueError):
@@ -51,19 +51,23 @@ class TwoClassDataset(NamedTuple):
 
 
 def _source_name(source: Source) -> str:
-    return str(source) if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+    return str(source) if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "input")
 
 
 def _read_text(source: Source) -> str:
-    """Whole input as text: UTF-8 with an optional byte order mark, CRLF and CR read as LF."""
+    """Whole input as text: UTF-8 with an optional byte order mark, CRLF and CR read as LF.
+    A path is read as bytes, as a byte stream is; no other function opens a file."""
     try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8-sig")
-        data = source.read()
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "rb") as fh:
+                data = fh.read()
+        else:
+            data = source.read()
         text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
-        return text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
+    # most input has no CR, and the two replacements would copy all of it
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 #: ``csv``'s default field size limit: a longer field makes ``csv.reader``
@@ -184,11 +188,11 @@ def from_transactions(
     return _build(list(item_ids), tx, len(case))
 
 
-def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]]) -> None:
-    """Serialize to the transaction text format, cases first.
+def dump_transactions(dataset: TwoClassDataset) -> str:
+    """The dataset in the transaction text format, cases first, one LF-ended line each.
 
-    Raises DatasetFormatError, before writing anything, when an item name is
-    empty or holds whitespace, as such a name would not read back as one item.
+    Raises DatasetFormatError when an item name is empty or holds whitespace, as
+    such a name would not read back as one item. The caller writes the text.
     """
     bad = next((name for name in dataset.items if name.split() != [name]), None)
     if bad is not None:
@@ -200,11 +204,7 @@ def dump_transactions(dataset: TwoClassDataset, dest: Union[str, Path, IO[str]])
     lines = [
         " ".join(["1" if j < dataset.n_case else "0", *held]) for j, held in enumerate(names)
     ]
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8", newline="")
-    else:
-        dest.write(text)
+    return "\n".join(lines) + "\n"
 
 
 def _parse_labels(rows: list[tuple[int, Row]]) -> tuple[dict[str, str], tuple[str, str] | None]:

@@ -21,7 +21,7 @@ class InstanceTooLargeError(ValueError):
     """The dataset exceeds the brute-force size caps."""
 
 
-def _check_size(dataset: TwoClassDataset) -> None:
+def check_size(dataset: TwoClassDataset) -> None:
     m = len(dataset.items)
     if dataset.n > MAX_TRANSACTIONS or m > MAX_ITEMS:
         raise InstanceTooLargeError(
@@ -37,7 +37,7 @@ def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], in
     of its items' supports (memoised bottom-up), and a mask is closed when
     no item outside it is shared by all its supporting transactions.
     """
-    _check_size(dataset)
+    check_size(dataset)
     m = len(dataset.items)
     n = dataset.n
     full_tids = (1 << n) - 1

@@ -184,14 +184,35 @@ def test_mine_stats_path_is_opened_before_the_search(table1_path, tmp_path, caps
     assert not stats_path.exists()
 
 
+def test_output_path_is_opened_before_the_search(table1_path, tmp_path, capsys, monkeypatch):
+    # an --output path that cannot be opened ends the run before the search,
+    # and before --stats is opened
+    missing = str(tmp_path / "missing" / "o.csv")
+    stats_path = tmp_path / "s.json"
+
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("sigpat.cli.mine", refuse)
+    monkeypatch.setattr("sigpat.oracle.mine_oracle", refuse)
+    error = f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    for argv in (("mine", "--stats", str(stats_path)), ("oracle",)):
+        for fmt in ("csv", "json"):
+            rc, out, err = run(capsys, *argv, "--input", str(table1_path),
+                               "--output", missing, "--output-format", fmt)
+            assert (rc, out, err) == (2, "", error), argv
+    assert not stats_path.exists()
+
+
 def test_mine_negative_threshold_rejected(table1_path, capsys):
     rc, _, err = run(capsys, "mine", "--input", str(table1_path), "--min-gr", "-1")
     assert rc == 1
     assert "min_gr" in err
-    # a negative --min-sd is valid; written with "=", exponent form reads as a value
-    rc, out, _ = run(capsys, "mine", "--input", str(table1_path), "--min-sd=-1e-3")
-    assert rc == 0
-    assert (rc, out) == run(capsys, "mine", "--input", str(table1_path), "--min-sd", "-0.001")[:2]
+    # a negative --min-sd is valid, in exponent form too, with or without "="
+    expected = run(capsys, "mine", "--input", str(table1_path), "--min-sd", "-0.001")
+    assert expected[0] == 0
+    for argv in (("--min-sd=-1e-3",), ("--min-sd", "-1e-3"), ("--min-sd", "-1.E-3")):
+        assert run(capsys, "mine", "--input", str(table1_path), *argv) == expected, argv
 
 
 def test_exit_code_usage(table1_path, capsys):
@@ -252,6 +273,10 @@ def test_exit_code_oracle_too_large(tmp_path, capsys):
     rc, _, err = run(capsys, "oracle", "--input", str(big))
     assert rc == 1
     assert "at most" in err
+    # the instance is refused before --output is opened
+    out = tmp_path / "o.csv"
+    assert run(capsys, "oracle", "--input", str(big), "--output", str(out)) == (1, "", err)
+    assert not out.exists()
 
 
 def test_exit_code_internal_invariant(table1_path, capsys, monkeypatch):
@@ -272,6 +297,10 @@ def test_gen_deterministic(tmp_path, capsys):
                        "--density", "0.4", "--seed", "11", "--output", str(path))
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+    # the file holds the bytes that stdout gets
+    rc, out, _ = run(capsys, "gen", "--cases", "6", "--controls", "4", "--items", "9",
+                     "--density", "0.4", "--seed", "11")
+    assert (rc, out.encode()) == (0, a.read_bytes())
     c = tmp_path / "c.tct"
     run(capsys, "gen", "--cases", "6", "--controls", "4", "--items", "9",
         "--density", "0.4", "--seed", "12", "--output", str(c))
@@ -392,6 +421,11 @@ def test_filter_genotypes(tmp_path, capsys):
         assert line.startswith("0")
     mentioned = {tok for line in text for tok in line.split()[1:]}
     assert mentioned <= kept
+    # the file holds the bytes that stdout gets
+    rc, stdout, _ = run(capsys, "filter-genotypes", "--input", str(matrix),
+                        "--labels", str(labels), "--max-pvalue", "0.2",
+                        "--max-control-support", "0.5")
+    assert (rc, stdout.encode()) == (0, out.read_bytes())
 
 
 def test_filter_genotypes_rejects_whitespace_in_item_names(tmp_path, capsys):

@@ -172,9 +172,7 @@ def test_from_transactions_external_ids():
 
 
 def test_dump_transactions_roundtrip(table1):
-    buf = io.StringIO()
-    dump_transactions(table1, buf)
-    again = load_transactions(io.StringIO(buf.getvalue()))
+    again = load_transactions(io.StringIO(dump_transactions(table1)))
     assert again.n_case == table1.n_case
     assert again.n_control == table1.n_control
     orig = {
@@ -191,9 +189,7 @@ def test_dump_transactions_roundtrip(table1):
 
 
 def test_dump_transactions_table1_exact(table1):
-    buf = io.StringIO()
-    dump_transactions(table1, buf)
-    dumped = [sorted(line.split()) for line in buf.getvalue().splitlines()]
+    dumped = [sorted(line.split()) for line in dump_transactions(table1).splitlines()]
     original = [sorted(line.split()) for line in TABLE1_TEXT.splitlines()]
     assert dumped == original
 
@@ -614,10 +610,8 @@ def test_labels_typo_on_the_first_line():
 
 def test_dump_transactions_many_items_exact():
     d = generate_synthetic(5, 4, 70, 0.4, seed=11)
-    buf = io.StringIO()
-    dump_transactions(d, buf)
     expected = []
     for j in range(d.n):
         names = [d.items[i] for i in range(70) if d.rows[i] >> j & 1]
         expected.append(" ".join(["1" if j < d.n_case else "0"] + names))
-    assert buf.getvalue() == "\n".join(expected) + "\n"
+    assert dump_transactions(d) == "\n".join(expected) + "\n"

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import pytest
 
@@ -125,6 +125,58 @@ def test_package_does_not_import_dataclasses(path):
     # pulls in, would cost every command about 10 ms of start-up
     names = absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     assert "dataclasses" not in {name.split(".")[0] for _, name in names}
+
+
+#: The one function of a module that may open a file, so that every input is
+#: decoded one way and every output is opened before the work that fills it.
+OPENERS = {"dataset": "_read_text", "cli": "_open_out"}
+
+
+def stray_file_access(tree: ast.Module, opener: Optional[str]) -> list[str]:
+    """Imports of ``pathlib``, and calls of anything named ``open`` outside
+    the function named ``opener``, by line."""
+    found = [
+        (line, f"line {line}: import {name}")
+        for line, name in absolute_imports(ast.walk(tree))
+        if name.split(".")[0] == "pathlib"
+    ]
+    stack: list[tuple[ast.AST, str]] = [(tree, "<module>")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and where != opener:
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open":
+                found.append((node.lineno, f"line {node.lineno}: open in {where}"))
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_opens_files_in_one_place(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert stray_file_access(tree, OPENERS.get(path.stem)) == []
+
+
+def test_stray_file_access_detects_and_allows():
+    tree = ast.parse(
+        "import io\n"
+        "from pathlib import Path\n"
+        "def _read_text(p):\n"
+        "    with open(p, 'rb') as fh:\n"
+        "        return fh.read()\n"
+        "def dump(p, text):\n"
+        "    with io.open(p, 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "LOG = open('log.txt')\n"
+    )
+    assert stray_file_access(tree, "_read_text") == [
+        "line 2: import pathlib", "line 7: open in dump", "line 9: open in <module>"
+    ]
+    assert stray_file_access(tree, "dump") == [
+        "line 2: import pathlib", "line 4: open in _read_text", "line 9: open in <module>"
+    ]
 
 
 #: Modules that each cost a few ms of start-up and that a plain CSV ``mine``

@@ -462,7 +462,7 @@ def test_cli_mines_a_chain_deeper_than_the_default_recursion_limit(tmp_path, cap
     # 1,500 control levels, more than Python's default limit of 1,000 frames:
     # the search loop walks them in one frame
     path, out = tmp_path / "chain.tct", tmp_path / "patterns.csv"
-    dump_transactions(chain_dataset(1500), path)
+    path.write_text(dump_transactions(chain_dataset(1500)), encoding="utf-8")
     limit = sys.getrecursionlimit()
     assert main(["mine", "--input", str(path), "--output", str(out)]) == 0
     assert sys.getrecursionlimit() == limit
