@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import re
 import sys
 import time
@@ -51,9 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return "%.6g" % value
+    return "%.6g" % value  # "%g" writes infinities as inf and -inf
 
 
 def _csv_field(text: str) -> str:
@@ -68,6 +67,18 @@ def _json_list(encoded: Iterator[str]) -> str:
     """Encoded JSON values as a list at a record's depth of ``json.dump(indent=2)``."""
     text = ",\n      ".join(encoded)
     return "[\n      " + text + "\n    ]" if text else "[]"
+
+
+def _check_outputs(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse two of the destination ``flags`` that name one file, or stdout (``-``)
+    twice, as a usage error before anything is opened; ``os.devnull`` may repeat."""
+    seen: dict[Optional[str], str] = {}
+    for flag in flags:
+        path = getattr(args, flag)
+        key = path if path in ("-", None) else os.path.realpath(path)
+        if key in seen and key not in (None, os.devnull):
+            raise ValueError(f"--{seen[key]} and --{flag} name the same file: {path}")
+        seen[key] = flag
 
 
 @contextlib.contextmanager
@@ -104,8 +115,7 @@ def _rows(
         join_names = join_ids if any(_csv_field(n) != n for n in names) else ";".join
     keyed: dict[ContingencyTable, str] = {}
     masked: dict[int, str] = {}
-    for r in records:
-        t, s = r.table, r.scores
+    for itemset, pos_mask, neg_mask, t, s in records:
         cols = keyed.get(t)
         if cols is None:
             values = (t.a / t.n_case, t.c / t.n_control, s.sd, s.gr, s.ors,
@@ -119,13 +129,13 @@ def _rows(
                 flag = "true" if s.corrected_ci else "false"
                 cols = ",".join((str(t.a), str(t.c), *map(_fmt, values), flag))
             keyed[t] = cols
-        pos = masked.get(r.pos_mask)
+        pos = masked.get(pos_mask)
         if pos is None:
-            pos = masked[r.pos_mask] = join_ids(map(ids.__getitem__, bit_positions(r.pos_mask)))
-        neg = masked.get(r.neg_mask)
+            pos = masked[pos_mask] = join_ids(map(ids.__getitem__, bit_positions(pos_mask)))
+        neg = masked.get(neg_mask)
         if neg is None:
-            neg = masked[r.neg_mask] = join_ids(map(ids.__getitem__, bit_positions(r.neg_mask)))
-        yield join_names(map(names.__getitem__, r.itemset)), cols, pos, neg
+            neg = masked[neg_mask] = join_ids(map(ids.__getitem__, bit_positions(neg_mask)))
+        yield join_names(map(names.__getitem__, itemset)), cols, pos, neg
 
 
 def write_csv(
@@ -256,6 +266,7 @@ def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    _check_outputs(args, "output", "stats")
     start = time.perf_counter()
     dataset = _load_dataset(args)
     load_seconds = time.perf_counter() - start
@@ -298,6 +309,7 @@ def _validate_fraction(value: Optional[float], flag: str) -> None:
 def _cmd_filter(args: argparse.Namespace) -> int:
     _validate_fraction(args.max_pvalue, "--max-pvalue")
     _validate_fraction(args.max_control_support, "--max-control-support")
+    _check_outputs(args, "output", "report")
     dataset = load_genotype_matrix(args.input, args.labels)
     if dataset.n_control < 1:
         raise DatasetFormatError("no control individuals; control support is undefined")

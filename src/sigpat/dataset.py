@@ -350,13 +350,7 @@ def generate_synthetic(
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = n_case + n_control
     rng = random.Random(seed)
-    rows = []
-    for _ in range(n_items):
-        row = 0
-        for j in range(n):
-            if rng.random() < density:
-                row |= 1 << j
-        rows.append(row)
+    rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n_items)]
     items = tuple(f"i{k}" for k in range(n_items))
     external = tuple(str(j + 1) for j in range(n))
     return TwoClassDataset(items, n_case, n_control, tuple(rows), external)

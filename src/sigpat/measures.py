@@ -93,24 +93,11 @@ def discriminance(table: ContingencyTable) -> tuple[float, float, float]:
     n1, n2 = table.n_case, table.n_control
     if n1 == 0 or n2 == 0:
         raise ValueError("both classes must be non-empty")
-    s1 = table.a / n1
-    s2 = table.c / n2
-    sd = s1 - s2
-    if table.c > 0:
-        gr = s1 / s2
-    elif table.a > 0:
-        gr = math.inf
-    else:
-        gr = 0.0
-    ad = table.a * table.d
-    bc = table.b * table.c
-    if bc > 0:
-        ors = ad / bc
-    elif ad > 0:
-        ors = math.inf
-    else:
-        ors = 0.0
-    return sd, gr, ors
+    s1, s2 = table.a / n1, table.c / n2
+    ad, bc = table.a * table.d, table.b * table.c
+    gr = s1 / s2 if table.c > 0 else math.inf if table.a > 0 else 0.0
+    ors = ad / bc if bc > 0 else math.inf if ad > 0 else 0.0
+    return s1 - s2, gr, ors
 
 
 def confidence_intervals(table: ContingencyTable) -> tuple[float, float, float, float, bool]:
@@ -123,12 +110,8 @@ def confidence_intervals(table: ContingencyTable) -> tuple[float, float, float, 
         raise ValueError("both classes must be non-empty")
     corrected = min(table.a, table.b, table.c, table.d) == 0
     shift = 0.5 if corrected else 0.0
-    a = table.a + shift
-    b = table.b + shift
-    c = table.c + shift
-    d = table.d + shift
-    n1 = a + b
-    n2 = c + d
+    a, b, c, d = (cell + shift for cell in table)
+    n1, n2 = a + b, c + d
     log_gr = math.log((a / n1) / (c / n2))
     half_gr = Z_95 * math.sqrt(1.0 / a - 1.0 / n1 + 1.0 / c - 1.0 / n2)
     log_ors = math.log((a * d) / (b * c))
@@ -154,18 +137,14 @@ def check_significance(
     scores: ScoreSet | None = None,
 ) -> bool:
     """True when every configured threshold is met (infinite scores pass all)."""
-    s = scores if scores is not None else score_set(table)
-    if thresholds.min_sd is not None and not s.sd >= thresholds.min_sd:
-        return False
-    if thresholds.min_gr is not None and not s.gr >= thresholds.min_gr:
-        return False
-    if thresholds.min_ors is not None and not s.ors >= thresholds.min_ors:
-        return False
-    if thresholds.min_lci_gr is not None and not s.lci_gr > thresholds.min_lci_gr:
-        return False
-    if thresholds.min_lci_ors is not None and not s.lci_ors > thresholds.min_lci_ors:
-        return False
-    return True
+    s, t = scores if scores is not None else score_set(table), thresholds
+    return (
+        (t.min_sd is None or s.sd >= t.min_sd)
+        and (t.min_gr is None or s.gr >= t.min_gr)
+        and (t.min_ors is None or s.ors >= t.min_ors)
+        and (t.min_lci_gr is None or s.lci_gr > t.min_lci_gr)
+        and (t.min_lci_ors is None or s.lci_ors > t.min_lci_ors)
+    )
 
 
 def association_pvalue(table: ContingencyTable) -> float:

@@ -25,8 +25,10 @@ cap, downward. With b = n_case - a > 0 and no cell 0, min_ors and
 min_lci_ors cap c at a*n2/(a + t*b), min_gr and min_lci_gr at a*n2/(n1*t)
 for t > 0, and min_sd at n2*(a/n1 - t), as an interval's lower bound lies
 below its score; with b = 0 every count is tried. All control children of a
-node share one verdict, so the parent decides it once for all of them: a
-hopeless one counts them as visited and pruned without a row scan.
+node share one verdict, which ``run`` decides once for all of them right
+after it scans the node (for a case node, once its case children are done):
+hopeless ones are counted as visited and pruned without a row scan, and
+``_control_phase`` sees only hopeful ones.
 
 The thresholds also fix a least case count. A pattern with a case tids has
 at least one control tid, so it can pass only if top[a] >= 1. A descendant
@@ -77,6 +79,7 @@ for every a, so nothing is pruned or cut and the least case count is 1.
 from __future__ import annotations
 
 import time
+from operator import eq, itemgetter
 from typing import NamedTuple, Optional
 
 from .dataset import TwoClassDataset, bit_positions
@@ -92,6 +95,8 @@ from .measures import (
 #: ``perfbench/traced.py`` wraps ``confidence_intervals`` here, so it stays though unused
 __all__ = ["InternalInvariantError", "MineStats", "PatternRecord", "TraceNode",
            "confidence_intervals", "mine"]
+
+_first = itemgetter(0)  # a record's itemset, a row's item id
 
 
 class InternalInvariantError(RuntimeError):
@@ -161,17 +166,26 @@ class _Search:
         #: top[a], -1 until ``_top`` computes it
         self.top = [-1] * (n_case + 1)
         self._least: dict[int, int] = {}
-        self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet, bool]] = {}
+        #: (table, scores) of a passing key, () of a failing one
+        self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet] | tuple[()]] = {}
 
     def search(self, rows: tuple[int, ...]) -> tuple[list[PatternRecord], MineStats]:
         """Run the search over the item bit rows ``rows``; return ``mine``'s result."""
-        start = time.perf_counter()
-        self.run(tuple(enumerate(rows)))
+        import gc  # the search makes no reference cycles, so the collector pauses for it
+        start, enabled = time.perf_counter(), gc.isenabled()
+        gc.disable()
+        try:
+            self.run(tuple(enumerate(rows)))
+        finally:
+            if enabled:
+                gc.enable()
         records = self.records
-        records.sort(key=lambda r: r.itemset)
-        for first, second in zip(records, records[1:]):
-            if first.itemset == second.itemset:
-                raise InternalInvariantError(f"closed pattern emitted twice: {first.itemset}")
+        records.sort(key=_first)
+        itemsets = list(map(_first, records))
+        twice = list(map(eq, itemsets, itemsets[1:]))
+        if True in twice:
+            raise InternalInvariantError(
+                f"closed pattern emitted twice: {itemsets[twice.index(True)]}")
         least = self._least_hopeful(1)
         stats = MineStats(
             nodes_visited=self.nodes_visited,
@@ -200,7 +214,7 @@ class _Search:
         children until its case children are done.
         """
         n_case, case_mask, control_mask = self.n_case, self.case_mask, self.control_mask
-        trace, log = self.trace, self._log
+        trace, log, top = self.trace, self._log, self.top
         union = 0
         for _, r in rows:
             union |= r
@@ -266,15 +280,19 @@ class _Search:
                             k = node.bit_count()
                             self._emit(tpos, node, a, k, sub)
                             kids = union & control_mask & ~node & (ebit - 1)
-                            if kids:
-                                kids = self._control_phase(tpos | node, a, k, kids, sub, dom, dead)
+                            if kids and k >= top[a]:  # every control child is hopeless
+                                self.nodes_pruned += self._unscanned(tpos | node, kids, sub)
+                            elif kids:
+                                kids = self._control_phase(tpos | node, kids, sub, dom, dead)
                                 if kids:
                                     stack.append((tpos, a, tneg, rows, free, dom, dead, 0, dup))
                                     tneg, rows, free = node, sub, kids
                                     continue
-            elif ctl:  # the case children are done: open the control phase
-                self._top(a)  # the verdicts here and in the control subtree read top[a]
-                free = self._control_phase(tpos, a, 0, ctl, rows, 0, dead)
+            elif ctl:  # case children done: open the control phase, whose verdicts read top[a]
+                if self._top(a):
+                    free = self._control_phase(tpos, ctl, rows, 0, dead)
+                else:
+                    self.nodes_pruned += self._unscanned(tpos, ctl, rows)
                 dom = ctl = 0
                 continue
             elif stack:
@@ -313,12 +331,9 @@ class _Search:
             free ^= gone
         return free
 
-    def _control_phase(self, node: int, a: int, c: int, free: int, rows, dom: int, dead: int) -> int:
-        """Count unscanned the control children ``free`` of ``node``: all as pruned when
-        c >= top[a], else those in ``dom`` as duplicates; drop ``dead``; return the rest."""
-        if c >= self.top[a]:
-            self.nodes_pruned += self._unscanned(node, free, rows)
-            return 0
+    def _control_phase(self, node: int, free: int, rows, dom: int, dead: int) -> int:
+        """Count unscanned the hopeful control children ``free`` of ``node`` that are in
+        ``dom`` as duplicates; drop ``dead``; return the rest."""
         gone = free & dom
         if gone:
             self.nodes_duplicate += self._unscanned(node, gone, rows)
@@ -373,11 +388,11 @@ class _Search:
         if scored is None:
             table = ContingencyTable(a, self.n_case - a, c, self.n_control - c)
             scores = score_set(table)
-            scored = (table, scores, check_significance(table, self.thresholds, scores))
-            self._scored[key] = scored
-        if scored[2]:
+            passed = check_significance(table, self.thresholds, scores)
+            scored = self._scored[key] = (table, scores) if passed else ()
+        if scored:  # tuple.__new__ skips the NamedTuple's Python-level __new__
             self.records.append(
-                PatternRecord(tuple([i for i, _ in rows]), tpos, tneg, scored[0], scored[1])
+                tuple.__new__(PatternRecord, (tuple(map(_first, rows)), tpos, tneg) + scored)
             )
 
 

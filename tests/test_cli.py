@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,36 @@ def test_output_path_is_opened_before_the_search(table1_path, tmp_path, capsys, 
                                "--output", missing, "--output-format", fmt)
             assert (rc, out, err) == (2, "", error), argv
     assert not stats_path.exists()
+
+
+def test_two_outputs_naming_one_file_are_a_usage_error(table1_path, tmp_path, capsys):
+    # refused before the input is read or any output opened: a missing input
+    # still exits 1, and an existing file keeps its bytes
+    out = tmp_path / "out"
+    out.mkdir()
+    kept = out / "kept.csv"
+    kept.write_text("old\n", encoding="utf-8")
+    (out / "link.csv").symlink_to(kept)
+    mine = ("mine", "--input", str(tmp_path / "missing.tct"))
+    filt = ("filter-genotypes", "--input", "x", "--labels", "y")
+    cases = [
+        (mine, "--stats", str(kept), str(kept)),
+        (mine, "--stats", str(kept), f"{out}/../out/kept.csv"),
+        (mine, "--stats", str(kept), str(out / "link.csv")),
+        (mine, "--stats", "-", "-"),
+        (filt, "--report", str(kept), str(kept)),
+        (filt, "--report", "-", "-"),
+    ]
+    for argv, flag, output, other in cases:
+        message = f"error: --output and {flag} name the same file: {other}\n"
+        rc = run(capsys, *argv, "--output", output, flag, other)
+        assert rc == (1, "", message), argv
+    assert kept.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in out.iterdir()) == ["kept.csv", "link.csv"]
+    # os.devnull may take both outputs, since nothing written there is kept
+    rc = run(capsys, "mine", "--input", str(table1_path), "--output", os.devnull,
+             "--stats", os.devnull)
+    assert rc == (0, "", "")
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):

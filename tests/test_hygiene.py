@@ -127,6 +127,19 @@ def test_package_does_not_import_dataclasses(path):
     assert "dataclasses" not in {name.split(".")[0] for _, name in names}
 
 
+def scoped_nodes(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+    """Each node of ``tree`` with the dotted name of the innermost class or
+    function holding it, such as ``_Search.search``, or ``<module>``; a
+    definition counts as inside itself."""
+    stack: list[tuple[ast.AST, str]] = [(tree, "")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        yield node, where or "<module>"
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
 #: The one function of a module that may open a file, so that every input is
 #: decoded one way and every output is opened before the work that fills it.
 OPENERS = {"dataset": "_read_text", "cli": "_open_out"}
@@ -140,16 +153,11 @@ def stray_file_access(tree: ast.Module, opener: Optional[str]) -> list[str]:
         for line, name in absolute_imports(ast.walk(tree))
         if name.split(".")[0] == "pathlib"
     ]
-    stack: list[tuple[ast.AST, str]] = [(tree, "<module>")]
-    while stack:
-        node, where = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        elif isinstance(node, ast.Call) and where != opener:
+    for node, where in scoped_nodes(tree):
+        if isinstance(node, ast.Call) and where != opener:
             func = node.func
             if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open":
                 found.append((node.lineno, f"line {node.lineno}: open in {where}"))
-        stack.extend((child, where) for child in ast.iter_child_nodes(node))
     return [text for _, text in sorted(found)]
 
 
@@ -176,6 +184,47 @@ def test_stray_file_access_detects_and_allows():
     ]
     assert stray_file_access(tree, "dump") == [
         "line 2: import pathlib", "line 4: open in _read_text", "line 9: open in <module>"
+    ]
+
+
+def stray_gc(tree: ast.Module) -> list[str]:
+    """Imports and names of ``gc`` outside the method ``_Search.search``, by line.
+
+    The search pauses the cyclic collector and restores it; no other code
+    may change a setting that is the whole process's."""
+    found = []
+    for node, where in scoped_nodes(tree):
+        names = [name for _, name in absolute_imports([node])]
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        if where != "_Search.search" and "gc" in (name.split(".")[0] for name in names):
+            found.append((node.lineno, f"line {node.lineno}: gc in {where}"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_touches_gc_only_in_the_search(path):
+    assert stray_gc(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_stray_gc_detects_and_allows():
+    tree = ast.parse(
+        "import gc\n"
+        "class _Search:\n"
+        "    def search(self):\n"
+        "        import gc\n"
+        "        gc.disable()\n"
+        "    def run(self):\n"
+        "        gc.enable()\n"
+        "def mine():\n"
+        "    from gc import collect\n"
+        "class Other:\n"
+        "    def search(self):\n"
+        "        return gc.isenabled()\n"
+    )
+    assert stray_gc(tree) == [
+        "line 1: gc in <module>", "line 7: gc in _Search.run", "line 9: gc in mine",
+        "line 12: gc in Other.search",
     ]
 
 

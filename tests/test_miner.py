@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 import re
@@ -18,7 +19,7 @@ from sigpat import (
 from sigpat.cli import main
 from sigpat.dataset import dump_transactions
 from sigpat.measures import ContingencyTable, check_significance
-from sigpat.miner import InternalInvariantError, _Search
+from sigpat.miner import InternalInvariantError, PatternRecord, _Search
 
 from conftest import random_dataset, random_thresholds
 from reference import (
@@ -227,6 +228,8 @@ def test_mine_matches_row_scanning_reference(d):
         untraced_records, untraced_stats = mine(d, thresholds)
         assert trace == ref_trace
         assert records == ref_records == untraced_records
+        # records are built with tuple.__new__, which must still give the type itself
+        assert {type(r) for r in records + ref_records + untraced_records} <= {PatternRecord}
         assert counters(stats) == counters(untraced_stats)
         assert visits(stats) == visits(ref_stats)
         assert ref_stats.row_scans >= stats.row_scans
@@ -254,6 +257,33 @@ def test_a_pattern_emitted_twice_is_an_internal_error(table1):
     message = f"closed pattern emitted twice: {records[0].itemset}"
     with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
         search.search(table1.rows)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_search_pauses_the_collector_and_restores_it(table1, enabled):
+    class Watched(_Search):
+        def _emit(self, *args):
+            collecting.append(gc.isenabled())
+            super()._emit(*args)
+
+    class Fails(_Search):
+        def _emit(self, *args):
+            raise RuntimeError("emit failed")
+
+    collecting: list[bool] = []
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        records, _ = Watched(table1.n_case, table1.n_control, Thresholds(), None).search(table1.rows)
+        assert gc.isenabled() is enabled
+        assert records == mine(table1)[0]
+        assert gc.isenabled() is enabled
+        assert collecting and not any(collecting)  # paused during the search
+        with pytest.raises(RuntimeError, match="^emit failed$"):
+            Fails(table1.n_case, table1.n_control, Thresholds(), None).search(table1.rows)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 THRESHOLD_VALUES = {
