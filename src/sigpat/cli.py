@@ -70,13 +70,21 @@ def _json_list(encoded: Iterator[str]) -> str:
 
 
 def _check_outputs(args: argparse.Namespace, *flags: str) -> None:
-    """Refuse two of the destination ``flags`` that name one file, or stdout (``-``)
-    twice, as a usage error before anything is opened; ``os.devnull`` may repeat."""
-    seen: dict[Optional[str], str] = {}
+    """Refuse two of the destination ``flags`` that name one file as a usage error
+    before anything is opened: an existing file (stdout for ``-``) by its device and
+    inode, under any name, and a new one by its path; ``os.devnull`` may repeat."""
+    devnull = os.stat(os.devnull)
+    seen: dict[object, str] = {}
     for flag in flags:
         path = getattr(args, flag)
-        key = path if path in ("-", None) else os.path.realpath(path)
-        if key in seen and key not in (None, os.devnull):
+        if path is None:
+            continue
+        try:
+            st = os.fstat(1) if path == "-" else os.stat(path)
+            key: object = (st.st_dev, st.st_ino)
+        except OSError:  # not there yet, or no stdout
+            key = path if path == "-" else os.path.realpath(path)
+        if key in seen and key != (devnull.st_dev, devnull.st_ino):
             raise ValueError(f"--{seen[key]} and --{flag} name the same file: {path}")
         seen[key] = flag
 

@@ -8,10 +8,12 @@ intersections and support counts reduce to bitwise ops on Python ints.
 
 from __future__ import annotations
 
-import io
+import codecs
+import contextlib
+import itertools
 import os
 import random
-from typing import IO, Iterable, NamedTuple, Sequence, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 Source = Union[str, os.PathLike, IO[str], IO[bytes]]
 
@@ -54,20 +56,72 @@ def _source_name(source: Source) -> str:
     return str(source) if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "input")
 
 
-def _read_text(source: Source) -> str:
-    """Whole input as text: UTF-8 with an optional byte order mark, CRLF and CR read as LF.
-    A path is read as bytes, as a byte stream is; no other function opens a file."""
+#: Bytes or characters read from an input at a time.
+_CHUNK = 65_536
+
+
+def _read_text(source: Source) -> Iterator[str]:
+    """The input as text, a piece at a time: UTF-8 with an optional byte order mark,
+    CRLF and CR read as LF. A path is read as bytes, as a byte stream is; a stream is
+    read to its end with ``read(_CHUNK)`` and left open. No other function opens a file."""
+    path = isinstance(source, (str, os.PathLike))
+    with open(source, "rb") if path else contextlib.nullcontext(source) as fh:
+        decoder = codecs.getincrementaldecoder("utf-8-sig")()
+        fed, bom, cr = 0, False, ""
+        while True:
+            data = fh.read(_CHUNK)
+            fed += len(data)
+            if isinstance(data, str):
+                text = data.removeprefix("\ufeff") if fed == len(data) else data  # first piece
+            else:
+                held, undecided = decoder.getstate()
+                bom = (held + data)[:3] == codecs.BOM_UTF8 if undecided else bom
+                try:
+                    text = decoder.decode(data, not data)
+                    if not data:
+                        decoder.getstate()[0].decode()  # the start of a BOM, held to the end
+                except UnicodeDecodeError as exc:
+                    # the position a whole-input decode gives, counted after the BOM
+                    at, span = fed - len(exc.object) - 3 * bom + exc.start, exc.end - exc.start
+                    where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
+                             else f"bytes in position {at}-{at + span - 1}")
+                    raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ('utf-8' "
+                                             f"codec can't decode {where}: {exc.reason})") from None
+            text, cr = cr + text, ""
+            if data and text.endswith("\r"):  # its LF may start the next piece
+                text, cr = text[:-1], "\r"
+            # most input has no CR, and the two replacements would copy all of it
+            yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+            if not data:
+                return
+
+
+def _lines(source: Source) -> Iterator[tuple[int, str]]:
+    """``(file line, line)`` pairs of the input split at LF, counted from 1; the last
+    line is the text after the last LF, empty when the input ends with one."""
+    lineno = 0
+    parts: list[str] = []  # the pieces of a line that spans pieces, joined once
+    for piece in _read_text(source):
+        *lines, rest = piece.split("\n")
+        if lines:
+            lines[0] = "".join([*parts, lines[0]])
+            parts.clear()
+            yield from enumerate(lines, lineno + 1)
+            lineno += len(lines)
+        parts.append(rest)
+    yield lineno + 1, "".join(parts)
+
+
+@contextlib.contextmanager
+def _read_to_the_end(rows: Iterator) -> Iterator[Iterator]:
+    """``rows`` for a parser whose first error waits for the rest of ``rows`` to be
+    read, so that an error in reading them comes first, as if they were read whole."""
     try:
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "rb") as fh:
-                data = fh.read()
-        else:
-            data = source.read()
-        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
-    # most input has no CR, and the two replacements would copy all of it
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        yield rows
+    except DatasetFormatError:
+        for _ in rows:
+            pass
+        raise
 
 
 #: ``csv``'s default field size limit: a longer field makes ``csv.reader``
@@ -83,37 +137,47 @@ def _cells(row: Row) -> list[str]:
     return row.split(",") if isinstance(row, str) else row
 
 
-def _csv_rows(source: Source, what: str) -> list[tuple[int, Row]]:
+def _csv_rows(source: Source, what: str) -> Iterator[tuple[int, Row]]:
     """``(file line, row)`` pairs of ``source`` without blank rows and ``#`` comment rows.
 
-    The line is the one a row ends on, counted from 1 in the decoded text.
-    Text with no ``"`` or NUL and no line longer than csv's field limit
-    is split at LF only: each of its rows is a whole line, which splits at
-    its commas into the cells ``csv.reader`` would give, on the same line
-    number. Any other text goes through ``csv.reader``, and its rows are
-    lists of cells.
+    The line is the one a row ends on, counted from 1 in the decoded text. Each line
+    before the first that holds a ``"`` or NUL or is longer than csv's field limit is
+    split at its commas, into the cells ``csv.reader`` would give. From that line on,
+    rows come from one ``csv.reader`` as lists of cells; a line holding NUL is refused,
+    as Python 3.10's ``csv.reader`` refuses it, and a csv error is raised only after
+    the rest of the input is decoded.
     """
-    text = _read_text(source)
-    if '"' not in text and "\0" not in text:
-        lines = text.split("\n")
-        if max(map(len, lines)) <= _FIELD_LIMIT:
-            # a comment row's first cell starts with "#" after spaces, and so
-            # does its line, since a comma is no space
-            return [
-                (lineno, line)
-                for lineno, line in enumerate(lines, start=1)
-                if line and not line.lstrip().startswith("#")
-            ]
-    import csv  # only text that the split above could misread needs it
+    lines = _lines(source)
+    for lineno, line in lines:
+        if '"' in line or "\0" in line or len(line) > _FIELD_LIMIT:
+            break
+        # a comment row's first cell starts with "#" after spaces, and so
+        # does its line, since a comma is no space
+        if line and not line.lstrip().startswith("#"):
+            yield lineno, line
+    else:
+        return
+    import csv  # only lines that the split above could misread need it
 
-    reader = csv.reader(io.StringIO(text))
+    def rest() -> Iterator[str]:  # this line and the later ones, with the LFs between them
+        texts = itertools.chain([line], (text for _, text in lines), [None])
+        for text, after in itertools.pairwise(texts):
+            if "\0" in text:  # csv.reader on 3.10 reads up to the NUL, then refuses it
+                yield text[: text.index("\0")]
+                raise csv.Error("line contains NUL")
+            if after is not None:
+                yield text + "\n"
+            elif text:
+                yield text
+
+    reader = csv.reader(rest())
     try:
-        return [
-            (reader.line_num, row)
-            for row in reader
-            if row and not row[0].strip().startswith("#")
-        ]
+        for row in reader:
+            if row and not row[0].strip().startswith("#"):
+                yield lineno - 1 + reader.line_num, row
     except csv.Error as exc:
+        for _ in lines:
+            pass
         raise DatasetFormatError(f"{what} {_source_name(source)}: {exc}") from None
 
 
@@ -150,16 +214,17 @@ def load_transactions(source: Source) -> TwoClassDataset:
     case: list[tuple[str, list[int]]] = []
     control: list[tuple[str, list[int]]] = []
     seq = 0
-    for lineno, raw in enumerate(_read_text(source).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        label = tokens[0]
-        if label not in ("0", "1"):
-            raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-        seq += 1
-        (case if label == "1" else control).append((str(seq), _intern(tokens[1:], item_ids)))
+    with _read_to_the_end(_lines(source)) as lines:
+        for lineno, raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            label = tokens[0]
+            if label not in ("0", "1"):
+                raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+            seq += 1
+            (case if label == "1" else control).append((str(seq), _intern(tokens[1:], item_ids)))
     if not case and not control:
         raise DatasetFormatError("empty dataset: no transactions found")
     return _build(list(item_ids), case + control, len(case))
@@ -207,7 +272,7 @@ def dump_transactions(dataset: TwoClassDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_labels(rows: list[tuple[int, Row]]) -> tuple[dict[str, str], tuple[str, str] | None]:
+def _parse_labels(rows: Iterable[tuple[int, Row]]) -> tuple[dict[str, str], tuple[str, str] | None]:
     """The label of each individual and, when the first row was skipped as a
     header for a label other than 0 or 1, its id and the error it would be."""
     labels: dict[str, str] = {}
@@ -283,52 +348,58 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     The labels stream maps individual ids to 1 (case) or 0 (control). Error
     messages name the file line of the offending row.
 
-    Data rows are checked one at a time, in file order. A quote-free line of n
+    The labels are read first, then the matrix's header row, then its data rows,
+    ``_BLOCK`` at a time, so memory follows the dataset and not the file. The
+    rows are checked one at a time, in file order. A quote-free line of n
     unpadded cells, each 0, 1 or 2, gives its cells as the slice ``body[::2]``;
     any other row is split into cells and checked cell by cell (``_split_cells``).
-    ``_block_rows`` then puts the checked cells of ``_BLOCK`` rows at a time in
-    tid order.
+    ``_block_rows`` then puts the checked cells of a block in tid order. The first
+    error in a file is raised once the rest of that file is read, so that a decoding
+    error comes first and a csv error next, as if each file were read whole.
     """
-    labels, header_row = _parse_labels(_csv_rows(labels_source, "labels"))
-    matrix = _csv_rows(matrix_source, "genotype matrix")
-    if not matrix:
-        raise DatasetFormatError("genotype matrix: empty input")
-    individuals = [cell.strip() for cell in _cells(matrix[0][1])][1:]
-    if not individuals:
-        raise DatasetFormatError("genotype matrix: no individual columns")
-    if len(set(individuals)) != len(individuals):
-        raise DatasetFormatError("genotype matrix: duplicate individual id in header")
-    if set(individuals) != set(labels):
-        if header_row and header_row[0] in individuals and header_row[0] not in labels:
-            raise DatasetFormatError(header_row[1])  # a typo on the first row, not a header
-        raise DatasetFormatError("labels do not match the matrix columns")
-    order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
-    n_case = len(order)
-    order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
-    n = len(order)
-    commas = "," * (n - 1)
-    snps: dict[str, None] = {}  # the SNP ids, in file order
-    rows: list[int] = []
-    for start in range(1, len(matrix), _BLOCK):
-        block = []
-        for lineno, row in matrix[start : start + _BLOCK]:
-            snp, _, body = row.partition(",") if isinstance(row, str) else (row[0], "", "")
-            snp = snp.strip()
-            if snp in snps:
-                raise DatasetFormatError(f"genotype matrix row {lineno}: duplicate SNP id {snp!r}")
-            snps[snp] = None
-            cells = body[::2]
-            # a non-ASCII character, a lone surrogate too, encodes to bytes not deleted
-            if (
-                len(body) != 2 * n - 1
-                or body[1::2] != commas
-                or cells.encode(errors="surrogatepass").translate(None, b"012")
-            ):
-                cells = _split_cells(lineno, row, n)
-            block.append(cells)
-        rows += _block_rows(block, order)
-    if not snps:
-        raise DatasetFormatError("genotype matrix: no SNP rows")
+    with _read_to_the_end(_csv_rows(labels_source, "labels")) as label_rows:
+        labels, header_row = _parse_labels(label_rows)
+    with _read_to_the_end(_csv_rows(matrix_source, "genotype matrix")) as matrix:
+        _, head = next(matrix, (0, None))
+        if head is None:
+            raise DatasetFormatError("genotype matrix: empty input")
+        individuals = [cell.strip() for cell in _cells(head)][1:]
+        if not individuals:
+            raise DatasetFormatError("genotype matrix: no individual columns")
+        if len(set(individuals)) != len(individuals):
+            raise DatasetFormatError("genotype matrix: duplicate individual id in header")
+        if set(individuals) != set(labels):
+            if header_row and header_row[0] in individuals and header_row[0] not in labels:
+                raise DatasetFormatError(header_row[1])  # a typo on the first row, not a header
+            raise DatasetFormatError("labels do not match the matrix columns")
+        order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
+        n_case = len(order)
+        order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
+        n = len(order)
+        commas = "," * (n - 1)
+        snps: dict[str, None] = {}  # the SNP ids, in file order
+        rows: list[int] = []
+        while block := list(itertools.islice(matrix, _BLOCK)):
+            for k, (lineno, row) in enumerate(block):
+                snp, _, body = row.partition(",") if isinstance(row, str) else (row[0], "", "")
+                snp = snp.strip()
+                if snp in snps:
+                    raise DatasetFormatError(
+                        f"genotype matrix row {lineno}: duplicate SNP id {snp!r}"
+                    )
+                snps[snp] = None
+                cells = body[::2]
+                # a non-ASCII character, a lone surrogate too, encodes to bytes not deleted
+                if (
+                    len(body) != 2 * n - 1
+                    or body[1::2] != commas
+                    or cells.encode(errors="surrogatepass").translate(None, b"012")
+                ):
+                    cells = _split_cells(lineno, row, n)
+                block[k] = cells
+            rows += _block_rows(block, order)
+        if not snps:
+            raise DatasetFormatError("genotype matrix: no SNP rows")
     items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))
     external = tuple(individuals[col] for col in order)
     return TwoClassDataset(items, n_case, n - n_case, tuple(rows), external)

@@ -1,0 +1,138 @@
+"""Edge-case inputs for the readers, run through ``sigpat.cli.main``.
+
+Usage: python tests/reader_cases.py
+
+Writes each case's files to a temporary directory, runs its command in this
+interpreter and prints one JSON object that maps each case to its exit code
+and the sha256 digests of its stderr and stdout, with the directory's path
+replaced by ``<dir>`` first. It needs only the standard library and the
+``src`` tree beside it, so that each CPython the package supports can run it
+and the runs can be compared byte for byte.
+
+The cases put their faults next to the boundary of the readers' first piece
+(``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and without
+a byte order mark; a CRLF or a lone CR split across it; a quote or NUL only
+near the end; an unclosed quote at the end; lines longer than csv's field
+limit; and inputs with two faults, where the one that reading the whole input
+first finds first must be reported.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+BOM = b"\xef\xbb\xbf"
+TABLE = b"1 a b\n1 a c\n0 b c\n0 c\n"
+HEADER = b"snp,bob,eve,kim,sam\n"
+ROWS = b"rs1,2,0,2,1\nrs2,1,0,1,2\nrs3,0,0,1,0\n"
+LABELS = b"bob,1\neve,0\nkim,1\nsam,0\n"
+
+#: Longer than csv's default field size limit, 131,072 characters.
+LONG = 140_000
+
+
+def _pad(n: int) -> bytes:
+    """A comment line of exactly ``n`` bytes (``n`` >= 2)."""
+    return b"#" + b"x" * (n - 2) + b"\n"
+
+
+def cases() -> dict[str, tuple[str, dict[str, bytes]]]:
+    """Case name -> ("tct" or "genotype", file name -> bytes), with the faults
+    placed around the first piece boundary of the readers in ``src``."""
+    from sigpat.dataset import _CHUNK as chunk
+
+    def across(head: bytes, fault: bytes, tail: bytes) -> bytes:
+        # a comment line holds ``fault`` from the last byte of the first piece on
+        return head + b"#" + b"x" * (chunk - 2 - len(head)) + fault + tail
+
+    def tct(data: bytes) -> tuple[str, dict[str, bytes]]:
+        return "tct", {"in.tct": data}
+
+    def geno(matrix: bytes, labels: bytes = LABELS) -> tuple[str, dict[str, bytes]]:
+        return "genotype", {"m.csv": matrix, "l.csv": labels}
+
+    matrix = HEADER + ROWS
+    return {
+        "tct valid": tct(TABLE),
+        "tct bom crlf": tct(BOM + TABLE.replace(b"\n", b"\r\n")),
+        "tct bad utf-8 past the first piece": tct(TABLE + _pad(chunk) + b"1 \xff\n"),
+        "tct bom, bad utf-8 past the first piece": tct(BOM + TABLE + _pad(chunk) + b"1 \xff\n"),
+        "tct bad utf-8 across pieces": tct(across(TABLE, b"\xe2\x82(", b"\n")),
+        "tct bom, bad utf-8 across pieces": tct(across(BOM + TABLE, b"\xe2\x82(", b"\n")),
+        "tct utf-8 across pieces": tct(across(TABLE, "€".encode(), b"\n")),
+        "tct truncated at the end": tct(TABLE + b"1 \xe2\x82"),
+        "tct truncated bom": tct(b"\xef\xbb"),
+        "tct crlf across pieces": tct(across(TABLE, b"\r\n", b"7 x\r\n")),
+        "tct cr across pieces": tct(across(TABLE, b"\r", b"7 x\r")),
+        "tct bad label, then bad utf-8": tct(b"1 a\n7 b\n" + _pad(chunk) + b"0 \xff\n"),
+        "tct nul": tct(b"1 a\x00b\n0 a\n"),
+        "matrix valid": geno(matrix),
+        "matrix bom crlf": geno(BOM + matrix.replace(b"\n", b"\r\n")),
+        "matrix crlf across pieces": geno(across(HEADER, b"\r\n", ROWS + b"rs4,0,1,2,7\r\n")),
+        "matrix quote near the end": geno(HEADER + _pad(chunk) + ROWS + b'rs4,"1",0,2,1\n'),
+        "matrix nul near the end": geno(HEADER + _pad(chunk) + ROWS + b"rs4,1\x00,0,2,1\n"),
+        "matrix nul in a snp id": geno(HEADER + b"rs1\x00x,0,1,2,0\n" + ROWS),
+        "matrix unclosed quote at the end": geno(matrix + b'rs4,"0,1,2,0'),
+        "matrix long comment line": geno(HEADER + b"#" + b"x," * (LONG // 2) + b"\n" + ROWS),
+        "matrix field over the limit": geno(HEADER + b"rs0," + b"1" * LONG + b"\n" + ROWS),
+        "matrix bad cell, then bad utf-8": geno(
+            HEADER + b"rs0,7,0,1,2\n" + _pad(chunk) + ROWS + b"rs4,\xff,0,1,2\n"),
+        "matrix bad cell, then nul": geno(HEADER + b"rs0,7,0,1,2\n" + ROWS + b"rs4,\x00,0,1,2\n"),
+        "matrix nul, then bad utf-8": geno(
+            HEADER + b"rs0,\x00,0,1,2\n" + _pad(chunk) + ROWS + b"rs4,\xff,0,1,2\n"),
+        "matrix field over the limit, then bad utf-8": geno(
+            HEADER + b"rs0," + b"1" * LONG + b"\n" + ROWS + b"rs4,\xff,0,1,2\n"),
+        "matrix field over the limit, then nul on its line": geno(
+            HEADER + b"rs0," + b"1" * LONG + b"\x00,0,1,2\n" + ROWS),
+        "matrix nul, then a field over the limit on its line": geno(
+            HEADER + b"rs0,\x00" + b"1" * LONG + b",0,1,2\n" + ROWS),
+        "labels bad label, then bad utf-8": geno(matrix, b"bob,1\neve,7\n" + _pad(chunk) + b"\xff"),
+        "labels nul": geno(matrix, LABELS + b"ann\x00,1\n"),
+    }
+
+
+def argv(kind: str, where: str) -> list[str]:
+    """The command that reads a case of ``kind`` from the directory ``where``."""
+    if kind == "tct":
+        return ["mine", "--input", os.path.join(where, "in.tct")]
+    return ["filter-genotypes", "--input", os.path.join(where, "m.csv"),
+            "--labels", os.path.join(where, "l.csv")]
+
+
+def run_case(kind: str, files: dict[str, bytes]) -> list:
+    """``[exit code, stderr digest, stdout digest]`` of one case."""
+    from sigpat.cli import main
+
+    with tempfile.TemporaryDirectory() as where:
+        for name, data in files.items():
+            with open(os.path.join(where, name), "wb") as fh:
+                fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv(kind, where))
+    digests = [hashlib.sha256(text.replace(where, "<dir>").encode("utf-8", "surrogatepass"))
+               .hexdigest() for text in (err.getvalue(), out.getvalue())]
+    return [rc, *digests]
+
+
+def run_cases(named: dict[str, tuple[str, dict[str, bytes]]]) -> dict[str, list]:
+    return {name: run_case(kind, files) for name, (kind, files) in named.items()}
+
+
+def mismatches(expected: dict[str, list], got: dict[str, list]) -> list[str]:
+    """The cases whose results differ, or that only one of the two runs has."""
+    return sorted(name for name in expected.keys() | got.keys()
+                  if expected.get(name) != got.get(name))
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    print(json.dumps(run_cases(cases()), indent=1, sort_keys=True))

@@ -21,13 +21,25 @@ child's rows on their own and its prune verdicts by trying every control count.
 no search at all, so it checks that no pattern is missing on inputs too large
 for the oracle. ``unpruned_mine`` filters the output of a search that no
 threshold prunes, so it checks that pruning loses no pattern.
+
+``whole_lines`` and ``whole_csv_rows`` read an input the way the package read
+it before it streamed: the whole input is decoded first, and then split or
+handed to ``csv.reader`` at once, so every decoding error comes before every
+csv error, and both before any row is parsed. Patched in for the package's
+``_lines`` and ``_csv_rows``, they give the loaders the streamed reading must
+match, datasets and error messages alike.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import csv
+import io
+import os
+from typing import Iterator, NamedTuple
 
-from sigpat.dataset import TwoClassDataset, bit_positions
+from sigpat.dataset import (
+    DatasetFormatError, Source, TwoClassDataset, _source_name, bit_positions,
+)
 from sigpat.measures import ContingencyTable, Thresholds, check_significance, score_set
 from sigpat.miner import MineStats, PatternRecord, TraceNode, _Search, mine
 
@@ -334,3 +346,60 @@ def reference_mine(
 ) -> tuple[list[PatternRecord], MineStats]:
     """``mine`` over ``ReferenceSearch``: the same roots, order and statistics."""
     return ReferenceSearch(dataset.n_case, dataset.n_control, thresholds, trace).search(dataset.rows)
+
+
+def whole_text(source: Source) -> str:
+    """All of ``source`` as text: UTF-8 with an optional byte order mark, CRLF
+    and CR read as LF, decoded at once."""
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "rb") as fh:
+                data = fh.read()
+        else:
+            data = source.read()
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ({exc})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def whole_lines(source: Source) -> Iterator[tuple[int, str]]:
+    """``(file line, line)`` of the whole text split at LF, from 1."""
+    return iter(list(enumerate(whole_text(source).split("\n"), start=1)))
+
+
+#: csv's default field size limit.
+FIELD_LIMIT = 131_072
+
+
+def _refuse_nul(lines):
+    """``lines``, refused at a NUL as ``csv.reader`` refuses it on Python 3.10:
+    what comes before the NUL is still read; later versions read NUL."""
+    for line in lines:
+        if "\0" in line:
+            yield line[: line.index("\0")]
+            raise csv.Error("line contains NUL")
+        yield line
+
+
+def whole_csv_rows(source: Source, what: str) -> Iterator[tuple[int, object]]:
+    """The non-blank, non-comment rows of the whole text: its lines split at
+    commas when it holds no quote, NUL or line longer than ``FIELD_LIMIT``,
+    else ``csv.reader``'s lists of cells."""
+    text = whole_text(source)
+    lines = text.split("\n")
+    if '"' not in text and "\0" not in text and max(map(len, lines)) <= FIELD_LIMIT:
+        return iter([
+            (lineno, line)
+            for lineno, line in enumerate(lines, start=1)
+            if line and not line.lstrip().startswith("#")
+        ])
+    reader = csv.reader(_refuse_nul(io.StringIO(text)))
+    try:
+        return iter([
+            (reader.line_num, row)
+            for row in reader
+            if row and not row[0].strip().startswith("#")
+        ])
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{what} {_source_name(source)}: {exc}") from None

@@ -22,14 +22,15 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, stdout=subprocess.PIPE):
     """``main(argv)`` in a fresh interpreter, where no test harness handles
-    log records, so stderr is what a user of the command sees."""
+    log records, so stderr is what a user of the command sees; its stdout goes
+    to ``stdout``, and is returned only when that is a pipe."""
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
             "from sigpat.cli import main; sys.exit(main(sys.argv[1:]))")
     # -I: no user site or environment; -B: no bytecode written into src
     args = [sys.executable, "-I", "-B", "-c", code, *argv]
-    done = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(args, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -213,12 +214,15 @@ def test_two_outputs_naming_one_file_are_a_usage_error(table1_path, tmp_path, ca
     kept = out / "kept.csv"
     kept.write_text("old\n", encoding="utf-8")
     (out / "link.csv").symlink_to(kept)
+    os.link(kept, out / "hard.csv")
     mine = ("mine", "--input", str(tmp_path / "missing.tct"))
     filt = ("filter-genotypes", "--input", "x", "--labels", "y")
     cases = [
         (mine, "--stats", str(kept), str(kept)),
         (mine, "--stats", str(kept), f"{out}/../out/kept.csv"),
         (mine, "--stats", str(kept), str(out / "link.csv")),
+        (mine, "--stats", str(kept), str(out / "hard.csv")),
+        (mine, "--stats", str(out / "new.csv"), f"{out}/./new.csv"),
         (mine, "--stats", "-", "-"),
         (filt, "--report", str(kept), str(kept)),
         (filt, "--report", "-", "-"),
@@ -228,11 +232,28 @@ def test_two_outputs_naming_one_file_are_a_usage_error(table1_path, tmp_path, ca
         rc = run(capsys, *argv, "--output", output, flag, other)
         assert rc == (1, "", message), argv
     assert kept.read_text(encoding="utf-8") == "old\n"
-    assert sorted(p.name for p in out.iterdir()) == ["kept.csv", "link.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["hard.csv", "kept.csv", "link.csv"]
     # os.devnull may take both outputs, since nothing written there is kept
     rc = run(capsys, "mine", "--input", str(table1_path), "--output", os.devnull,
              "--stats", os.devnull)
     assert rc == (0, "", "")
+
+
+def test_stdout_under_another_name_is_a_usage_error(table1_path, tmp_path):
+    # stdout sent to a file: "-" and /dev/stdout name that file, so the stats
+    # would be written over the patterns; /dev/null may take both
+    sent = tmp_path / "sent.txt"
+    argv = ("mine", "--input", str(table1_path), "--output", "-", "--stats")
+    for stats, rc, err in [
+        ("/dev/stdout", 1, "error: --output and --stats name the same file: /dev/stdout\n"),
+        (str(sent), 1, f"error: --output and --stats name the same file: {sent}\n"),
+        (str(tmp_path / "stats.json"), 0, ""),
+    ]:
+        with open(sent, "wb") as fh:
+            assert run_process(*argv, stats, stdout=fh) == (rc, None, err), stats
+        assert (sent.stat().st_size > 0) == (rc == 0), stats
+    with open(os.devnull, "wb") as fh:
+        assert run_process(*argv, os.devnull, stdout=fh) == (0, None, "")
 
 
 def test_mine_negative_threshold_rejected(table1_path, capsys):
