@@ -61,32 +61,29 @@ _CHUNK = 65_536
 
 
 def _read_text(source: Source) -> Iterator[str]:
-    """The input as text, a piece at a time: UTF-8 with an optional byte order mark,
-    CRLF and CR read as LF. A path is read as bytes, as a byte stream is; a stream is
-    read to its end with ``read(_CHUNK)`` and left open. No other function opens a file."""
+    """The input as text, a piece at a time: UTF-8 less one leading byte order mark, CRLF
+    and CR read as LF. A path is read as bytes, as a byte stream is; a stream is read to
+    its end with ``read(_CHUNK)`` and left open. No other function opens a file."""
     path = isinstance(source, (str, os.PathLike))
     with open(source, "rb") if path else contextlib.nullcontext(source) as fh:
-        decoder = codecs.getincrementaldecoder("utf-8-sig")()
-        fed, bom, cr = 0, False, ""
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        fed, lead, cr = 0, "", ""  # lead: the first character of the text, once read
         while True:
             data = fh.read(_CHUNK)
             fed += len(data)
-            if isinstance(data, str):
-                text = data.removeprefix("\ufeff") if fed == len(data) else data  # first piece
-            else:
-                held, undecided = decoder.getstate()
-                bom = (held + data)[:3] == codecs.BOM_UTF8 if undecided else bom
-                try:
-                    text = decoder.decode(data, not data)
-                    if not data:
-                        decoder.getstate()[0].decode()  # the start of a BOM, held to the end
-                except UnicodeDecodeError as exc:
-                    # the position a whole-input decode gives, counted after the BOM
-                    at, span = fed - len(exc.object) - 3 * bom + exc.start, exc.end - exc.start
-                    where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
-                             else f"bytes in position {at}-{at + span - 1}")
-                    raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ('utf-8' "
-                                             f"codec can't decode {where}: {exc.reason})") from None
+            try:
+                text = data if isinstance(data, str) else decoder.decode(data, not data)
+            except UnicodeDecodeError as exc:
+                # a whole-input decode's position, after the BOM; until there is text,
+                # exc.object starts where the input starts
+                shift = 3 * ((lead.encode() or exc.object)[:3] == codecs.BOM_UTF8)
+                at, span = fed - len(exc.object) - shift + exc.start, exc.end - exc.start
+                where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
+                         else f"bytes in position {at}-{at + span - 1}")
+                raise DatasetFormatError(f"{_source_name(source)}: not valid UTF-8 ('utf-8' "
+                                         f"codec can't decode {where}: {exc.reason})") from None
+            if text and not lead:
+                lead, text = text[0], text.removeprefix("\ufeff")
             text, cr = cr + text, ""
             if data and text.endswith("\r"):  # its LF may start the next piece
                 text, cr = text[:-1], "\r"
@@ -207,8 +204,9 @@ def load_transactions(source: Source) -> TwoClassDataset:
     with label 1 for case and 0 for control. Items are whitespace-free tokens;
     duplicates within a line collapse to one occurrence. Lines starting with
     ``#`` and blank lines are skipped; a line holding only a label is a
-    transaction with no items. Item ids follow first appearance order;
-    external ids are 1-based positions in the sequence of data lines.
+    transaction with no items. A line holding NUL is refused. Item ids follow
+    first appearance order; external ids are 1-based positions in the sequence
+    of data lines.
     """
     item_ids: dict[str, int] = {}
     case: list[tuple[str, list[int]]] = []
@@ -216,6 +214,8 @@ def load_transactions(source: Source) -> TwoClassDataset:
     seq = 0
     with _read_to_the_end(_lines(source)) as lines:
         for lineno, raw in lines:
+            if "\0" in raw:
+                raise DatasetFormatError(f"line {lineno}: line contains NUL")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

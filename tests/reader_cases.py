@@ -1,20 +1,23 @@
-"""Edge-case inputs for the readers, run through ``sigpat.cli.main``.
+"""Edge-case inputs and outputs of the commands, run through ``sigpat.cli.main``.
 
 Usage: python tests/reader_cases.py
 
-Writes each case's files to a temporary directory, runs its command in this
-interpreter and prints one JSON object that maps each case to its exit code
-and the sha256 digests of its stderr and stdout, with the directory's path
-replaced by ``<dir>`` first. It needs only the standard library and the
-``src`` tree beside it, so that each CPython the package supports can run it
-and the runs can be compared byte for byte.
+Writes each case's input files to a temporary directory, runs its command in
+this interpreter and prints one JSON object that maps each case to its exit
+code, the sha256 digests of its stderr and stdout, and the digest of each file
+the command wrote. The directory's path is replaced by ``<dir>`` first, in the
+command and in what it gives, and the timings in a ``--stats`` file are
+masked. It needs only the standard library and the ``src`` tree beside it, so
+that each CPython the package supports can run it and the runs can be
+compared byte for byte.
 
-The cases put their faults next to the boundary of the readers' first piece
-(``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and without
-a byte order mark; a CRLF or a lone CR split across it; a quote or NUL only
-near the end; an unclosed quote at the end; lines longer than csv's field
-limit; and inputs with two faults, where the one that reading the whole input
-first finds first must be reported.
+The reader cases put their faults next to the boundary of the readers' first
+piece (``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and
+without a byte order mark; a CRLF or a lone CR split across it; a quote or
+NUL only near the end; an unclosed quote at the end; lines longer than csv's
+field limit; and inputs with two faults, where the one that reading the whole
+input first finds first must be reported. The output cases write files, or
+are refused before they write any.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -44,25 +48,37 @@ def _pad(n: int) -> bytes:
     return b"#" + b"x" * (n - 2) + b"\n"
 
 
-def cases() -> dict[str, tuple[str, dict[str, bytes]]]:
-    """Case name -> ("tct" or "genotype", file name -> bytes), with the faults
-    placed around the first piece boundary of the readers in ``src``."""
+#: A command, with ``<dir>`` for the case's directory, and its input files by name.
+Case = tuple[list[str], dict[str, bytes]]
+
+#: The value of each ``--stats`` key that is a time, and so differs between runs.
+TIMING = re.compile(rb'("\w+_seconds": )[^,\n]*')
+
+
+def tct(data: bytes, *flags: str) -> Case:
+    return ["mine", "--input", "<dir>/in.tct", *flags], {"in.tct": data}
+
+
+def geno(matrix: bytes, labels: bytes = LABELS, *flags: str) -> Case:
+    return (["filter-genotypes", "--input", "<dir>/m.csv", "--labels", "<dir>/l.csv", *flags],
+            {"m.csv": matrix, "l.csv": labels})
+
+
+def cases() -> dict[str, Case]:
+    """The reader cases, with the faults placed around the first piece boundary
+    of the readers in ``src``."""
     from sigpat.dataset import _CHUNK as chunk
 
     def across(head: bytes, fault: bytes, tail: bytes) -> bytes:
         # a comment line holds ``fault`` from the last byte of the first piece on
         return head + b"#" + b"x" * (chunk - 2 - len(head)) + fault + tail
 
-    def tct(data: bytes) -> tuple[str, dict[str, bytes]]:
-        return "tct", {"in.tct": data}
-
-    def geno(matrix: bytes, labels: bytes = LABELS) -> tuple[str, dict[str, bytes]]:
-        return "genotype", {"m.csv": matrix, "l.csv": labels}
-
     matrix = HEADER + ROWS
     return {
         "tct valid": tct(TABLE),
         "tct bom crlf": tct(BOM + TABLE.replace(b"\n", b"\r\n")),
+        "tct two boms": tct(BOM + BOM + TABLE),
+        "tct bom, then bad utf-8": tct(BOM + b"\xff" + TABLE),
         "tct bad utf-8 past the first piece": tct(TABLE + _pad(chunk) + b"1 \xff\n"),
         "tct bom, bad utf-8 past the first piece": tct(BOM + TABLE + _pad(chunk) + b"1 \xff\n"),
         "tct bad utf-8 across pieces": tct(across(TABLE, b"\xe2\x82(", b"\n")),
@@ -74,6 +90,7 @@ def cases() -> dict[str, tuple[str, dict[str, bytes]]]:
         "tct cr across pieces": tct(across(TABLE, b"\r", b"7 x\r")),
         "tct bad label, then bad utf-8": tct(b"1 a\n7 b\n" + _pad(chunk) + b"0 \xff\n"),
         "tct nul": tct(b"1 a\x00b\n0 a\n"),
+        "tct nul, then bad utf-8": tct(b"1 a\x00b\n0 a\n" + _pad(chunk) + b"0 \xff\n"),
         "matrix valid": geno(matrix),
         "matrix bom crlf": geno(BOM + matrix.replace(b"\n", b"\r\n")),
         "matrix crlf across pieces": geno(across(HEADER, b"\r\n", ROWS + b"rs4,0,1,2,7\r\n")),
@@ -99,16 +116,31 @@ def cases() -> dict[str, tuple[str, dict[str, bytes]]]:
     }
 
 
-def argv(kind: str, where: str) -> list[str]:
-    """The command that reads a case of ``kind`` from the directory ``where``."""
-    if kind == "tct":
-        return ["mine", "--input", os.path.join(where, "in.tct")]
-    return ["filter-genotypes", "--input", os.path.join(where, "m.csv"),
-            "--labels", os.path.join(where, "l.csv")]
+def output_cases() -> dict[str, Case]:
+    """Commands that write files, or that are refused before they write any."""
+    return {
+        "mine output and stats naming one file": tct(
+            TABLE, "--output", "<dir>/o.csv", "--stats", "<dir>/o.csv"),
+        "mine unwritable output": tct(
+            TABLE, "--output", "<dir>/none/o.csv", "--stats", "<dir>/s.json"),
+        "mine min-sd -1e-3": tct(TABLE, "--min-sd", "-1e-3"),
+        "mine output and stats": tct(TABLE, "--output", "<dir>/o.csv", "--stats", "<dir>/s.json"),
+        "mine json output": tct(TABLE, "--output-format", "json", "--output", "<dir>/o.json"),
+        "filter-genotypes output and report": geno(
+            HEADER + ROWS, LABELS, "--output", "<dir>/f.tct", "--report", "<dir>/r.csv"),
+        "gen output": (["gen", "--cases", "4", "--controls", "5", "--items", "6", "--density",
+                        "0.4", "--seed", "7", "--output", "<dir>/g.tct"], {}),
+    }
 
 
-def run_case(kind: str, files: dict[str, bytes]) -> list:
-    """``[exit code, stderr digest, stdout digest]`` of one case."""
+def digest(data: bytes, where: str) -> str:
+    """sha256 of ``data`` with ``where`` read as ``<dir>`` and its timings masked."""
+    return hashlib.sha256(TIMING.sub(rb"\1<time>", data.replace(where.encode(), b"<dir>"))
+                          ).hexdigest()
+
+
+def run_case(argv: list[str], files: dict[str, bytes]) -> list:
+    """``[exit code, stderr digest, stdout digest, {written file: digest}]`` of one case."""
     from sigpat.cli import main
 
     with tempfile.TemporaryDirectory() as where:
@@ -117,14 +149,17 @@ def run_case(kind: str, files: dict[str, bytes]) -> list:
                 fh.write(data)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv(kind, where))
-    digests = [hashlib.sha256(text.replace(where, "<dir>").encode("utf-8", "surrogatepass"))
-               .hexdigest() for text in (err.getvalue(), out.getvalue())]
-    return [rc, *digests]
+            rc = main([arg.replace("<dir>", where) for arg in argv])
+        written = {}
+        for name in sorted(set(os.listdir(where)) - files.keys()):
+            with open(os.path.join(where, name), "rb") as fh:
+                written[name] = digest(fh.read(), where)
+    texts = (err.getvalue(), out.getvalue())
+    return [rc, *(digest(text.encode("utf-8", "surrogatepass"), where) for text in texts), written]
 
 
-def run_cases(named: dict[str, tuple[str, dict[str, bytes]]]) -> dict[str, list]:
-    return {name: run_case(kind, files) for name, (kind, files) in named.items()}
+def run_cases(named: dict[str, Case]) -> dict[str, list]:
+    return {name: run_case(argv, files) for name, (argv, files) in named.items()}
 
 
 def mismatches(expected: dict[str, list], got: dict[str, list]) -> list[str]:
@@ -135,4 +170,4 @@ def mismatches(expected: dict[str, list], got: dict[str, list]) -> list[str]:
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    print(json.dumps(run_cases(cases()), indent=1, sort_keys=True))
+    print(json.dumps(run_cases({**cases(), **output_cases()}), indent=1, sort_keys=True))

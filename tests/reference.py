@@ -22,12 +22,12 @@ no search at all, so it checks that no pattern is missing on inputs too large
 for the oracle. ``unpruned_mine`` filters the output of a search that no
 threshold prunes, so it checks that pruning loses no pattern.
 
-``whole_lines`` and ``whole_csv_rows`` read an input the way the package read
-it before it streamed: the whole input is decoded first, and then split or
-handed to ``csv.reader`` at once, so every decoding error comes before every
-csv error, and both before any row is parsed. Patched in for the package's
-``_lines`` and ``_csv_rows``, they give the loaders the streamed reading must
-match, datasets and error messages alike.
+``whole_lines`` and ``whole_csv_rows`` read an input by definition: the whole
+input is decoded first, and then split at LF or handed to ``csv.reader`` at
+once, so every decoding error comes before every csv error, and both before
+any row is parsed. Patched in for the package's ``_lines`` and ``_csv_rows``,
+they give the loaders that the streamed reading, and the package's split of
+quote-free lines at commas, must match, datasets and error messages alike.
 """
 
 from __future__ import annotations
@@ -368,10 +368,6 @@ def whole_lines(source: Source) -> Iterator[tuple[int, str]]:
     return iter(list(enumerate(whole_text(source).split("\n"), start=1)))
 
 
-#: csv's default field size limit.
-FIELD_LIMIT = 131_072
-
-
 def _refuse_nul(lines):
     """``lines``, refused at a NUL as ``csv.reader`` refuses it on Python 3.10:
     what comes before the NUL is still read; later versions read NUL."""
@@ -382,19 +378,9 @@ def _refuse_nul(lines):
         yield line
 
 
-def whole_csv_rows(source: Source, what: str) -> Iterator[tuple[int, object]]:
-    """The non-blank, non-comment rows of the whole text: its lines split at
-    commas when it holds no quote, NUL or line longer than ``FIELD_LIMIT``,
-    else ``csv.reader``'s lists of cells."""
-    text = whole_text(source)
-    lines = text.split("\n")
-    if '"' not in text and "\0" not in text and max(map(len, lines)) <= FIELD_LIMIT:
-        return iter([
-            (lineno, line)
-            for lineno, line in enumerate(lines, start=1)
-            if line and not line.lstrip().startswith("#")
-        ])
-    reader = csv.reader(_refuse_nul(io.StringIO(text)))
+def whole_csv_rows(source: Source, what: str) -> Iterator[tuple[int, list[str]]]:
+    """``csv.reader``'s non-blank, non-comment rows of the whole text."""
+    reader = csv.reader(_refuse_nul(io.StringIO(whole_text(source))))
     try:
         return iter([
             (reader.line_num, row)

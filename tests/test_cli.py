@@ -309,6 +309,13 @@ def test_exit_code_invalid_utf8_input(tmp_path, capsys):
     assert "UTF-8" in err
 
 
+def test_exit_code_nul_in_transactions(tmp_path, capsys):
+    # str.split() does not split at NUL, so these lines once read as the item "a\0b"
+    bad = tmp_path / "nul.tct"
+    bad.write_bytes(b"1 a\x00b\n1 a\x00b\n1 c\n0 a\x00b\n0 c\n0 d\n")
+    assert run(capsys, "mine", "--input", str(bad)) == (2, "", "error: line 1: line contains NUL\n")
+
+
 def test_exit_code_single_class(tmp_path, capsys):
     cases_only = tmp_path / "cases.tct"
     cases_only.write_text("1 a\n1 b\n", encoding="utf-8")

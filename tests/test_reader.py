@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reader_cases
-import reference
 from reference import whole_csv_rows, whole_lines
 from sigpat import dataset as dataset_module
 from sigpat.cli import main
@@ -66,11 +65,10 @@ def genotype_files(draw) -> tuple[bytes, bytes]:
 
 @contextlib.contextmanager
 def field_limit(limit: int):
-    """csv's field size limit, and the package's and the reference's copy of it, at ``limit``."""
+    """csv's field size limit, and the package's copy of it, at ``limit``."""
     old = csv.field_size_limit(limit)
     try:
-        with mock.patch.object(dataset_module, "_FIELD_LIMIT", limit), \
-                mock.patch.object(reference, "FIELD_LIMIT", limit):
+        with mock.patch.object(dataset_module, "_FIELD_LIMIT", limit):
             yield
     finally:
         csv.field_size_limit(old)
@@ -118,11 +116,11 @@ def test_streamed_reading_matches_whole_input_reading(case, as_text):
 
 @pytest.mark.parametrize("name", list(reader_cases.cases()))
 def test_reader_cases_match_whole_input_reading(name, tmp_path):
-    kind, files = reader_cases.cases()[name]
+    argv, files = reader_cases.cases()[name]
     for file_name, data in files.items():
         (tmp_path / file_name).write_bytes(data)
     paths = [tmp_path / file_name for file_name in files]
-    load = load_transactions if kind == "tct" else load_genotype_matrix
+    load = load_transactions if argv[0] == "mine" else load_genotype_matrix
     expected = whole(load, *paths)
     for chunk in (7, dataset_module._CHUNK):
         assert streamed(load, *paths, chunk=chunk) == expected, chunk
@@ -134,7 +132,10 @@ def test_decoding_errors_give_the_whole_input_position(tmp_path):
     named = reader_cases.cases()
     chunk = dataset_module._CHUNK
     table = len(reader_cases.TABLE)
+    nul = len(b"1 a\x00b\n0 a\n")
     for name, where in [
+        ("tct bom, then bad utf-8", "byte 0xff in position 0"),
+        ("tct nul, then bad utf-8", f"byte 0xff in position {nul + chunk + 2}"),
         ("tct bad utf-8 past the first piece", f"byte 0xff in position {table + chunk + 2}"),
         ("tct bom, bad utf-8 past the first piece", f"byte 0xff in position {table + chunk + 2}"),
         ("tct bad utf-8 across pieces", f"bytes in position {chunk - 1}-{chunk}"),
@@ -147,6 +148,18 @@ def test_decoding_errors_give_the_whole_input_position(tmp_path):
         with pytest.raises(DatasetFormatError) as exc:
             load_transactions(path)
         assert f"codec can't decode {where}: " in str(exc.value), name
+
+
+def test_one_byte_order_mark_is_dropped(tmp_path):
+    # from the first text of a path, a byte stream and a text stream alike; a
+    # second one is a character of the first line
+    data = reader_cases.cases()["tct two boms"][1]["in.tct"]
+    path = tmp_path / "in.tct"
+    path.write_bytes(data)
+    for chunk in CHUNKS:
+        for source in (path, *streams((data,), False), *streams((data,), True)):
+            assert streamed(load_transactions, source, chunk=chunk) == (
+                "line 1: label must be 0 or 1, got '\\ufeff1'"), (chunk, source)
 
 
 def test_line_ends_split_across_pieces(tmp_path):
@@ -235,7 +248,7 @@ PYTHONS = other_pythons()
 
 @pytest.fixture(scope="module")
 def in_process():
-    return reader_cases.run_cases(reader_cases.cases())
+    return reader_cases.run_cases({**reader_cases.cases(), **reader_cases.output_cases()})
 
 
 @pytest.mark.parametrize(
@@ -253,8 +266,21 @@ def test_reader_cases_agree_across_pythons(python, in_process):
 
 
 def test_reader_case_comparison_catches_one_changed_byte(in_process):
-    kind, files = reader_cases.cases()["matrix valid"]
+    argv, files = reader_cases.cases()["matrix valid"]
     changed = dict(files, **{"m.csv": files["m.csv"].replace(b"rs1,2", b"rs1,1")})
-    got = dict(in_process, **reader_cases.run_cases({"matrix valid": (kind, changed)}))
+    got = dict(in_process, **reader_cases.run_cases({"matrix valid": (argv, changed)}))
     assert reader_cases.mismatches(in_process, got) == ["matrix valid"]
     assert reader_cases.mismatches(in_process, in_process) == []
+    # one byte of a written file, with exit code, stderr and stdout unchanged
+    name = "mine output and stats"
+    argv, files = reader_cases.output_cases()[name]
+
+    def one_byte(value: float) -> str:  # item c's support difference, -0.5, as -0.6
+        return "%.6g" % (-0.6 if value == -0.5 else value)
+
+    with mock.patch("sigpat.cli._fmt", one_byte):
+        got = dict(in_process, **reader_cases.run_cases({name: (argv, files)}))
+    assert got[name][:3] == in_process[name][:3]
+    assert got[name][3]["s.json"] == in_process[name][3]["s.json"]  # its times are masked
+    assert got[name][3]["o.csv"] != in_process[name][3]["o.csv"]
+    assert reader_cases.mismatches(in_process, got) == [name]
