@@ -131,13 +131,9 @@ def score_set(table: ContingencyTable) -> ScoreSet:
     return ScoreSet(sd, gr, ors, lci_gr, uci_gr, lci_ors, uci_ors, corrected)
 
 
-def check_significance(
-    table: ContingencyTable,
-    thresholds: Thresholds,
-    scores: ScoreSet | None = None,
-) -> bool:
-    """True when every configured threshold is met (infinite scores pass all)."""
-    s, t = scores if scores is not None else score_set(table), thresholds
+def check_significance(scores: ScoreSet, thresholds: Thresholds) -> bool:
+    """True when ``scores`` meet every configured threshold (infinite scores pass all)."""
+    s, t = scores, thresholds
     return (
         (t.min_sd is None or s.sd >= t.min_sd)
         and (t.min_gr is None or s.gr >= t.min_gr)

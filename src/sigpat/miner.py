@@ -368,7 +368,8 @@ class _Search:
                 caps += [a * n2 / (n1 * t) for t in (th.min_gr, th.min_lci_gr) if t and t > 0]
             # a cap of -inf, when min_sd * n2 overflows, is clamped, as int() refuses it
             cs = (n2, *range(min(n2 - 1, int(max(min(caps), -1)) + 1), 0, -1))
-            passing = (c for c in cs if check_significance(ContingencyTable(a, b, c, n2 - c), th))
+            tables = (ContingencyTable(a, b, c, n2 - c) for c in cs)
+            passing = (t.c for t in tables if check_significance(score_set(t), th))
             top = self.top[a] = next(passing, 0)
         return top
 
@@ -388,7 +389,7 @@ class _Search:
         if scored is None:
             table = ContingencyTable(a, self.n_case - a, c, self.n_control - c)
             scores = score_set(table)
-            passed = check_significance(table, self.thresholds, scores)
+            passed = check_significance(scores, self.thresholds)
             scored = self._scored[key] = (table, scores) if passed else ()
         if scored:  # tuple.__new__ skips the NamedTuple's Python-level __new__
             self.records.append(

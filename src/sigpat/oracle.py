@@ -2,7 +2,8 @@
 
 Where the main engine walks tidsets, this module enumerates every itemset,
 intersects supports directly and keeps the closed ones. The two routes share
-nothing beyond the dataset container and the scoring functions, so agreement
+nothing beyond the dataset container, its bit walk ``bit_positions`` and the
+scoring functions ``score_set`` and ``check_significance``, so agreement
 between them on the same input is strong evidence both are right. Instances
 are capped hard because the walk is exponential in the item count.
 """
@@ -45,27 +46,21 @@ def enumerate_closed(dataset: TwoClassDataset) -> list[tuple[tuple[int, ...], in
     # transpose: per-transaction itemset masks, for the closure check
     columns = [0] * n
     for j, row in enumerate(rows):
-        bit = 1 << j
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1] |= bit
-            row ^= low
+        for t in bit_positions(row):
+            columns[t] |= 1 << j
     support = [full_tids] * (1 << m)
     closed: list[tuple[tuple[int, ...], int, int]] = []
     case_mask = dataset.case_mask
     control_mask = dataset.control_mask
     for mask in range(1, 1 << m):
-        low = mask & -mask
-        tids = support[mask ^ low] & rows[low.bit_length() - 1]
+        high = mask.bit_length() - 1
+        tids = support[mask ^ 1 << high] & rows[high]
         support[mask] = tids
         if not tids:
             continue
         shared = (1 << m) - 1
-        t = tids
-        while t:
-            lowt = t & -t
-            shared &= columns[lowt.bit_length() - 1]
-            t ^= lowt
+        for t in bit_positions(tids):
+            shared &= columns[t]
         if shared == mask:
             closed.append((bit_positions(mask), tids & case_mask, tids & control_mask))
     closed.sort(key=lambda triple: triple[0])
@@ -87,6 +82,6 @@ def mine_oracle(
         c = neg_mask.bit_count()
         table = ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
         scores = score_set(table)
-        if check_significance(table, thresholds, scores):
+        if check_significance(scores, thresholds):
             records.append(PatternRecord(itemset, pos_mask, neg_mask, table, scores))
     return records

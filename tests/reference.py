@@ -158,7 +158,7 @@ class ReferenceSearch(_Search):
     def _hopeless(self, a: int, c: int) -> bool:
         n1, n2 = self.n_case, self.n_control
         return not any(
-            check_significance(ContingencyTable(a, n1 - a, x, n2 - x), self.thresholds)
+            check_significance(score_set(ContingencyTable(a, n1 - a, x, n2 - x)), self.thresholds)
             for x in range(c, n2 + 1)
         )
 
@@ -310,15 +310,16 @@ def ista_mine(dataset: TwoClassDataset, thresholds: Thresholds) -> list[PatternR
 
     hopeful = (
         a for a in range(1, n1 + 1)
-        if any(check_significance(table(a, c), thresholds) for c in range(1, n2 + 1))
+        if any(check_significance(score_set(table(a, c)), thresholds) for c in range(1, n2 + 1))
     )
     records = []
     for t in closed_tidsets(dataset, next(hopeful, n1 + 1)):
         pos, neg = t & dataset.case_mask, t & dataset.control_mask
         key = table(pos.bit_count(), neg.bit_count())
-        if pos and neg and check_significance(key, thresholds):
+        scores = score_set(key)
+        if pos and neg and check_significance(scores, thresholds):
             items = tuple(i for i, row in enumerate(dataset.rows) if row & t == t)
-            records.append(PatternRecord(items, pos, neg, key, score_set(key)))
+            records.append(PatternRecord(items, pos, neg, key, scores))
     return sorted(records, key=lambda r: r.itemset)
 
 
@@ -336,7 +337,7 @@ def unpruned_mine(
     """The records of ``mine`` without thresholds that pass ``thresholds``, and
     the statistics of that run, which prunes and cuts nothing."""
     records, stats = mine(dataset)
-    return [r for r in records if check_significance(r.table, thresholds, r.scores)], stats
+    return [r for r in records if check_significance(r.scores, thresholds)], stats
 
 
 def reference_mine(

@@ -382,6 +382,16 @@ def test_gen_deterministic(tmp_path, capsys):
     )
 
 
+def test_gen_with_no_transactions_writes_nothing(tmp_path, capsys):
+    # every transaction line ends in LF, so no transactions give no bytes
+    argv = ("gen", "--cases", "0", "--controls", "0", "--items", "3", "--density", "0.5",
+            "--seed", "1")
+    assert run(capsys, *argv) == (0, "", "")
+    path = tmp_path / "g.tct"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == b""
+
+
 def test_gen_rejects_bad_density(capsys):
     rc, _, err = run(capsys, "gen", "--cases", "2", "--controls", "2", "--items", "5",
                      "--density", "1.5", "--seed", "1")
@@ -434,6 +444,11 @@ def test_filter_genotypes_error_names_file_line(tmp_path, capsys):
                      "--labels", str(labels))
     assert rc == 2
     assert err == "error: genotype matrix row 5: genotype must be 0, 1 or 2, got '7'\n"
+    # a header fault names no line
+    matrix.write_text("snp,bob,eve,bob\nrs1,0,1,2\n", encoding="utf-8")
+    rc, _, err = run(capsys, "filter-genotypes", "--input", str(matrix),
+                     "--labels", str(labels))
+    assert (rc, err) == (2, "error: genotype matrix: duplicate individual id in header\n")
 
 
 def test_labels_typo_on_the_first_line_exits_2(tmp_path, capsys):

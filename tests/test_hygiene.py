@@ -228,6 +228,50 @@ def test_stray_gc_detects_and_allows():
     ]
 
 
+#: The one function of a module that may isolate a lowest set bit, ``m & -m``,
+#: so that every walk over the set bits of a mask is one walk.
+BIT_WALKERS = {"dataset": "bit_positions"}
+
+
+def stray_low_bits(tree: ast.Module, walker: Optional[str]) -> list[str]:
+    """Bitwise ands with a negated operand (``m & -m``, ``m &= -m``) outside the
+    function named ``walker``, by line; ``x &= x - 1`` drops a bit and is allowed."""
+    found = []
+    for node, where in scoped_nodes(tree):
+        operands = [getattr(node, side, None) for side in ("left", "right", "value")]
+        if (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitAnd)
+            and where != walker
+            and any(isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub) for x in operands)
+        ):
+            found.append((node.lineno, f"line {node.lineno}: & - in {where}"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_isolates_low_bits_only_in_bit_positions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert stray_low_bits(tree, BIT_WALKERS.get(path.stem)) == []
+
+
+def test_stray_low_bits_detects_and_allows():
+    tree = ast.parse(
+        "def bit_positions(mask):\n"
+        "    return mask & -mask\n"
+        "class _Search:\n"
+        "    def _case_phase(self, x, y):\n"
+        "        x &= x - 1\n"
+        "        return -x & x, x & ~y, x - -y\n"
+        "def walk(m):\n"
+        "    m &= -m\n"
+        "LOW = 12 & -12\n"
+    )
+    assert stray_low_bits(tree, "bit_positions") == [
+        "line 6: & - in _Search._case_phase", "line 8: & - in walk", "line 9: & - in <module>"
+    ]
+    assert stray_low_bits(tree, None)[0] == "line 2: & - in bit_positions"
+
+
 #: Modules that each cost a few ms of start-up and that a plain CSV ``mine``
 #: run does not use: the package imports them where a run needs them.
 DEFERRED = {"logging", "json", "csv"}
@@ -300,6 +344,10 @@ def test_oracle_is_imported_on_first_use():
     assert "sigpat.oracle" in after
     _, after = fresh_modules("from sigpat import *\nmine_oracle")
     assert "sigpat.oracle" in after
+    import sigpat  # any other missing name is an AttributeError, as on any module
+
+    with pytest.raises(AttributeError, match="^module 'sigpat' has no attribute 'nope'$"):
+        getattr(sigpat, "nope")
 
 
 def test_traced_run_names_resolve():

@@ -95,6 +95,9 @@ def test_confidence_intervals_empty_cell_correction():
     assert lci_ors == pytest.approx(0.44546924842183305, abs=EXACT)
     assert uci_ors == pytest.approx(356.388236814191, abs=EXACT)
     assert all(map(math.isfinite, (lci_gr, uci_gr, lci_ors, uci_ors)))
+    # an empty class has no bounds, corrected or not
+    with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+        confidence_intervals(ContingencyTable(0, 0, 1, 2))
 
 
 def test_score_set_bundles_everything():
@@ -119,29 +122,23 @@ def test_thresholds_validation():
 
 
 def test_check_significance_boundary_semantics():
-    t = ContingencyTable(3, 2, 1, 3)
-    s = score_set(t)
+    s = score_set(ContingencyTable(3, 2, 1, 3))
     # plain scores compare with >=
-    assert check_significance(t, Thresholds(min_gr=2.4))
-    assert not check_significance(t, Thresholds(min_gr=2.4000001))
-    assert check_significance(t, Thresholds(min_sd=0.35, min_ors=4.5))
+    assert check_significance(s, Thresholds(min_gr=2.0))
+    assert check_significance(s, Thresholds(min_gr=2.4))
+    assert not check_significance(s, Thresholds(min_gr=2.4000001))
+    assert check_significance(s, Thresholds(min_sd=0.35, min_ors=4.5))
     # interval lower bounds require a strict >
-    assert not check_significance(t, Thresholds(min_lci_gr=s.lci_gr))
-    assert check_significance(t, Thresholds(min_lci_gr=s.lci_gr - 1e-12))
-    assert not check_significance(t, Thresholds(min_lci_ors=s.lci_ors))
+    assert not check_significance(s, Thresholds(min_lci_gr=s.lci_gr))
+    assert check_significance(s, Thresholds(min_lci_gr=s.lci_gr - 1e-12))
+    assert not check_significance(s, Thresholds(min_lci_ors=s.lci_ors))
     # empty configuration accepts everything
-    assert check_significance(ContingencyTable(0, 5, 4, 0), Thresholds())
+    assert check_significance(score_set(ContingencyTable(0, 5, 4, 0)), Thresholds())
 
 
 def test_check_significance_infinite_scores_pass():
-    t = ContingencyTable(4, 1, 0, 4)
-    assert check_significance(t, Thresholds(min_gr=1000.0, min_ors=1000.0))
-
-
-def test_check_significance_accepts_precomputed_scores():
-    t = ContingencyTable(3, 2, 1, 3)
-    s = score_set(t)
-    assert check_significance(t, Thresholds(min_gr=2.0), scores=s)
+    s = score_set(ContingencyTable(4, 1, 0, 4))
+    assert check_significance(s, Thresholds(min_gr=1000.0, min_ors=1000.0))
 
 
 def test_association_pvalue_worked_values():

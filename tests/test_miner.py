@@ -18,7 +18,7 @@ from sigpat import (
 )
 from sigpat.cli import main
 from sigpat.dataset import dump_transactions
-from sigpat.measures import ContingencyTable, check_significance
+from sigpat.measures import ContingencyTable, check_significance, score_set
 from sigpat.miner import InternalInvariantError, PatternRecord, _Search
 
 from conftest import random_dataset, random_thresholds
@@ -324,7 +324,7 @@ def test_top_matches_a_naive_scan(n_case, n_control, thresholds):
             c
             for c in range(1, n_control + 1)
             if check_significance(
-                ContingencyTable(a, n_case - a, c, n_control - c), thresholds
+                score_set(ContingencyTable(a, n_case - a, c, n_control - c)), thresholds
             )
         ]
         assert search._top(a) == max(passing, default=0)
