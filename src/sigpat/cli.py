@@ -8,7 +8,8 @@ as CSV (six significant digits) or JSON (full precision) with one row per
 pattern and a fixed column order, so runs are comparable byte for byte.
 
 Exit codes: 0 success, 1 bad usage or an instance the oracle refuses,
-2 unreadable or malformed input data, 3 an internal invariant violation.
+2 unreadable or malformed input data, 3 an internal invariant violation,
+141 an output pipe closed by its reader, as when stdout goes to ``head``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import os
 import re
 import sys
 import time
-from typing import IO, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .dataset import (
     DatasetFormatError,
@@ -63,7 +65,11 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _json_list(encoded: Iterator[str]) -> str:
+def _csv_list(texts: Iterable[str]) -> str:
+    return _csv_field(";".join(texts))
+
+
+def _json_list(encoded: Iterable[str]) -> str:
     """Encoded JSON values as a list at a record's depth of ``json.dump(indent=2)``."""
     text = ",\n      ".join(encoded)
     return "[\n      " + text + "\n    ]" if text else "[]"
@@ -95,6 +101,7 @@ def _open_out(path: Optional[str]) -> Iterator[Optional[IO[str]]]:
     other function opens a file to write."""
     if path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
     elif path is None:
         yield None
     else:
@@ -104,9 +111,10 @@ def _open_out(path: Optional[str]) -> Iterator[Optional[IO[str]]]:
 
 def _rows(
     records: Sequence[PatternRecord], dataset: TwoClassDataset, as_json: bool
-) -> Iterator[tuple[str, str, str, str]]:
-    """Each record's items, twelve middle columns, case tids and control tids,
-    as encoded CSV fields or JSON values.
+) -> Iterator[str]:
+    """Each record's row: its items, twelve middle columns, case tids and
+    control tids, as encoded CSV fields or JSON values, in a CSV line or the
+    text of a JSON object.
 
     The twelve are encoded once per table, as a record's scores are those of
     its table, the tid lists once per mask and, for JSON, each name once."""
@@ -116,11 +124,14 @@ def _rows(
         names = list(map(json.dumps, dataset.items))
         ids = list(map(json.dumps, dataset.external_ids))
         join_names = join_ids = _json_list
+        template = '  {\n    "items": %s,\n%s,\n    "case_tids": %s,\n    "control_tids": %s\n  }'
     else:
         names, ids = dataset.items, dataset.external_ids
-        join_ids = lambda texts: _csv_field(";".join(texts))  # noqa: E731
-        # Joined names need quoting only when some name does.
-        join_names = join_ids if any(_csv_field(n) != n for n in names) else ";".join
+        # A joined list needs quoting only when some of its texts does.
+        join_names, join_ids = (
+            _csv_list if any(_csv_field(x) != x for x in texts) else ";".join
+            for texts in (names, ids))
+        template = "%s,%s,%s,%s\n"
     keyed: dict[ContingencyTable, str] = {}
     masked: dict[int, str] = {}
     for itemset, pos_mask, neg_mask, t, s in records:
@@ -143,7 +154,9 @@ def _rows(
         neg = masked.get(neg_mask)
         if neg is None:
             neg = masked[neg_mask] = join_ids(map(ids.__getitem__, bit_positions(neg_mask)))
-        yield join_names(map(names.__getitem__, itemset)), cols, pos, neg
+        # itemgetter of one index gives a name, not a tuple of one
+        items = itemgetter(*itemset)(names) if len(itemset) > 1 else [names[i] for i in itemset]
+        yield template % (join_names(items), cols, pos, neg)
 
 
 def write_csv(
@@ -151,7 +164,7 @@ def write_csv(
 ) -> None:
     """The records as ``csv.writer(out, lineterminator="\\n")`` writes them, a row at a time."""
     out.write(",".join(COLUMNS) + "\n")
-    out.writelines(map("%s,%s,%s,%s\n".__mod__, _rows(records, dataset, as_json=False)))
+    out.writelines(_rows(records, dataset, as_json=False))
 
 
 def write_json(
@@ -159,8 +172,7 @@ def write_json(
 ) -> None:
     """The records as ``json.dump(rows, out, indent=2)`` plus a newline writes them,
     a record at a time."""
-    template = '  {\n    "items": %s,\n%s,\n    "case_tids": %s,\n    "control_tids": %s\n  }'
-    rows = map(template.__mod__, _rows(records, dataset, as_json=True))
+    rows = _rows(records, dataset, as_json=True)
     first = next(rows, None)
     if first is None:
         out.write("[]\n")
@@ -366,6 +378,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:  # no message: the reader is gone, as in ``sigpat mine | head``
+        if sys.stdout is not None:
+            with contextlib.suppress(OSError):  # drop what stdout holds, so exit cannot retry it
+                sys.stdout.close()
+        return 141  # what a shell reports for a SIGPIPE death
     except (DatasetFormatError, OSError) as exc:  # a DatasetFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,8 @@ One loop, ``_Search.run``, walks the tree and visits a child of either class
 the same way: one row scan, then the closure over the child's class. A case
 node opens its case children, then its control children once those are done.
 The node searched lives in local variables; entering a child pushes the node's
-state on a list, so the search takes one stack frame at any depth.
+state on a list, so the search takes one stack frame at any depth. The loop's
+counters live in local variables too, and are stored once, after the loop.
 
 Every control-phase descendant of a node with a case tids and c control
 tids keeps a and has at least c control tids, and the scores depend on the
@@ -28,7 +29,8 @@ below its score; with b = 0 every count is tried. All control children of a
 node share one verdict, which ``run`` decides once for all of them right
 after it scans the node (for a case node, once its case children are done):
 hopeless ones are counted as visited and pruned without a row scan, and
-``_control_phase`` sees only hopeful ones.
+``_control_phase`` sees only hopeful ones. A control node is scored only when
+its control count is at most top[a], since no larger count passes.
 
 The thresholds also fix a least case count. A pattern with a case tids has
 at least one control tid, so it can pass only if top[a] >= 1. A descendant
@@ -214,11 +216,11 @@ class _Search:
         children until its case children are done.
         """
         n_case, case_mask, control_mask = self.n_case, self.case_mask, self.control_mask
-        trace, log, top = self.trace, self._log, self.top
+        trace, log, log_each, top = self.trace, self._log, self._log_each, self.top
         union = 0
         for _, r in rows:
             union |= r
-        tpos = a = tneg = dom = dead = ctl = scans = 0
+        tpos = a = tneg = dom = dead = ctl = scans = closed = pruned = dups = skipped = 0
         free = self._case_phase(0, 0, union & case_mask, rows, 0)
         stack = []
         while True:
@@ -247,11 +249,11 @@ class _Search:
                         log(node, sub, ebit)
                     ext = inter & case_mask & ~node
                     if ext >= ebit:
-                        self.nodes_duplicate += 1  # the closure reaches a tid >= e
+                        dups += 1  # the closure reaches a tid >= e
                     else:
                         if ext:
                             node |= ext
-                            self.nodes_visited += 1
+                            closed += 1
                             if trace is not None:
                                 log(node, sub, ebit)
                         b = node.bit_count()
@@ -269,19 +271,22 @@ class _Search:
                         log(tpos | node, sub, ebit)
                     ext = inter & control_mask & ~node
                     if ext >= ebit:
-                        self.nodes_duplicate += 1
+                        dups += 1
                     else:
                         if ext:
                             node |= ext
-                            self.nodes_visited += 1
+                            closed += 1
                             if trace is not None:
                                 log(tpos | node, sub, ebit)
                         if inter & case_mask == tpos:  # else no descendant is case-closed
                             k = node.bit_count()
-                            self._emit(tpos, node, a, k, sub)
+                            if k <= top[a]:  # else the node's table fails
+                                self._emit(tpos, node, a, k, sub)
                             kids = union & control_mask & ~node & (ebit - 1)
                             if kids and k >= top[a]:  # every control child is hopeless
-                                self.nodes_pruned += self._unscanned(tpos | node, kids, sub)
+                                pruned += kids.bit_count()
+                                if trace is not None:
+                                    log_each(tpos | node, kids, sub)
                             elif kids:
                                 kids = self._control_phase(tpos | node, kids, sub, dom, dead)
                                 if kids:
@@ -292,7 +297,9 @@ class _Search:
                 if self._top(a):
                     free = self._control_phase(tpos, ctl, rows, 0, dead)
                 else:
-                    self.nodes_pruned += self._unscanned(tpos, ctl, rows)
+                    pruned += ctl.bit_count()
+                    if trace is not None:
+                        log_each(tpos, ctl, rows)
                 dom = ctl = 0
                 continue
             elif stack:
@@ -301,10 +308,17 @@ class _Search:
                 break
             # siblings that a scan showed dominated, traced after the scanned child's subtree
             if dup:
-                self.nodes_duplicate += self._unscanned(tpos | tneg, dup, rows)
+                skipped += dup.bit_count()
+                if trace is not None:
+                    log_each(tpos | tneg, dup, rows)
                 dom |= dup
+        self.nodes_pruned += pruned
+        self.nodes_duplicate += skipped
+        # a child is visited by its scan, and again by its closure, or unscanned when
+        # pruned or dominated: every pruned child and, so far, every duplicate is unscanned
+        self.nodes_visited = scans + closed + self.nodes_pruned + self.nodes_duplicate
+        self.nodes_duplicate += dups
         self.row_scans = scans
-        self.nodes_visited += scans  # each scan visits one child
 
     def _case_phase(self, tpos: int, a: int, free: int, rows, dom: int) -> int:
         """Count unscanned the case children ``free`` of ``tpos`` (``a`` case tids) that
@@ -323,11 +337,15 @@ class _Search:
                         x &= x - 1
                     kept |= x
             if free != kept:
-                self.nodes_pruned += self._unscanned(tpos, free ^ kept, rows)
+                self.nodes_pruned += (free ^ kept).bit_count()
+                if self.trace is not None:
+                    self._log_each(tpos, free ^ kept, rows)
                 free = kept
         gone = free & dom
         if gone:
-            self.nodes_duplicate += self._unscanned(tpos, gone, rows)
+            self.nodes_duplicate += gone.bit_count()
+            if self.trace is not None:
+                self._log_each(tpos, gone, rows)
             free ^= gone
         return free
 
@@ -336,7 +354,9 @@ class _Search:
         ``dom`` as duplicates; drop ``dead``; return the rest."""
         gone = free & dom
         if gone:
-            self.nodes_duplicate += self._unscanned(node, gone, rows)
+            self.nodes_duplicate += gone.bit_count()
+            if self.trace is not None:
+                self._log_each(node, gone, rows)
             free ^= gone
         gone = free & dead
         if gone:
@@ -344,15 +364,11 @@ class _Search:
             free ^= gone
         return free
 
-    def _unscanned(self, node: int, tids: int, rows) -> int:
-        """Count as visited, and trace from the highest tid down, the children
-        adding one tid of ``tids`` to ``node`` without a row scan; return how many."""
-        if self.trace is not None:
-            for t in reversed(bit_positions(tids)):
-                self._log(node | 1 << t, rows, 1 << t)
-        n = tids.bit_count()
-        self.nodes_visited += n
-        return n
+    def _log_each(self, node: int, tids: int, rows) -> None:
+        """Trace, from the highest tid down, the children adding one tid of ``tids``
+        to ``node`` that are counted without a row scan."""
+        for t in reversed(bit_positions(tids)):
+            self._log(node | 1 << t, rows, 1 << t)
 
     def _top(self, a: int) -> int:
         """``top[a]``: the largest control count whose table with a case tids passes, or 0."""

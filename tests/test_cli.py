@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sigpat import mine
 from sigpat.cli import main
 from sigpat.dataset import bit_positions
@@ -22,15 +24,19 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+#: ``main(argv)`` in a fresh interpreter, where no test harness handles log
+#: records, so stderr is what a user of the command sees; -I: no user site or
+#: environment; -B: no bytecode written into src
+CHILD = [sys.executable, "-I", "-B", "-c",
+         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+         "from sigpat.cli import main; sys.exit(main(sys.argv[1:]))"]
+
+
 def run_process(*argv, stdout=subprocess.PIPE):
-    """``main(argv)`` in a fresh interpreter, where no test harness handles
-    log records, so stderr is what a user of the command sees; its stdout goes
-    to ``stdout``, and is returned only when that is a pipe."""
-    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-            "from sigpat.cli import main; sys.exit(main(sys.argv[1:]))")
-    # -I: no user site or environment; -B: no bytecode written into src
-    args = [sys.executable, "-I", "-B", "-c", code, *argv]
-    done = subprocess.run(args, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    """``CHILD`` run with ``argv``; its stdout goes to ``stdout``, and is
+    returned only when that is a pipe."""
+    done = subprocess.run([*CHILD, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -336,6 +342,41 @@ def test_exit_code_oracle_too_large(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert run(capsys, "oracle", "--input", str(big), "--output", str(out)) == (1, "", err)
     assert not out.exists()
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, capsys):
+    # as in `sigpat mine | head -1`: the reader closes after one line of an
+    # output larger than a pipe holds, so a later write fails
+    data, out = tmp_path / "d.tct", tmp_path / "out"
+    assert run(capsys, "gen", "--cases", "20", "--controls", "20", "--items", "30",
+               "--density", "0.4", "--seed", "1", "--output", str(data))[0] == 0
+    for fmt in ("csv", "json"):
+        argv = ["mine", "--input", str(data), "--output-format", fmt]
+        assert run(capsys, *argv, "--output", str(out)) == (0, "", "")
+        assert out.stat().st_size > 1 << 17  # twice the 64 KiB of a Linux pipe
+        child = subprocess.Popen([*CHILD, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline()
+        child.stdout.close()
+        # no "error:" line, and no "Exception ignored" from the flush at exit
+        assert (child.stderr.read(), child.wait(timeout=60)) == (b"", 141), fmt
+        child.stderr.close()
+    # a reader gone before the run starts: a small output fails only when flushed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([*CHILD, "gen", "--cases", "2", "--controls", "2", "--items", "3",
+                               "--density", "0.5", "--seed", "1"],
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.stderr, done.returncode) == (b"", 141)
+
+
+def test_a_failed_write_exits_2(table1_path, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full, where every write fails with ENOSPC")
+    rc, out, err = run(capsys, "mine", "--input", str(table1_path), "--output", "/dev/full")
+    assert (rc, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
 
 
 def test_exit_code_internal_invariant(table1_path, capsys, monkeypatch):

@@ -228,6 +228,56 @@ def test_stray_gc_detects_and_allows():
     ]
 
 
+def counters_set_in_the_loop(tree: ast.Module) -> list[str]:
+    """Assignments to a ``self.nodes_*`` or ``self.row_scans`` attribute inside a
+    ``while`` loop of the method ``_Search.run``, by line.
+
+    The loop counts in local variables and the counters are stored once, after
+    it, so that a search stopped early leaves through that one exit."""
+    found = set()
+    for loop, where in scoped_nodes(tree):
+        if where == "_Search.run" and isinstance(loop, ast.While):
+            for node in ast.walk(loop):
+                if (
+                    isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and (node.attr.startswith("nodes_") or node.attr == "row_scans")
+                ):
+                    found.add((node.lineno, f"line {node.lineno}: self.{node.attr}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_search_loop_stores_its_counters_after_it():
+    tree = ast.parse((ROOT / "src" / "sigpat" / "miner.py").read_text(encoding="utf-8"))
+    assert counters_set_in_the_loop(tree) == []
+
+
+def test_counters_set_in_the_loop_detects_and_allows():
+    tree = ast.parse(
+        "class _Search:\n"
+        "    def run(self):\n"
+        "        scans = 0\n"
+        "        while True:\n"
+        "            self.nodes_visited += 1\n"
+        "            scans, self.row_scans = 1, 2\n"
+        "            while scans:\n"
+        "                self.nodes_dead: int = 3\n"
+        "            self.top = self.nodes_pruned\n"
+        "        self.nodes_visited += scans\n"
+        "        self.row_scans = scans\n"
+        "    def _case_phase(self):\n"
+        "        while True:\n"
+        "            self.nodes_pruned += 1\n"
+        "class Other:\n"
+        "    def run(self):\n"
+        "        while True:\n"
+        "            self.nodes_visited += 1\n"
+    )
+    assert counters_set_in_the_loop(tree) == [
+        "line 5: self.nodes_visited", "line 6: self.row_scans", "line 8: self.nodes_dead",
+    ]
+
+
 #: The one function of a module that may isolate a lowest set bit, ``m & -m``,
 #: so that every walk over the set bits of a mask is one walk.
 BIT_WALKERS = {"dataset": "bit_positions"}

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigpat import Thresholds, from_transactions, load_genotype_matrix, mine, mine_oracle
@@ -159,8 +159,18 @@ def instances(draw):
     return dataset, thresholds
 
 
+def two_and_two(names, ids):
+    """Two cases and two controls over three names, as an ``instances()`` draw."""
+    x, y, z = names
+    return from_transactions([[x, y, z], [x, z]], [[y, z], [x, y]], ids), Thresholds()
+
+
+# The CSV writer decides once per run whether joined names, and joined ids, need quoting.
 @settings(max_examples=150, deadline=None)
 @given(instances())
+@example(two_and_two(["a,b", 'c"d', "e"], ["1", "2", "3", "4"]))
+@example(two_and_two(["a", "b", "c"], ["x,1", 'y"2', "z\n3", "4"]))
+@example(two_and_two(["a", 'b"', "c"], ["1", "2", "3", "x,4"]))
 def test_writers_match_reference_writers(instance):
     dataset, thresholds = instance
     mined, _ = mine(dataset, thresholds)
@@ -183,6 +193,15 @@ def test_writers_match_reference_writers_worked_table(table1):
             assert written(write_json, records, table1) == written(
                 reference_json, records, table1
             )
+
+
+def test_writers_match_reference_writers_for_every_itemset_length(table1):
+    # the engine never emits an empty itemset, but the writers take any record
+    mined = mine(table1)[0]
+    records = [mined[0]._replace(itemset=()), mined[1]._replace(itemset=(3,)), *mined[2:4]]
+    assert any(len(r.itemset) > 1 for r in records)
+    for writer, reference in ((write_csv, reference_csv), (write_json, reference_json)):
+        assert written(writer, records, table1) == written(reference, records, table1)
 
 
 def reference_report(dataset, max_pvalue, max_control_support, out):
