@@ -8,8 +8,9 @@ as CSV (six significant digits) or JSON (full precision) with one row per
 pattern and a fixed column order, so runs are comparable byte for byte.
 
 Exit codes: 0 success, 1 bad usage or an instance the oracle refuses,
-2 unreadable or malformed input data, 3 an internal invariant violation,
-141 an output pipe closed by its reader, as when stdout goes to ``head``.
+2 unreadable or malformed input data or a failed write, 3 an internal
+invariant violation, 141 an output pipe closed by its reader, as when stdout
+goes to ``head``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def _open_out(path: Optional[str]) -> Iterator[Optional[IO[str]]]:
     """Stdout for ``-``, None for no path, else the file, created or emptied; no
     other function opens a file to write."""
     if path == "-":
+        if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
+            raise OSError("cannot write to stdout: it is closed")
         yield sys.stdout
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
     elif path is None:
@@ -374,6 +377,18 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fail(message: str, code: int) -> int:
+    """Print ``message`` on stderr and return ``code``; drop the message when
+    stderr is closed or cannot take it."""
+    if sys.stderr is not None:  # Python's stderr when fd 2 was closed at start
+        try:
+            print(message, file=sys.stderr)
+        except (OSError, ValueError):
+            with contextlib.suppress(OSError):  # drop what it holds, so exit cannot retry it
+                sys.stderr.close()
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -383,15 +398,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with contextlib.suppress(OSError):  # drop what stdout holds, so exit cannot retry it
                 sys.stdout.close()
         return 141  # what a shell reports for a SIGPIPE death
-    except (DatasetFormatError, OSError) as exc:  # a DatasetFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a DatasetFormatError is a ValueError; so is a UnicodeEncodeError, raised when
+    # stdout's encoding cannot hold an output character
+    except (DatasetFormatError, OSError, UnicodeEncodeError) as exc:
+        return _fail(f"error: {exc}", 2)
     except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"internal error: {exc}", 3)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"error: {exc}", 1)
 
 
 if __name__ == "__main__":

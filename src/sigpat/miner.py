@@ -73,9 +73,11 @@ are computed once and shared by all roots; the row list shrinks with the
 node exactly as in a dataset-reduction scheme, since the itemset of a node
 is the itemset of its surviving rows.
 
-An emitted record keeps the node's two tid masks and the memoised table and
-scores of its key as they are. With no thresholds set, top[a] is n_control
-for every a, so nothing is pruned or cut and the least case count is 1.
+An emitted record keeps the node's case tid mask as it is, the control tid
+mask of the first record emitted with the same control tids, and the
+memoised table and scores of its key. With no thresholds set, top[a] is
+n_control for every a, so nothing is pruned or cut and the least case count
+is 1.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ class PatternRecord(NamedTuple):
 
     Bit t of ``pos_mask`` (``neg_mask``) is set when case (control) tid t
     supports the pattern. Records of one run share their table and scores
-    objects with every record of the same (case count, control count).
+    objects with every record of the same (case count, control count), and
+    their ``neg_mask`` object with every record of the same control tids.
     """
 
     itemset: tuple[int, ...]
@@ -150,7 +153,7 @@ class _Search:
     __slots__ = (
         "n_case", "n_control", "case_mask", "control_mask", "thresholds",
         "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate", "nodes_dead",
-        "row_scans", "top", "_least", "_scored",
+        "row_scans", "top", "_least", "_scored", "_negs",
     )
 
     def __init__(
@@ -170,6 +173,8 @@ class _Search:
         self._least: dict[int, int] = {}
         #: (table, scores) of a passing key, () of a failing one
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet] | tuple[()]] = {}
+        #: each emitted control mask, so that records of one control tidset share one int
+        self._negs: dict[int, int] = {}
 
     def search(self, rows: tuple[int, ...]) -> tuple[list[PatternRecord], MineStats]:
         """Run the search over the item bit rows ``rows``; return ``mine``'s result."""
@@ -408,6 +413,7 @@ class _Search:
             passed = check_significance(scores, self.thresholds)
             scored = self._scored[key] = (table, scores) if passed else ()
         if scored:  # tuple.__new__ skips the NamedTuple's Python-level __new__
+            tneg = self._negs.setdefault(tneg, tneg)
             self.records.append(
                 tuple.__new__(PatternRecord, (tuple(map(_first, rows)), tpos, tneg) + scored)
             )

@@ -7,9 +7,11 @@ this interpreter and prints one JSON object that maps each case to its exit
 code, the sha256 digests of its stderr and stdout, and the digest of each file
 the command wrote. The directory's path is replaced by ``<dir>`` first, in the
 command and in what it gives, and the timings in a ``--stats`` file are
-masked. It needs only the standard library and the ``src`` tree beside it, so
-that each CPython the package supports can run it and the runs can be
-compared byte for byte.
+masked. A case named in ``CHILDREN`` runs instead in a child of this
+interpreter that ``/bin/sh`` starts with stdout or stderr closed or
+read-only, or with another stdout encoding. It needs only the standard
+library, ``/bin/sh`` and the ``src`` tree beside it, so that each CPython the
+package supports can run it and the runs can be compared byte for byte.
 
 The reader cases put their faults next to the boundary of the readers' first
 piece (``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and
@@ -17,7 +19,8 @@ without a byte order mark; a CRLF or a lone CR split across it; a quote or
 NUL only near the end; an unclosed quote at the end; lines longer than csv's
 field limit; and inputs with two faults, where the one that reading the whole
 input first finds first must be reported. The output cases write files, or
-are refused before they write any.
+are refused before they write any, or write to a stdout or stderr that is
+closed or cannot encode what they write.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -50,6 +54,21 @@ def _pad(n: int) -> bytes:
 
 #: A command, with ``<dir>`` for the case's directory, and its input files by name.
 Case = tuple[list[str], dict[str, bytes]]
+
+#: The shell command that starts a case's child, ``"$@"``, by the case's name.
+CHILDREN = {
+    "mine stdout closed": 'exec "$@" >&-',
+    "gen stdout closed": 'exec "$@" >&-',
+    "mine stderr closed, no input": 'exec "$@" 2>&-',
+    "mine stderr read-only, no input": 'exec "$@" 2</dev/null',
+    "mine ascii stdout, non-ascii item": 'PYTHONIOENCODING=ascii exec "$@"',
+}
+
+#: ``main(argv)`` in a fresh interpreter that imports the package from ``src``;
+#: -s: no user site; -B: no bytecode written into src
+CHILD = [sys.executable, "-s", "-B", "-c",
+         f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
+         "from sigpat.cli import main; sys.exit(main(sys.argv[1:]))"]
 
 #: The value of each ``--stats`` key that is a time, and so differs between runs.
 TIMING = re.compile(rb'("\w+_seconds": )[^,\n]*')
@@ -117,7 +136,10 @@ def cases() -> dict[str, Case]:
 
 
 def output_cases() -> dict[str, Case]:
-    """Commands that write files, or that are refused before they write any."""
+    """Commands that write files, or that are refused before they write any, and
+    the ``CHILDREN`` cases."""
+    gen = ["gen", "--cases", "4", "--controls", "5", "--items", "6", "--density", "0.4",
+           "--seed", "7"]
     return {
         "mine output and stats naming one file": tct(
             TABLE, "--output", "<dir>/o.csv", "--stats", "<dir>/o.csv"),
@@ -128,38 +150,61 @@ def output_cases() -> dict[str, Case]:
         "mine json output": tct(TABLE, "--output-format", "json", "--output", "<dir>/o.json"),
         "filter-genotypes output and report": geno(
             HEADER + ROWS, LABELS, "--output", "<dir>/f.tct", "--report", "<dir>/r.csv"),
-        "gen output": (["gen", "--cases", "4", "--controls", "5", "--items", "6", "--density",
-                        "0.4", "--seed", "7", "--output", "<dir>/g.tct"], {}),
+        "gen output": ([*gen, "--output", "<dir>/g.tct"], {}),
+        "mine stdout closed": tct(TABLE),
+        "gen stdout closed": (gen, {}),
+        "mine stderr closed, no input": (["mine", "--input", "<dir>/none.tct"], {}),
+        "mine stderr read-only, no input": (["mine", "--input", "<dir>/none.tct"], {}),
+        "mine ascii stdout, non-ascii item": tct("1 a é\n0 é\n".encode()),
     }
 
 
-def digest(data: bytes, where: str) -> str:
-    """sha256 of ``data`` with ``where`` read as ``<dir>`` and its timings masked."""
-    return hashlib.sha256(TIMING.sub(rb"\1<time>", data.replace(where.encode(), b"<dir>"))
-                          ).hexdigest()
-
-
-def run_case(argv: list[str], files: dict[str, bytes]) -> list:
-    """``[exit code, stderr digest, stdout digest, {written file: digest}]`` of one case."""
-    from sigpat.cli import main
-
+def execute(argv: list[str], files: dict[str, bytes], shell: str | None = None
+            ) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """Exit code, stderr, stdout and the files written of one case, run in this
+    interpreter or, given ``shell``, in ``CHILD`` started by it; the case's
+    directory reads as ``<dir>`` in each."""
     with tempfile.TemporaryDirectory() as where:
         for name, data in files.items():
             with open(os.path.join(where, name), "wb") as fh:
                 fh.write(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([arg.replace("<dir>", where) for arg in argv])
+        argv = [arg.replace("<dir>", where) for arg in argv]
+        if shell is None:
+            from sigpat.cli import main
+
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            texts = (err.getvalue(), out.getvalue())
+            streams = [text.encode("utf-8", "surrogatepass") for text in texts]
+        else:  # the shell alone sets the child's PYTHON variables
+            env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+            done = subprocess.run(["/bin/sh", "-c", shell, "sh", *CHILD, *argv], env=env,
+                                  capture_output=True, timeout=60)
+            rc, streams = done.returncode, [done.stderr, done.stdout]
         written = {}
         for name in sorted(set(os.listdir(where)) - files.keys()):
             with open(os.path.join(where, name), "rb") as fh:
-                written[name] = digest(fh.read(), where)
-    texts = (err.getvalue(), out.getvalue())
-    return [rc, *(digest(text.encode("utf-8", "surrogatepass"), where) for text in texts), written]
+                written[name] = fh.read()
+    here = where.encode()
+    err, out = (data.replace(here, b"<dir>") for data in streams)
+    return rc, err, out, {name: data.replace(here, b"<dir>") for name, data in written.items()}
+
+
+def digest(data: bytes) -> str:
+    """sha256 of ``data`` with its timings masked."""
+    return hashlib.sha256(TIMING.sub(rb"\1<time>", data)).hexdigest()
+
+
+def run_case(argv: list[str], files: dict[str, bytes], shell: str | None = None) -> list:
+    """``[exit code, stderr digest, stdout digest, {written file: digest}]`` of one case."""
+    rc, err, out, written = execute(argv, files, shell)
+    return [rc, digest(err), digest(out), {name: digest(data) for name, data in written.items()}]
 
 
 def run_cases(named: dict[str, Case]) -> dict[str, list]:
-    return {name: run_case(argv, files) for name, (argv, files) in named.items()}
+    return {name: run_case(argv, files, CHILDREN.get(name))
+            for name, (argv, files) in named.items()}
 
 
 def mismatches(expected: dict[str, list], got: dict[str, list]) -> list[str]:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import reader_cases
 from sigpat import mine
-from sigpat.cli import main
+from sigpat.cli import COLUMNS, main
 from sigpat.dataset import bit_positions
 from sigpat.miner import InternalInvariantError, MineStats
 
@@ -377,6 +378,27 @@ def test_a_failed_write_exits_2(table1_path, capsys):
         pytest.skip("needs /dev/full, where every write fails with ENOSPC")
     rc, out, err = run(capsys, "mine", "--input", str(table1_path), "--output", "/dev/full")
     assert (rc, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+
+
+ASCII_ERROR = (b"error: 'ascii' codec can't encode character '\\xe9' in position 0: "
+               b"ordinal not in range(128)\n")
+
+
+@pytest.mark.parametrize("name, expected", [
+    # Python's stdout is None when fd 1 is closed at start
+    ("mine stdout closed", (2, b"error: cannot write to stdout: it is closed\n", b"")),
+    ("gen stdout closed", (2, b"error: cannot write to stdout: it is closed\n", b"")),
+    # the message is dropped, not printed to stdout or left to raise
+    ("mine stderr closed, no input", (2, b"", b"")),
+    ("mine stderr read-only, no input", (2, b"", b"")),
+    # a UnicodeEncodeError is a ValueError, but this one is a failed write
+    ("mine ascii stdout, non-ascii item", (2, ASCII_ERROR, ",".join(COLUMNS).encode() + b"\n")),
+])
+def test_a_write_to_a_closed_or_narrow_stream_exits_2(name, expected):
+    argv, files = reader_cases.output_cases()[name]
+    rc, err, out, written = reader_cases.execute(argv, files, reader_cases.CHILDREN[name])
+    assert (rc, err, out) == expected
+    assert written == {}
 
 
 def test_exit_code_internal_invariant(table1_path, capsys, monkeypatch):

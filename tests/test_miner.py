@@ -609,6 +609,23 @@ def test_records_are_frozen_and_hashable(table1):
             setattr(r, field, None)
 
 
+def test_records_of_one_control_tidset_share_one_mask():
+    # 12 cases put every control mask above 256, past CPython's cached small ints
+    rng = random.Random(31)
+    rows = [[x for x in "abcdefghijkl" if rng.random() < 0.5] for _ in range(22)]
+    d = from_transactions(rows[:12], rows[12:])
+    records, _ = mine(d)
+    first: dict[int, PatternRecord] = {}
+    shared = 0
+    for r in records:
+        same = first.setdefault(r.neg_mask, r)
+        assert same.neg_mask is r.neg_mask
+        shared += same is not r
+        if (same.table.a, same.table.c) == (r.table.a, r.table.c):
+            assert same.table is r.table and same.scores is r.scores
+    assert shared > 100 and len(first) > 10
+
+
 def test_value_types_are_frozen_checked_and_picklable(table1):
     records, stats = mine(table1)
     r = records[0]
