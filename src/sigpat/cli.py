@@ -77,11 +77,18 @@ def _json_list(encoded: Iterable[str]) -> str:
 
 
 def _check_outputs(args: argparse.Namespace, *flags: str) -> None:
-    """Refuse two of the destination ``flags`` that name one file as a usage error
-    before anything is opened: an existing file (stdout for ``-``) by its device and
-    inode, under any name, and a new one by its path; ``os.devnull`` may repeat."""
+    """Refuse two of the destination ``flags`` that name one file, or one that names
+    a regular file read as ``--input`` or ``--labels``, as a usage error before
+    anything is read or opened: an existing file (stdout for ``-``) by its device and
+    inode, under any name, and a new one by its path; ``os.devnull`` may repeat. An
+    input that is not a regular file, such as a terminal or a pipe, may be one too."""
     devnull = os.stat(os.devnull)
     seen: dict[object, str] = {}
+    for flag in ("input", "labels"):
+        path = getattr(args, flag)
+        if path and os.path.isfile(path):
+            st = os.stat(path)
+            seen[(st.st_dev, st.st_ino)] = flag
     for flag in flags:
         path = getattr(args, flag)
         if path is None:
@@ -309,6 +316,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import check_size, mine_oracle  # only this command loads the oracle
+    _check_outputs(args, "output")
     dataset = _load_dataset(args)
     check_size(dataset)  # so that an instance the oracle refuses leaves no --output file
     with _open_out(args.output) as out:

@@ -13,8 +13,8 @@ One loop, ``_Search.run``, walks the tree and visits a child of either class
 the same way: one row scan, then the closure over the child's class. A case
 node opens its case children, then its control children once those are done.
 The node searched lives in local variables; entering a child pushes the node's
-state on a list, so the search takes one stack frame at any depth. The loop's
-counters live in local variables too, and are stored once, after the loop.
+state on a list, so the search takes one stack frame at any depth. The loop
+counts every child in local variables too, and ``run`` returns the counts.
 
 Every control-phase descendant of a node with a case tids and c control
 tids keeps a and has at least c control tids, and the scores depend on the
@@ -28,9 +28,9 @@ for t > 0, and min_sd at n2*(a/n1 - t), as an interval's lower bound lies
 below its score; with b = 0 every count is tried. All control children of a
 node share one verdict, which ``run`` decides once for all of them right
 after it scans the node (for a case node, once its case children are done):
-hopeless ones are counted as visited and pruned without a row scan, and
-``_control_phase`` sees only hopeful ones. A control node is scored only when
-its control count is at most top[a], since no larger count passes.
+hopeless ones are counted as visited and pruned without a row scan. A control
+node is scored only when its control count is at most top[a], since no larger
+count passes.
 
 The thresholds also fix a least case count. A pattern with a case tids has
 at least one control tid, so it can pass only if top[a] >= 1. A descendant
@@ -152,8 +152,7 @@ class _Search:
 
     __slots__ = (
         "n_case", "n_control", "case_mask", "control_mask", "thresholds",
-        "records", "trace", "nodes_visited", "nodes_pruned", "nodes_duplicate", "nodes_dead",
-        "row_scans", "top", "_least", "_scored", "_negs",
+        "records", "trace", "top", "_least", "_scored", "_negs",
     )
 
     def __init__(
@@ -166,8 +165,6 @@ class _Search:
         self.thresholds = thresholds
         self.records: list[PatternRecord] = []
         self.trace = trace
-        self.nodes_visited = self.nodes_pruned = self.nodes_duplicate = self.nodes_dead = 0
-        self.row_scans = 0
         #: top[a], -1 until ``_top`` computes it
         self.top = [-1] * (n_case + 1)
         self._least: dict[int, int] = {}
@@ -182,7 +179,7 @@ class _Search:
         start, enabled = time.perf_counter(), gc.isenabled()
         gc.disable()
         try:
-            self.run(tuple(enumerate(rows)))
+            visited, pruned, duplicate, dead, scans = self.run(tuple(enumerate(rows)))
         finally:
             if enabled:
                 gc.enable()
@@ -195,14 +192,14 @@ class _Search:
                 f"closed pattern emitted twice: {itemsets[twice.index(True)]}")
         least = self._least_hopeful(1)
         stats = MineStats(
-            nodes_visited=self.nodes_visited,
-            nodes_pruned=self.nodes_pruned,
-            nodes_duplicate=self.nodes_duplicate,
+            nodes_visited=visited,
+            nodes_pruned=pruned,
+            nodes_duplicate=duplicate,
             patterns_emitted=len(records),
             wall_time_seconds=time.perf_counter() - start,
             min_case_support=least if least <= self.n_case else None,
-            nodes_dead=self.nodes_dead,
-            row_scans=self.row_scans,
+            nodes_dead=dead,
+            row_scans=scans,
         )
         return records, stats
 
@@ -212,8 +209,9 @@ class _Search:
         pos, neg = bit_positions(tids & self.case_mask), bit_positions(tids & self.control_mask)
         self.trace.append(TraceNode(pos, neg, items))
 
-    def run(self, rows) -> None:
-        """Search every root, the case children of the empty tidset, depth first.
+    def run(self, rows) -> tuple[int, int, int, int, int]:
+        """Search every root, the case children of the empty tidset, depth first;
+        return the nodes visited, pruned, duplicate and dead and the row scans.
 
         A node scans each child and updates ``free``, ``dom`` and ``dead`` from
         the scan; a child with children to scan starts from their old values,
@@ -225,8 +223,9 @@ class _Search:
         union = 0
         for _, r in rows:
             union |= r
-        tpos = a = tneg = dom = dead = ctl = scans = closed = pruned = dups = skipped = 0
-        free = self._case_phase(0, 0, union & case_mask, rows, 0)
+        tpos = a = tneg = dom = dead = ctl = scans = closed = dups = skipped = deads = 0
+        free = self._cut(0, 0, union & case_mask, rows)
+        pruned = (union & case_mask & ~free).bit_count()
         stack = []
         while True:
             if free:
@@ -264,7 +263,14 @@ class _Search:
                         b = node.bit_count()
                         kids = union & case_mask & ~node & (ebit - 1)
                         if kids:
-                            kids = self._case_phase(node, b, kids, sub, dom)
+                            kept = self._cut(node, b, kids, sub)
+                            if kept != kids:
+                                pruned += (kids ^ kept).bit_count()
+                            kids = kept & ~dom
+                            if kids != kept:
+                                skipped += (kept ^ kids).bit_count()
+                                if trace is not None:
+                                    log_each(node, kept ^ kids, sub)
                         if kids or union & control_mask:
                             stack.append((tpos, a, 0, rows, free, dom, after, ctl, dup))
                             tpos, a, rows, free, ctl = node, b, sub, kids, union & control_mask
@@ -293,14 +299,25 @@ class _Search:
                                 if trace is not None:
                                     log_each(tpos | node, kids, sub)
                             elif kids:
-                                kids = self._control_phase(tpos | node, kids, sub, dom, dead)
+                                gone = kids & dom
+                                if gone:
+                                    skipped += gone.bit_count()
+                                    if trace is not None:
+                                        log_each(tpos | node, gone, sub)
+                                    kids ^= gone
+                                gone = kids & dead
+                                if gone:
+                                    deads += gone.bit_count()
+                                    kids ^= gone
                                 if kids:
                                     stack.append((tpos, a, tneg, rows, free, dom, dead, 0, dup))
                                     tneg, rows, free = node, sub, kids
                                     continue
             elif ctl:  # case children done: open the control phase, whose verdicts read top[a]
                 if self._top(a):
-                    free = self._control_phase(tpos, ctl, rows, 0, dead)
+                    free = ctl & ~dead
+                    if free != ctl:
+                        deads += (ctl ^ free).bit_count()
                 else:
                     pruned += ctl.bit_count()
                     if trace is not None:
@@ -317,17 +334,13 @@ class _Search:
                 if trace is not None:
                     log_each(tpos | tneg, dup, rows)
                 dom |= dup
-        self.nodes_pruned += pruned
-        self.nodes_duplicate += skipped
         # a child is visited by its scan, and again by its closure, or unscanned when
-        # pruned or dominated: every pruned child and, so far, every duplicate is unscanned
-        self.nodes_visited = scans + closed + self.nodes_pruned + self.nodes_duplicate
-        self.nodes_duplicate += dups
-        self.row_scans = scans
+        # pruned or dominated: every pruned child and every skipped duplicate is unscanned
+        return scans + closed + pruned + skipped, pruned, skipped + dups, deads, scans
 
-    def _case_phase(self, tpos: int, a: int, free: int, rows, dom: int) -> int:
-        """Count unscanned the case children ``free`` of ``tpos`` (``a`` case tids) that
-        cannot reach the least hopeful case count, then those in ``dom``; return the rest."""
+    def _cut(self, tpos: int, a: int, free: int, rows) -> int:
+        """The case children ``free`` of ``tpos`` (``a`` case tids) that can reach the
+        least hopeful case count; the others are traced, for the caller to count."""
         k = self._least_hopeful(a + 1) - a
         if k > 1 and free:
             # a descendant of child t adds only tids of free below t, and each
@@ -341,32 +354,9 @@ class _Search:
                     for _ in drops:
                         x &= x - 1
                     kept |= x
-            if free != kept:
-                self.nodes_pruned += (free ^ kept).bit_count()
-                if self.trace is not None:
-                    self._log_each(tpos, free ^ kept, rows)
-                free = kept
-        gone = free & dom
-        if gone:
-            self.nodes_duplicate += gone.bit_count()
-            if self.trace is not None:
-                self._log_each(tpos, gone, rows)
-            free ^= gone
-        return free
-
-    def _control_phase(self, node: int, free: int, rows, dom: int, dead: int) -> int:
-        """Count unscanned the hopeful control children ``free`` of ``node`` that are in
-        ``dom`` as duplicates; drop ``dead``; return the rest."""
-        gone = free & dom
-        if gone:
-            self.nodes_duplicate += gone.bit_count()
-            if self.trace is not None:
-                self._log_each(node, gone, rows)
-            free ^= gone
-        gone = free & dead
-        if gone:
-            self.nodes_dead += gone.bit_count()
-            free ^= gone
+            if free != kept and self.trace is not None:
+                self._log_each(tpos, free ^ kept, rows)
+            return kept
         return free
 
     def _log_each(self, node: int, tids: int, rows) -> None:

@@ -5,13 +5,14 @@ Usage: python tests/reader_cases.py
 Writes each case's input files to a temporary directory, runs its command in
 this interpreter and prints one JSON object that maps each case to its exit
 code, the sha256 digests of its stderr and stdout, and the digest of each file
-the command wrote. The directory's path is replaced by ``<dir>`` first, in the
-command and in what it gives, and the timings in a ``--stats`` file are
-masked. A case named in ``CHILDREN`` runs instead in a child of this
-interpreter that ``/bin/sh`` starts with stdout or stderr closed or
-read-only, or with another stdout encoding. It needs only the standard
-library, ``/bin/sh`` and the ``src`` tree beside it, so that each CPython the
-package supports can run it and the runs can be compared byte for byte.
+the command wrote, an input file whose bytes it changed included. The
+directory's path is replaced by ``<dir>`` first, in the command and in what it
+gives, and the timings in a ``--stats`` file are masked. A case named in
+``CHILDREN`` runs instead in a child of this interpreter that ``/bin/sh``
+starts with stdout or stderr closed or read-only, with stdin a pipe, or with
+another stdout encoding. It needs only the standard library, ``/bin/sh`` and
+the ``src`` tree beside it, so that each CPython the package supports can run
+it and the runs can be compared byte for byte.
 
 The reader cases put their faults next to the boundary of the readers' first
 piece (``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and
@@ -19,8 +20,9 @@ without a byte order mark; a CRLF or a lone CR split across it; a quote or
 NUL only near the end; an unclosed quote at the end; lines longer than csv's
 field limit; and inputs with two faults, where the one that reading the whole
 input first finds first must be reported. The output cases write files, or
-are refused before they write any, or write to a stdout or stderr that is
-closed or cannot encode what they write.
+are refused before they write any, as when an output names an input file by
+its path or through a link, or write to a stdout or stderr that is closed or
+cannot encode what they write.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from typing import Callable, Union
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,8 +55,15 @@ def _pad(n: int) -> bytes:
     return b"#" + b"x" * (n - 2) + b"\n"
 
 
-#: A command, with ``<dir>`` for the case's directory, and its input files by name.
-Case = tuple[list[str], dict[str, bytes]]
+#: An input file that names another of the case's files: ``os.link`` or
+#: ``os.symlink``, and that file's name.
+Link = tuple[Callable[[str, str], None], str]
+
+#: Input files by name.
+Files = dict[str, Union[bytes, Link]]
+
+#: A command, with ``<dir>`` for the case's directory, and its input files.
+Case = tuple[list[str], Files]
 
 #: The shell command that starts a case's child, ``"$@"``, by the case's name.
 CHILDREN = {
@@ -62,6 +72,7 @@ CHILDREN = {
     "mine stderr closed, no input": 'exec "$@" 2>&-',
     "mine stderr read-only, no input": 'exec "$@" 2</dev/null',
     "mine ascii stdout, non-ascii item": 'PYTHONIOENCODING=ascii exec "$@"',
+    "mine stdin input to stdout": f"printf '%s' '{TABLE.decode()}' | exec \"$@\"",
 }
 
 #: ``main(argv)`` in a fresh interpreter that imports the package from ``src``;
@@ -156,18 +167,36 @@ def output_cases() -> dict[str, Case]:
         "mine stderr closed, no input": (["mine", "--input", "<dir>/none.tct"], {}),
         "mine stderr read-only, no input": (["mine", "--input", "<dir>/none.tct"], {}),
         "mine ascii stdout, non-ascii item": tct("1 a é\n0 é\n".encode()),
+        "mine output naming the input": tct(TABLE, "--output", "<dir>/in.tct"),
+        "mine output naming a hard link to the input": (
+            ["mine", "--input", "<dir>/in.tct", "--output", "<dir>/hard.tct"],
+            {"in.tct": TABLE, "hard.tct": (os.link, "in.tct")}),
+        "mine output naming a symlink to the input": (
+            ["mine", "--input", "<dir>/in.tct", "--output", "<dir>/soft.tct"],
+            {"in.tct": TABLE, "soft.tct": (os.symlink, "in.tct")}),
+        "mine stats naming the input": tct(
+            TABLE, "--output", "<dir>/o.csv", "--stats", "<dir>/in.tct"),
+        "oracle output naming the input": (
+            ["oracle", "--input", "<dir>/in.tct", "--output", "<dir>/in.tct"], {"in.tct": TABLE}),
+        "filter-genotypes report naming the labels": geno(
+            HEADER + ROWS, LABELS, "--output", "<dir>/f.tct", "--report", "<dir>/l.csv"),
+        "mine stdin input to stdout": (["mine", "--input", "/dev/stdin", "--output", "-"], {}),
     }
 
 
-def execute(argv: list[str], files: dict[str, bytes], shell: str | None = None
+def execute(argv: list[str], files: Files, shell: str | None = None
             ) -> tuple[int, bytes, bytes, dict[str, bytes]]:
     """Exit code, stderr, stdout and the files written of one case, run in this
     interpreter or, given ``shell``, in ``CHILD`` started by it; the case's
     directory reads as ``<dir>`` in each."""
     with tempfile.TemporaryDirectory() as where:
         for name, data in files.items():
-            with open(os.path.join(where, name), "wb") as fh:
-                fh.write(data)
+            if isinstance(data, bytes):
+                with open(os.path.join(where, name), "wb") as fh:
+                    fh.write(data)
+            else:
+                make, target = data
+                make(os.path.join(where, target), os.path.join(where, name))
         argv = [arg.replace("<dir>", where) for arg in argv]
         if shell is None:
             from sigpat.cli import main
@@ -183,9 +212,13 @@ def execute(argv: list[str], files: dict[str, bytes], shell: str | None = None
                                   capture_output=True, timeout=60)
             rc, streams = done.returncode, [done.stderr, done.stdout]
         written = {}
-        for name in sorted(set(os.listdir(where)) - files.keys()):
+        for name in sorted(os.listdir(where)):
+            if isinstance(files.get(name), tuple):
+                continue  # a link: the file it names is listed if it changed
             with open(os.path.join(where, name), "rb") as fh:
-                written[name] = fh.read()
+                data = fh.read()
+            if data != files.get(name):
+                written[name] = data
     here = where.encode()
     err, out = (data.replace(here, b"<dir>") for data in streams)
     return rc, err, out, {name: data.replace(here, b"<dir>") for name, data in written.items()}
@@ -196,7 +229,7 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(TIMING.sub(rb"\1<time>", data)).hexdigest()
 
 
-def run_case(argv: list[str], files: dict[str, bytes], shell: str | None = None) -> list:
+def run_case(argv: list[str], files: Files, shell: str | None = None) -> list:
     """``[exit code, stderr digest, stdout digest, {written file: digest}]`` of one case."""
     rc, err, out, written = execute(argv, files, shell)
     return [rc, digest(err), digest(out), {name: digest(data) for name, data in written.items()}]

@@ -144,16 +144,21 @@ class ReferenceSearch(_Search):
     Each child is scanned, or counted, where the engine traces it: cut,
     pruned and already dominated children before the others, and a child
     that a sibling's rows show dominated right after that sibling's subtree.
-    The search recurses, one call per child, where the engine loops; its
-    ``row_scans`` counts every child it scans, so it exceeds the engine's
-    whenever the engine skips a scan.
+    The search recurses, one call per child, where the engine loops, so it
+    keeps its own counters on the instance and ``run`` returns them as the
+    engine's ``run`` does. Its ``row_scans`` counts every child it scans, so
+    it exceeds the engine's whenever the engine skips a scan.
     """
 
-    def run(self, rows) -> None:
+    def run(self, rows) -> tuple[int, int, int, int, int]:
+        self.nodes_visited = self.nodes_pruned = self.nodes_duplicate = self.nodes_dead = 0
+        self.row_scans = 0
         union = 0
         for _, r in rows:
             union |= r
         self._case_children(0, 0, union & self.case_mask, rows, 0, 0)
+        return (self.nodes_visited, self.nodes_pruned, self.nodes_duplicate, self.nodes_dead,
+                self.row_scans)
 
     def _hopeless(self, a: int, c: int) -> bool:
         n1, n2 = self.n_case, self.n_control

@@ -2,7 +2,8 @@
 
 Every test prints one ``ACCEPTANCE n (label): PASS|FAIL`` line on the live
 terminal so a full run reads as a checklist. Numeric tolerances are pinned
-here and nowhere else; the functional tests next door pin exact values.
+here and nowhere else; the functional tests next door pin exact values, and
+so does criterion 7 for the search counters of the dataset it mines anyway.
 """
 
 import math
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from sigpat import Thresholds, TraceNode, mine, mine_oracle
+from sigpat import MineStats, Thresholds, TraceNode, mine, mine_oracle
 from sigpat.cli import main
 from sigpat.dataset import generate_synthetic
 from sigpat.measures import ContingencyTable, confidence_intervals, discriminance
@@ -191,6 +192,14 @@ def test_06_score_monotonicity_grid(report):
     report(6, "score monotonicity grid with exact exception set", ok)
 
 
+#: Every ``MineStats`` field of criterion 7's two runs but the time, so that a
+#: change to the search that changes its work shows as a failure here.
+COUNTERS_7 = {
+    "broad": MineStats(17_340_524, 11_036_818, 4_174_130, 550_136, 0.0, 2, 6_253_441, 2_060_877),
+    "narrow": MineStats(2_020_970, 1_845_957, 126_636, 5, 0.0, 13, 1_433, 90_991),
+}
+
+
 def test_07_threshold_workload_trend(report):
     dataset = generate_synthetic(50, 50, 262, 0.33, seed=42)
     start = time.perf_counter()
@@ -205,6 +214,8 @@ def test_07_threshold_workload_trend(report):
         and narrow_stats.nodes_visited < broad_stats.nodes_visited
         and broad_time < 300.0
         and narrow_time < 300.0
+        and {"broad": broad_stats._replace(wall_time_seconds=0.0),
+             "narrow": narrow_stats._replace(wall_time_seconds=0.0)} == COUNTERS_7
     )
     report(
         7,

@@ -1,5 +1,6 @@
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,75 @@ def test_two_outputs_naming_one_file_are_a_usage_error(table1_path, tmp_path, ca
     rc = run(capsys, "mine", "--input", str(table1_path), "--output", os.devnull,
              "--stats", os.devnull)
     assert rc == (0, "", "")
+
+
+def test_an_output_naming_an_input_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # writing over a file being read destroys it: an output that names the
+    # --input or --labels file, under any name, is refused before anything is
+    # read, and every input keeps its bytes
+    data, matrix, labels = tmp_path / "in.tct", tmp_path / "m.csv", tmp_path / "l.csv"
+    data.write_bytes(reader_cases.TABLE)
+    matrix.write_text(GENO_MATRIX, encoding="utf-8")
+    labels.write_text(GENO_LABELS, encoding="utf-8")
+    (tmp_path / "soft.tct").symlink_to(data)
+    os.link(data, tmp_path / "hard.tct")
+    before = {path: path.read_bytes() for path in (data, matrix, labels)}
+
+    def refuse(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr("sigpat.cli.load_transactions", refuse)
+    monkeypatch.setattr("sigpat.cli.load_genotype_matrix", refuse)
+    mine, geno = ("mine", "--input", str(data)), ("--input", str(matrix), "--labels", str(labels))
+    cases = [
+        (mine, "--input", "--output", str(data)),
+        (mine, "--input", "--output", f"{tmp_path}/../{tmp_path.name}/in.tct"),
+        (mine, "--input", "--output", str(tmp_path / "hard.tct")),
+        (mine, "--input", "--output", str(tmp_path / "soft.tct")),
+        ((*mine, "--output", os.devnull), "--input", "--stats", str(data)),
+        (("oracle", "--input", str(data)), "--input", "--output", str(data)),
+        (("mine", "--format", "genotype", *geno), "--labels", "--output", str(labels)),
+        (("filter-genotypes", *geno), "--input", "--output", str(matrix)),
+        (("filter-genotypes", *geno, "--output", os.devnull), "--labels", "--report", str(labels)),
+    ]
+    for argv, source, flag, path in cases:
+        message = f"error: {source} and {flag} name the same file: {path}\n"
+        assert run(capsys, *argv, flag, path) == (1, "", message), argv
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hard.tct", "in.tct", "l.csv", "m.csv", "soft.tct"]
+
+
+def test_a_terminal_may_be_input_and_output(table1_path, capsys):
+    # stdin and stdout on one terminal are one file, but not a regular one:
+    # what is read from it is not what is written to it
+    rc, rows, _ = run(capsys, "mine", "--input", str(table1_path))
+    assert rc == 0
+    master, terminal = os.openpty()
+    child = subprocess.Popen([*CHILD, "mine", "--input", "/dev/stdin", "--output", "-"],
+                             stdin=terminal, stdout=terminal, stderr=subprocess.PIPE)
+    os.close(terminal)
+    try:
+        # each ^D at the start of a line ends one read; the reader reads until one is empty
+        os.write(master, table1_path.read_bytes() + b"\x04\x04")
+        shown = b""
+        while select.select([master], [], [], 30)[0]:
+            try:
+                data = os.read(master, 4096)
+            except OSError:  # EIO: the child closed the terminal
+                break
+            if not data:
+                break
+            shown += data
+        assert child.wait(timeout=30) == 0
+        assert child.stderr.read() == b""
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+        os.close(master)
+    # the terminal echoes the input, then shows the rows
+    assert shown.replace(b"\r\n", b"\n") == table1_path.read_bytes() + rows.encode()
 
 
 def test_stdout_under_another_name_is_a_usage_error(table1_path, tmp_path):

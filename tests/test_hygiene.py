@@ -228,53 +228,70 @@ def test_stray_gc_detects_and_allows():
     ]
 
 
-def counters_set_in_the_loop(tree: ast.Module) -> list[str]:
-    """Assignments to a ``self.nodes_*`` or ``self.row_scans`` attribute inside a
-    ``while`` loop of the method ``_Search.run``, by line.
+def _is_counter(name: str) -> bool:
+    return name.startswith("nodes_") or name == "row_scans"
 
-    The loop counts in local variables and the counters are stored once, after
-    it, so that a search stopped early leaves through that one exit."""
+
+def counters_on_self(tree: ast.Module) -> list[str]:
+    """Stores to a ``self.nodes_*`` or ``self.row_scans`` attribute, and such
+    names in a ``__slots__``, by line.
+
+    ``_Search.run`` counts every child in local variables and returns the
+    counts from its one exit, so that a search stopped early leaves with
+    every count right: no method keeps a count on the instance."""
     found = set()
-    for loop, where in scoped_nodes(tree):
-        if where == "_Search.run" and isinstance(loop, ast.While):
-            for node in ast.walk(loop):
-                if (
-                    isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name) and node.value.id == "self"
-                    and (node.attr.startswith("nodes_") or node.attr == "row_scans")
-                ):
-                    found.add((node.lineno, f"line {node.lineno}: self.{node.attr}"))
+    for node, where in scoped_nodes(tree):
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and _is_counter(node.attr)
+        ):
+            found.add((node.lineno, f"line {node.lineno}: self.{node.attr} in {where}"))
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+            for entry in ast.walk(node.value):
+                if isinstance(entry, ast.Constant) and _is_counter(str(entry.value)):
+                    text = f"line {entry.lineno}: {where}.__slots__ {entry.value}"
+                    found.add((entry.lineno, text))
     return [text for _, text in sorted(found)]
 
 
-def test_search_loop_stores_its_counters_after_it():
+def test_search_keeps_its_counters_in_locals():
     tree = ast.parse((ROOT / "src" / "sigpat" / "miner.py").read_text(encoding="utf-8"))
-    assert counters_set_in_the_loop(tree) == []
+    assert counters_on_self(tree) == []
 
 
-def test_counters_set_in_the_loop_detects_and_allows():
+def test_counters_on_self_detects_and_allows():
     tree = ast.parse(
         "class _Search:\n"
+        "    __slots__ = (\"top\", \"nodes_visited\",\n"
+        "                 \"row_scans\")\n"
         "    def run(self):\n"
-        "        scans = 0\n"
+        "        scans = nodes_dead = 0\n"
         "        while True:\n"
-        "            self.nodes_visited += 1\n"
         "            scans, self.row_scans = 1, 2\n"
-        "            while scans:\n"
-        "                self.nodes_dead: int = 3\n"
-        "            self.top = self.nodes_pruned\n"
-        "        self.nodes_visited += scans\n"
-        "        self.row_scans = scans\n"
-        "    def _case_phase(self):\n"
-        "        while True:\n"
-        "            self.nodes_pruned += 1\n"
+        "        self.top = self.nodes_pruned\n"
+        "        return scans, other.nodes_dead\n"
+        "    def _case_phase(self, free):\n"
+        "        self.nodes_pruned += free.bit_count()\n"
+        "        self.nodes_dead: int = 3\n"
+        "        other.nodes_dead = 4\n"
         "class Other:\n"
-        "    def run(self):\n"
-        "        while True:\n"
-        "            self.nodes_visited += 1\n"
+        "    __slots__: tuple = ('nodes_dead',)\n"
+        "    row_scans = 0\n"
     )
-    assert counters_set_in_the_loop(tree) == [
-        "line 5: self.nodes_visited", "line 6: self.row_scans", "line 8: self.nodes_dead",
+    assert counters_on_self(tree) == [
+        "line 2: _Search.__slots__ nodes_visited",
+        "line 3: _Search.__slots__ row_scans",
+        "line 7: self.row_scans in _Search.run",
+        "line 11: self.nodes_pruned in _Search._case_phase",
+        "line 12: self.nodes_dead in _Search._case_phase",
+        "line 15: Other.__slots__ nodes_dead",
     ]
 
 
