@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import io
 import itertools
 import os
 import random
@@ -56,23 +57,26 @@ def _source_name(source: Source) -> str:
     return str(source) if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "input")
 
 
-#: Bytes or characters read from an input at a time.
+#: The most bytes or characters read from an input at a time.
 _CHUNK = 65_536
 
 
 def _read_text(source: Source) -> Iterator[str]:
     """The input as text, a piece at a time: UTF-8 less one leading byte order mark, CRLF
     and CR read as LF. A path is read as bytes, as a byte stream is; a stream is read to
-    its end with ``read(_CHUNK)`` and left open. No other function opens a file."""
+    its end with ``read1(_CHUNK)``, or ``read(_CHUNK)`` if it has none, and left open. No
+    other function opens a file."""
     path = isinstance(source, (str, os.PathLike))
     with open(source, "rb") if path else contextlib.nullcontext(source) as fh:
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        fed, lead, cr = 0, "", ""  # lead: the first character of the text, once read
+        read = getattr(fh, "read1", fh.read)  # one raw read a piece: one ^D ends a terminal
+        utf8 = codecs.getincrementaldecoder("utf-8")()
+        newlines = io.IncrementalNewlineDecoder(None, translate=True)
+        fed, lead = 0, ""  # lead: the first character of the text, once read
         while True:
-            data = fh.read(_CHUNK)
+            data = read(_CHUNK)
             fed += len(data)
             try:
-                text = data if isinstance(data, str) else decoder.decode(data, not data)
+                text = data if isinstance(data, str) else utf8.decode(data, not data)
             except UnicodeDecodeError as exc:
                 # a whole-input decode's position, after the BOM; until there is text,
                 # exc.object starts where the input starts
@@ -84,11 +88,7 @@ def _read_text(source: Source) -> Iterator[str]:
                                          f"codec can't decode {where}: {exc.reason})") from None
             if text and not lead:
                 lead, text = text[0], text.removeprefix("\ufeff")
-            text, cr = cr + text, ""
-            if data and text.endswith("\r"):  # its LF may start the next piece
-                text, cr = text[:-1], "\r"
-            # most input has no CR: "\r" in text takes ~1 us a piece, the "\r\n" scan ~75 us
-            yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+            yield newlines.decode(text, not data)
             if not data:
                 return
 

@@ -203,29 +203,34 @@ class _Search:
         )
         return records, stats
 
-    def _log(self, tids: int, rows, bit: int) -> None:
-        """Trace the node ``tids``, whose rows are those of ``rows`` holding ``bit``."""
-        items = tuple(i for i, r in rows if r & bit)
-        pos, neg = bit_positions(tids & self.case_mask), bit_positions(tids & self.control_mask)
-        self.trace.append(TraceNode(pos, neg, items))
+    def _log(self, node: int, tids: int, rows) -> None:
+        """Trace, from the highest tid down, each child adding one tid t of ``tids`` to
+        ``node``, with the items of the rows of ``rows`` that hold t."""
+        masks = self.case_mask, self.control_mask
+        for t in reversed(bit_positions(tids)):
+            bit = 1 << t
+            pos, neg = (bit_positions((node | bit) & mask) for mask in masks)
+            self.trace.append(TraceNode(pos, neg, tuple(i for i, r in rows if r & bit)))
 
     def run(self, rows) -> tuple[int, int, int, int, int]:
         """Search every root, the case children of the empty tidset, depth first;
         return the nodes visited, pruned, duplicate and dead and the row scans.
 
-        A node scans each child and updates ``free``, ``dom`` and ``dead`` from
-        the scan; a child with children to scan starts from their old values,
-        with the node pushed on ``stack``. ``ctl`` holds a case node's control
-        children until its case children are done.
+        A node scans each child and updates ``free``, ``dom`` and ``dead`` from the scan;
+        a child with children to scan starts from their old values, with the node pushed
+        on ``stack``. ``ctl`` holds a case node's control children until its case children
+        are done. Each child is counted and traced here, one that ``_cut`` drops too.
         """
         n_case, case_mask, control_mask = self.n_case, self.case_mask, self.control_mask
-        trace, log, log_each, top = self.trace, self._log, self._log_each, self.top
+        trace, log, top = self.trace, self._log, self.top
         union = 0
         for _, r in rows:
             union |= r
         tpos = a = tneg = dom = dead = ctl = scans = closed = dups = skipped = deads = 0
-        free = self._cut(0, 0, union & case_mask, rows)
+        free = self._cut(0, union & case_mask, rows)
         pruned = (union & case_mask & ~free).bit_count()
+        if trace is not None:
+            log(0, union & case_mask & ~free, rows)
         stack = []
         while True:
             if free:
@@ -250,7 +255,7 @@ class _Search:
                     after = dead | control_mask & ~out
                     node = tpos | ebit
                     if trace is not None:
-                        log(node, sub, ebit)
+                        log(tpos, ebit, sub)
                     ext = inter & case_mask & ~node
                     if ext >= ebit:
                         dups += 1  # the closure reaches a tid >= e
@@ -259,18 +264,20 @@ class _Search:
                             node |= ext
                             closed += 1
                             if trace is not None:
-                                log(node, sub, ebit)
+                                log(node, ebit, sub)
                         b = node.bit_count()
                         kids = union & case_mask & ~node & (ebit - 1)
                         if kids:
-                            kept = self._cut(node, b, kids, sub)
+                            kept = self._cut(b, kids, sub)
                             if kept != kids:
                                 pruned += (kids ^ kept).bit_count()
+                                if trace is not None:
+                                    log(node, kids ^ kept, sub)
                             kids = kept & ~dom
                             if kids != kept:
                                 skipped += (kept ^ kids).bit_count()
                                 if trace is not None:
-                                    log_each(node, kept ^ kids, sub)
+                                    log(node, kept ^ kids, sub)
                         if kids or union & control_mask:
                             stack.append((tpos, a, 0, rows, free, dom, after, ctl, dup))
                             tpos, a, rows, free, ctl = node, b, sub, kids, union & control_mask
@@ -279,7 +286,7 @@ class _Search:
                 else:
                     node = tneg | ebit
                     if trace is not None:
-                        log(tpos | node, sub, ebit)
+                        log(tpos | tneg, ebit, sub)
                     ext = inter & control_mask & ~node
                     if ext >= ebit:
                         dups += 1
@@ -288,7 +295,7 @@ class _Search:
                             node |= ext
                             closed += 1
                             if trace is not None:
-                                log(tpos | node, sub, ebit)
+                                log(tpos | node, ebit, sub)
                         if inter & case_mask == tpos:  # else no descendant is case-closed
                             k = node.bit_count()
                             if k <= top[a]:  # else the node's table fails
@@ -297,13 +304,13 @@ class _Search:
                             if kids and k >= top[a]:  # every control child is hopeless
                                 pruned += kids.bit_count()
                                 if trace is not None:
-                                    log_each(tpos | node, kids, sub)
+                                    log(tpos | node, kids, sub)
                             elif kids:
                                 gone = kids & dom
                                 if gone:
                                     skipped += gone.bit_count()
                                     if trace is not None:
-                                        log_each(tpos | node, gone, sub)
+                                        log(tpos | node, gone, sub)
                                     kids ^= gone
                                 gone = kids & dead
                                 if gone:
@@ -321,7 +328,7 @@ class _Search:
                 else:
                     pruned += ctl.bit_count()
                     if trace is not None:
-                        log_each(tpos, ctl, rows)
+                        log(tpos, ctl, rows)
                 dom = ctl = 0
                 continue
             elif stack:
@@ -332,15 +339,15 @@ class _Search:
             if dup:
                 skipped += dup.bit_count()
                 if trace is not None:
-                    log_each(tpos | tneg, dup, rows)
+                    log(tpos | tneg, dup, rows)
                 dom |= dup
         # a child is visited by its scan, and again by its closure, or unscanned when
         # pruned or dominated: every pruned child and every skipped duplicate is unscanned
         return scans + closed + pruned + skipped, pruned, skipped + dups, deads, scans
 
-    def _cut(self, tpos: int, a: int, free: int, rows) -> int:
-        """The case children ``free`` of ``tpos`` (``a`` case tids) that can reach the
-        least hopeful case count; the others are traced, for the caller to count."""
+    def _cut(self, a: int, free: int, rows) -> int:
+        """The case children ``free`` of a node with ``a`` case tids that can reach the
+        least hopeful case count; the caller counts and traces the others."""
         k = self._least_hopeful(a + 1) - a
         if k > 1 and free:
             # a descendant of child t adds only tids of free below t, and each
@@ -354,16 +361,8 @@ class _Search:
                     for _ in drops:
                         x &= x - 1
                     kept |= x
-            if free != kept and self.trace is not None:
-                self._log_each(tpos, free ^ kept, rows)
             return kept
         return free
-
-    def _log_each(self, node: int, tids: int, rows) -> None:
-        """Trace, from the highest tid down, the children adding one tid of ``tids``
-        to ``node`` that are counted without a row scan."""
-        for t in reversed(bit_positions(tids)):
-            self._log(node | 1 << t, rows, 1 << t)
 
     def _top(self, a: int) -> int:
         """``top[a]``: the largest control count whose table with a case tids passes, or 0."""

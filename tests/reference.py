@@ -186,7 +186,7 @@ class ReferenceSearch(_Search):
         tpos |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos, sub, ebit)
+            self._log(tpos, ebit, sub)
         ext = inter & self.case_mask & ~tpos
         if ext:
             if ext >= ebit:
@@ -195,7 +195,7 @@ class ReferenceSearch(_Search):
             tpos |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos, sub, ebit)
+                self._log(tpos, ebit, sub)
         a = tpos.bit_count()
         free = union & self.case_mask & ~tpos & (ebit - 1)
         dead = self._case_children(tpos, a, free, sub, dom, dead)
@@ -213,7 +213,7 @@ class ReferenceSearch(_Search):
             self.nodes_visited += 1
             self.nodes_pruned += 1
             if self.trace is not None:
-                self._log(tpos | 1 << t, rows, 1 << t)
+                self._log(tpos, 1 << t, rows)
         for t in reversed(bit_positions(kept & dom)):
             self.expand_case(tpos, t, rows, dom, dead)
         todo = kept & ~dom
@@ -246,7 +246,7 @@ class ReferenceSearch(_Search):
         tneg |= ebit
         self.nodes_visited += 1
         if self.trace is not None:
-            self._log(tpos | tneg, sub, ebit)
+            self._log(tpos | tneg, ebit, sub)
         ext = inter & self.control_mask & ~tneg
         if ext:
             if ext >= ebit:
@@ -255,7 +255,7 @@ class ReferenceSearch(_Search):
             tneg |= ext
             self.nodes_visited += 1
             if self.trace is not None:
-                self._log(tpos | tneg, sub, ebit)
+                self._log(tpos | tneg, ebit, sub)
         if inter & self.case_mask != tpos:
             return  # every descendant keeps the extra case tid
         self._emit(tpos, tneg, a, tneg.bit_count(), sub)
@@ -268,7 +268,7 @@ class ReferenceSearch(_Search):
                 self.nodes_visited += 1
                 self.nodes_pruned += 1
                 if self.trace is not None:
-                    self._log(tpos | tneg | 1 << t, rows, 1 << t)
+                    self._log(tpos | tneg, 1 << t, rows)
             return
         for t in reversed(bit_positions(free & dom)):
             self.expand_control(tpos, a, tneg, t, rows, dom, dead)

@@ -294,8 +294,9 @@ def test_a_terminal_may_be_input_and_output(table1_path, capsys):
                              stdin=terminal, stdout=terminal, stderr=subprocess.PIPE)
     os.close(terminal)
     try:
-        # each ^D at the start of a line ends one read; the reader reads until one is empty
-        os.write(master, table1_path.read_bytes() + b"\x04\x04")
+        # a ^D at the start of a line ends one read of the terminal with nothing, and
+        # the reader takes each piece with one read1, so one ^D ends the input
+        os.write(master, table1_path.read_bytes() + b"\x04")
         shown = b""
         while select.select([master], [], [], 30)[0]:
             try:

@@ -295,6 +295,41 @@ def test_counters_on_self_detects_and_allows():
     ]
 
 
+def carriage_returns(tree: ast.Module) -> list[str]:
+    """``str`` constants that hold a CR, by line.
+
+    ``dataset._read_text`` reads CRLF and CR as LF through one
+    ``io.IncrementalNewlineDecoder``, so no code of the package handles a CR itself."""
+    found = {
+        (node.lineno, f"line {node.lineno}: {node.value!r}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\r" in node.value
+    }
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_translates_line_ends_in_one_place(path):
+    assert carriage_returns(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_carriage_returns_detects_and_allows():
+    # the shape of the reader's own CR rule before it used the decoder
+    tree = ast.parse(
+        "def _read_text(fh):\n"
+        "    text, cr = fh.read(), ''  # '\\r' in a comment is no constant\n"
+        "    if text.endswith('\\r'):\n"
+        "        text, cr = text[:-1], '\\r'\n"
+        "    return text.replace('\\r\\n', '\\n') if '\\r' in text else text\n"
+        "CR, LF = b'\\r', '\\n'\n"
+        "END = f'{LF}\\r'\n"
+    )
+    assert carriage_returns(tree) == [
+        "line 3: '\\r'", "line 4: '\\r'", "line 5: '\\r'", "line 5: '\\r\\n'",
+        "line 7: '\\r'",
+    ]
+
+
 #: The one function of a module that may isolate a lowest set bit, ``m & -m``,
 #: so that every walk over the set bits of a mask is one walk.
 BIT_WALKERS = {"dataset": "bit_positions"}

@@ -10,6 +10,7 @@ import platform
 import random
 import re
 import subprocess
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -94,24 +95,43 @@ def streamed(load, *sources, chunk: int):
         return outcome(load, *sources)
 
 
-def streams(files: tuple[bytes, ...], as_text: bool):
-    """Fresh streams of ``files``: bytes, or text holding its CRs."""
-    if as_text:
-        return [io.StringIO(data.decode("utf-8", "replace"), newline="") for data in files]
-    return [io.BytesIO(data) for data in files]
+#: The kinds of stream that ``opener`` makes.
+KINDS = ["bytes", "text", "raw"]
+
+
+@contextlib.contextmanager
+def opener(files: tuple[bytes, ...], kind: str):
+    """A function giving fresh streams of ``files``: bytes, text holding its CRs,
+    or raw files of one temporary folder, which have no ``read1``; all are closed
+    at the exit."""
+    with contextlib.ExitStack() as stack:
+        folder = stack.enter_context(tempfile.TemporaryDirectory())
+        paths = [os.path.join(folder, str(k)) for k in range(len(files))]
+        for path, data in zip(paths, files):
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+        def streams() -> list:
+            if kind == "bytes":
+                return [io.BytesIO(data) for data in files]
+            if kind == "text":
+                return [io.StringIO(data.decode("utf-8", "replace"), newline="") for data in files]
+            return [stack.enter_context(open(path, "rb", buffering=0)) for path in paths]
+
+        yield streams
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(
     st.tuples(st.just(load_transactions), transaction_files()),
     st.tuples(st.just(load_genotype_matrix), genotype_files()),
-), st.booleans())
-def test_streamed_reading_matches_whole_input_reading(case, as_text):
+), st.sampled_from(KINDS))
+def test_streamed_reading_matches_whole_input_reading(case, kind):
     load, files = case
-    with field_limit(40):
-        expected = whole(load, *streams(files, as_text))
+    with field_limit(40), opener(files, kind) as streams:
+        expected = whole(load, *streams())
         for chunk in CHUNKS:
-            assert streamed(load, *streams(files, as_text), chunk=chunk) == expected, chunk
+            assert streamed(load, *streams(), chunk=chunk) == expected, chunk
 
 
 @pytest.mark.parametrize("name", list(reader_cases.cases()))
@@ -151,25 +171,32 @@ def test_decoding_errors_give_the_whole_input_position(tmp_path):
 
 
 def test_one_byte_order_mark_is_dropped(tmp_path):
-    # from the first text of a path, a byte stream and a text stream alike; a
-    # second one is a character of the first line
+    # from the first text of a path and of each kind of stream alike; a second
+    # one is a character of the first line
     data = reader_cases.cases()["tct two boms"][1]["in.tct"]
     path = tmp_path / "in.tct"
     path.write_bytes(data)
+    message = "line 1: label must be 0 or 1, got '\\ufeff1'"
     for chunk in CHUNKS:
-        for source in (path, *streams((data,), False), *streams((data,), True)):
-            assert streamed(load_transactions, source, chunk=chunk) == (
-                "line 1: label must be 0 or 1, got '\\ufeff1'"), (chunk, source)
+        assert streamed(load_transactions, path, chunk=chunk) == message, chunk
+        for kind in KINDS:
+            with opener((data,), kind) as streams:
+                got = streamed(load_transactions, *streams(), chunk=chunk)
+                assert got == message, (chunk, kind)
 
 
 def test_line_ends_split_across_pieces(tmp_path):
-    # a CRLF split between two pieces is one line end, as is a lone CR
+    # a CRLF split between two pieces is one line end, as is a lone CR, read
+    # from a path or from a raw file, which has no read1
     named = reader_cases.cases()
     for name in ("tct crlf across pieces", "tct cr across pieces"):
         path = tmp_path / "in.tct"
         path.write_bytes(named[name][1]["in.tct"])
-        with pytest.raises(DatasetFormatError, match="^line 6: label must be 0 or 1, got '7'$"):
-            load_transactions(path)
+        with open(path, "rb", buffering=0) as raw:
+            for source in (path, raw):
+                with pytest.raises(DatasetFormatError,
+                                   match="^line 6: label must be 0 or 1, got '7'$"):
+                    load_transactions(source)
 
 
 def run(capsys, *argv):
