@@ -341,47 +341,43 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     _validate_fraction(args.max_pvalue, "--max-pvalue")
     _validate_fraction(args.max_control_support, "--max-control-support")
     _check_outputs(args, "output", "report")
-    dataset = load_genotype_matrix(args.input, args.labels)
-    if dataset.n_control < 1:
-        raise DatasetFormatError("no control individuals; control support is undefined")
-    case_mask, control_mask = dataset.case_mask, dataset.control_mask
-    # An item's p-value, control support and verdict follow from its case
-    # and control counts alone, so each (a, c) is decided once.
-    decided: dict[tuple[int, int], tuple[bool, str]] = {}
-    kept_ids: list[int] = []
+    # An item's p-value, control support and verdict follow from its 2x2 counts
+    # alone, so each table is decided once; its report columns are shared.
+    decided: dict[tuple[int, int, int, int], tuple[bool, str]] = {}
+    snps: list[str] = []
     report_cols: list[str] = []
-    for i, row in enumerate(dataset.rows):
-        key = ((row & case_mask).bit_count(), (row & control_mask).bit_count())
-        verdict = decided.get(key)
+
+    def keep(snp: str, value: int, table: tuple[int, int, int, int]) -> bool:
+        if not value:
+            snps.append(snp)
+        verdict = decided.get(table)
         if verdict is None:
-            a, c = key
-            pvalue = association_pvalue(
-                ContingencyTable(a, dataset.n_case - a, c, dataset.n_control - c)
-            )
-            control_support = c / dataset.n_control
+            c, d = table[2:]
+            if not c + d:  # no controls: the run is refused once the whole matrix is read
+                return False
+            pvalue = association_pvalue(ContingencyTable(*table))
+            control_support = c / (c + d)
             kept = (args.max_pvalue is None or pvalue <= args.max_pvalue) and (
-                args.max_control_support is None
-                or control_support <= args.max_control_support
-            )
+                args.max_control_support is None or control_support <= args.max_control_support)
             cols = f",{_fmt(pvalue)},{_fmt(control_support)},{'true' if kept else 'false'}\n"
-            verdict = decided[key] = (kept, cols)
-        if verdict[0]:
-            kept_ids.append(i)
+            verdict = decided[table] = (kept, cols)
         report_cols.append(verdict[1])
-    filtered = TwoClassDataset(
-        tuple(dataset.items[i] for i in kept_ids), dataset.n_case, dataset.n_control,
-        tuple(dataset.rows[i] for i in kept_ids), dataset.external_ids,
-    )
+        return verdict[0]
+
+    filtered = load_genotype_matrix(args.input, args.labels, keep)
+    if filtered.n_control < 1:
+        raise DatasetFormatError("no control individuals; control support is undefined")
     text = dump_transactions(filtered)  # opened after, so a refused dataset leaves no file
     with _open_out(args.output) as out, _open_out(args.report) as report:
         out.write(text)
         if report is not None:
             report.write("item,p_value,control_support,kept\n")
-            joined = "".join(dataset.items)  # holds , " or \n when some name does
-            names = dataset.items if _csv_field(joined) == joined else map(_csv_field, dataset.items)
+            joined = "".join(snps)  # holds , " or \n when some item name does
+            field = str if _csv_field(joined) == joined else _csv_field
+            names = (field(f"{snp}_{v}") for snp in snps for v in range(3))
             report.writelines(map(str.__add__, names, report_cols))
-            report.write(f"# total_kept {len(kept_ids)}\n")
-            report.write(f"# total_dropped {len(report_cols) - len(kept_ids)}\n")
+            report.write(f"# total_kept {len(filtered.items)}\n")
+            report.write(f"# total_dropped {len(report_cols) - len(filtered.items)}\n")
     return 0
 
 

@@ -14,7 +14,7 @@ import io
 import itertools
 import os
 import random
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Source = Union[str, os.PathLike, IO[str], IO[bytes]]
 
@@ -300,8 +300,8 @@ def _parse_labels(rows: Iterable[tuple[int, Row]]) -> tuple[dict[str, str], tupl
 #: The valid genotype cells, after stripping surrounding spaces.
 _GENOTYPES = frozenset("012")
 
-#: ``str.translate`` tables: ``_ONE_HOT[v]`` maps the digit v to "1" and the other two to "0".
-_ONE_HOT = (str.maketrans("012", "100"), str.maketrans("012", "010"), str.maketrans("012", "001"))
+#: ``str.translate`` tables that map the digit 1, then 2, to "1" and the other two to "0".
+_ONE_HOT = (str.maketrans("012", "010"), str.maketrans("012", "001"))
 
 #: Data rows that ``load_genotype_matrix`` puts in tid order at once.
 _BLOCK = 128
@@ -329,15 +329,20 @@ def _block_rows(cells: list[str], order: list[int]) -> list[int]:
 
     Individual c's column is ``grid[c::n]``. Joined from tid n-1 down, the columns
     hold SNP s's cells at ``[s::k]``, read as binary with tid j on bit j.
+    Each cell is 0, 1 or 2, so the row of 0 is what the rows of 1 and 2 leave.
     """
     n, k = len(order), len(cells)
     grid = "".join(cells)
     columns = "".join([grid[c::n] for c in reversed(order)])
-    hot = [columns.translate(table) for table in _ONE_HOT]
-    return [int(bits[s::k], 2) for s in range(k) for bits in hot]
+    one, two = (columns.translate(table) for table in _ONE_HOT)
+    pairs = [(int(one[s::k], 2), int(two[s::k], 2)) for s in range(k)]
+    full = (1 << n) - 1
+    return [row for r1, r2 in pairs for row in (full ^ r1 ^ r2, r1, r2)]
 
 
-def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoClassDataset:
+def load_genotype_matrix(
+    matrix_source: Source, labels_source: Source, keep: Optional[Callable[..., bool]] = None
+) -> TwoClassDataset:
     """Expand a SNP genotype matrix into a two-class transaction dataset.
 
     The matrix is CSV with a header row naming the individuals; each data row
@@ -355,6 +360,10 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
     ``_block_rows`` then puts the checked cells of a block in tid order. The first
     error in a file is raised once the rest of that file is read, so that a decoding
     error comes first and a csv error next, as if each file were read whole.
+
+    Given ``keep``, only the items that ``keep(snp, v, (a, b, c, d))`` accepts are
+    kept, offered in file order as each block is read: a case and c control tids
+    hold the item, b and d do not. Memory then follows the kept items and one block.
     """
     with _read_to_the_end(_csv_rows(labels_source, "labels")) as label_rows:
         labels, header_row = _parse_labels(label_rows)
@@ -374,11 +383,13 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
         order = [k for k, ind in enumerate(individuals) if labels[ind] == "1"]
         n_case = len(order)
         order += [k for k, ind in enumerate(individuals) if labels[ind] == "0"]
-        n = len(order)
+        n, case_mask = len(order), (1 << n_case) - 1
         commas = "," * (n - 1)
         snps: dict[str, None] = {}  # the SNP ids, in file order
+        items: list[str] = []
         rows: list[int] = []
         while block := list(itertools.islice(matrix, _BLOCK)):
+            ids = []  # the block's SNP ids
             for k, (lineno, row) in enumerate(block):
                 snp, _, body = row.partition(",") if isinstance(row, str) else (row[0], "", "")
                 snp = snp.strip()
@@ -387,6 +398,7 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
                         f"genotype matrix row {lineno}: duplicate SNP id {snp!r}"
                     )
                 snps[snp] = None
+                ids.append(snp)
                 cells = body[::2]
                 # a non-ASCII character, a lone surrogate too, encodes to bytes not deleted
                 if (
@@ -396,12 +408,18 @@ def load_genotype_matrix(matrix_source: Source, labels_source: Source) -> TwoCla
                 ):
                     cells = _split_cells(lineno, row, n)
                 block[k] = cells
-            rows += _block_rows(block, order)
+            for (snp, v), row in zip(itertools.product(ids, range(3)), _block_rows(block, order)):
+                if keep is not None:
+                    a = (row & case_mask).bit_count()
+                    c = row.bit_count() - a
+                    if not keep(snp, v, (a, n_case - a, c, n - n_case - c)):
+                        continue
+                items.append(f"{snp}_{v}")
+                rows.append(row)
         if not snps:
             raise DatasetFormatError("genotype matrix: no SNP rows")
-    items = tuple(f"{snp}_{v}" for snp in snps for v in range(3))
     external = tuple(individuals[col] for col in order)
-    return TwoClassDataset(items, n_case, n - n_case, tuple(rows), external)
+    return TwoClassDataset(tuple(items), n_case, n - n_case, tuple(rows), external)
 
 
 def generate_synthetic(

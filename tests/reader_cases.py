@@ -19,7 +19,11 @@ piece (``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and
 without a byte order mark; a CRLF or a lone CR split across it; a quote or
 NUL only near the end; an unclosed quote at the end; lines longer than csv's
 field limit; and inputs with two faults, where the one that reading the whole
-input first finds first must be reported. The output cases write files, or
+input first finds first must be reported. The block cases give
+``filter-genotypes``, which decides each item as its block of ``_BLOCK`` rows
+is read, a matrix of more than three blocks: a fault in a later block, no
+control individuals, or a quoted SNP id holding a comma, which its report
+must quote. The output cases write files, or
 are refused before they write any, as when an output names an input file by
 its path or through a link, or write to a stdout or stderr that is closed or
 cannot encode what they write.
@@ -96,14 +100,18 @@ def geno(matrix: bytes, labels: bytes = LABELS, *flags: str) -> Case:
 
 def cases() -> dict[str, Case]:
     """The reader cases, with the faults placed around the first piece boundary
-    of the readers in ``src``."""
-    from sigpat.dataset import _CHUNK as chunk
+    of the readers in ``src``, and the block cases."""
+    from sigpat.dataset import _BLOCK as block, _CHUNK as chunk
 
     def across(head: bytes, fault: bytes, tail: bytes) -> bytes:
         # a comment line holds ``fault`` from the last byte of the first piece on
         return head + b"#" + b"x" * (chunk - 2 - len(head)) + fault + tail
 
     matrix = HEADER + ROWS
+    # rows of every genotype mix, past the third block; rs1 to rs3 are in the first
+    blocks = HEADER + b"".join(b"rs%d,%d,%d,%d,%d\n" % (s, s % 3, s // 3 % 3, s % 2, s % 5 % 3)
+                               for s in range(1, 3 * block + 6))
+    report = ("--output", "<dir>/f.tct", "--report", "<dir>/r.csv")
     return {
         "tct valid": tct(TABLE),
         "tct bom crlf": tct(BOM + TABLE.replace(b"\n", b"\r\n")),
@@ -143,6 +151,13 @@ def cases() -> dict[str, Case]:
             HEADER + b"rs0,\x00" + b"1" * LONG + b",0,1,2\n" + ROWS),
         "labels bad label, then bad utf-8": geno(matrix, b"bob,1\neve,7\n" + _pad(chunk) + b"\xff"),
         "labels nul": geno(matrix, LABELS + b"ann\x00,1\n"),
+        "blocks bad cell in the last block": geno(blocks + b"rs0,0,1,3,2\n"),
+        "blocks duplicate snp id in a later block": geno(blocks + b"rs2,0,1,2,2\n" + ROWS),
+        "blocks no controls": geno(blocks, LABELS.replace(b",0", b",1"), *report),
+        "blocks no controls, bad row": geno(blocks + b"rs0,0,1\n", LABELS.replace(b",0", b",1")),
+        "blocks quoted snp id with a comma": geno(
+            blocks + b'"rs,0",2,0,2,0\n' + b"rs0,0,2,0,2\n", LABELS, "--max-pvalue", "0.5",
+            *report),
     }
 
 

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import select
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import reader_cases
 from sigpat import mine
 from sigpat.cli import COLUMNS, main
-from sigpat.dataset import bit_positions
+from sigpat.dataset import _BLOCK, bit_positions
 from sigpat.miner import InternalInvariantError, MineStats
 
 GENO_MATRIX = "snp,bob,eve,kim,sam,ana,joe\nrs1,2,0,2,1,2,0\nrs2,1,0,1,2,1,0\nrs3,0,0,1,0,2,1\n"
@@ -726,3 +728,52 @@ def test_filter_genotypes_writes_nothing_to_stderr(tmp_path):
                                   "--output", str(out), "--report", str(report))
     assert (rc, stdout, err) == (0, "", "")
     assert out.exists() and report.exists()
+
+
+def test_filter_genotypes_without_controls_exits_2_after_the_whole_matrix(tmp_path, capsys):
+    # items are decided while the matrix is read, so with no controls none is
+    # scored (no control support to divide by), and the refusal waits for the
+    # last row: a bad row anywhere in the matrix is reported instead
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    rows = "".join(f"rs{s},{s % 3},2,{s % 2},0\n" for s in range(3 * _BLOCK + 5))
+    matrix.write_text("snp,bob,eve,kim,sam\n" + rows, encoding="utf-8")
+    labels.write_text("bob,1\neve,1\nkim,1\nsam,1\n", encoding="utf-8")
+    argv = ("filter-genotypes", "--input", str(matrix), "--labels", str(labels),
+            "--output", str(tmp_path / "f.tct"), "--report", str(tmp_path / "r.csv"))
+    message = "error: no control individuals; control support is undefined\n"
+    assert run(capsys, *argv) == (2, "", message)
+    matrix.write_text("snp,bob,eve,kim,sam\n" + rows + "rs,0,1,2,9\n", encoding="utf-8")
+    bad = f"error: genotype matrix row {3 * _BLOCK + 7}: genotype must be 0, 1 or 2, got '9'\n"
+    assert run(capsys, *argv) == (2, "", bad)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "m.csv"]
+
+
+def test_filter_genotypes_memory_follows_one_block_and_the_kept_items(tmp_path):
+    # a 4 MB matrix of 5,200 SNPs of which three are kept: the traced peak stays
+    # under eight blocks of text and 200 bytes a SNP (its id and report columns);
+    # holding the whole dataset, as filtering after the load did, peaked at 3.0 MB
+    rng = random.Random(5)
+    n, n_snps = 400, 5_200
+    bodies = [",".join(rng.choices("012", k=n)) for _ in range(97)]
+    planted = ",".join("2" if k % 2 else "0" for k in range(n))  # genotype 2 in every case
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    with open(matrix, "w", encoding="utf-8") as fh:
+        fh.write("snp," + ",".join(f"p{k}" for k in range(n)) + "\n")
+        fh.writelines(f"rs{s},{planted if s % 2000 == 7 else bodies[s % 97]}\n"
+                      for s in range(n_snps))
+    labels.write_text("".join(f"p{k},{k % 2}\n" for k in range(n)), encoding="utf-8")
+    assert matrix.stat().st_size >= 4_000_000
+    out, report = tmp_path / "f.tct", tmp_path / "r.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["filter-genotypes", "--input", str(matrix), "--labels", str(labels),
+                   "--max-pvalue", "1e-9", "--output", str(out), "--report", str(report)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    kept = {f"rs{s}_{v}" for s in (7, 2007, 4007) for v in (0, 2)}
+    assert {name for line in out.read_text().splitlines() for name in line.split()[1:]} == kept
+    assert report.read_text().count(",true\n") == len(kept)
+    block_text = _BLOCK * (len(planted) + len("rs0000,\n"))
+    assert peak < 8 * block_text + 200 * n_snps

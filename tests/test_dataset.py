@@ -388,6 +388,38 @@ def test_load_genotype_matrix_small_blocks_match_per_cell_reference(inputs, bloc
     assert loaded == _outcome(reference_genotype_matrix, matrix, labels)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda q: genotype_inputs(quotes=q)), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_load_genotype_matrix_keeps_the_items_keep_accepts(inputs, block, rnd):
+    # keep sees every item in file order with its 2x2 counts, and the load is
+    # the plain one restricted to the items it accepts, or the plain one's error
+    matrix, labels = inputs
+    offered = []
+
+    def keep(snp, value, table):
+        offered.append((f"{snp}_{value}", table, rnd.random() < 0.5))
+        return offered[-1][2]
+
+    with mock.patch.object(dataset_module, "_BLOCK", block):
+        plain = _outcome(_load_text, matrix, labels)
+        kept = _outcome(lambda m, l: load_genotype_matrix(io.StringIO(m), io.StringIO(l), keep),
+                        matrix, labels)
+    if isinstance(plain, str):
+        assert kept == plain
+        return
+    items, n_case, n_control, rows, external = plain
+    assert [name for name, _, _ in offered] == list(items)
+    assert [table for _, table, _ in offered] == [
+        (a, n_case - a, c, n_control - c)
+        for a, c in (((r & (1 << n_case) - 1).bit_count(), (r >> n_case).bit_count())
+                     for r in rows)
+    ]
+    accepted = [k for k, (_, _, ok) in enumerate(offered) if ok]
+    assert kept == (tuple(items[k] for k in accepted), n_case, n_control,
+                    tuple(rows[k] for k in accepted), external)
+
+
 def _random_matrix(n, n_snps, seed):
     """The lines of a valid quote-free matrix of ``n`` individuals, header first, and its labels."""
     rng = random.Random(seed)

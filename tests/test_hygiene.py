@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 import subprocess
@@ -472,6 +473,33 @@ def test_traced_run_names_resolve():
     )
     _, after = fresh_modules(code)
     assert {"sigpat.cli", "sigpat.miner"} <= after
+
+
+def test_traced_filter_genotypes_records_one_load_span(tmp_path, monkeypatch):
+    """A traced ``filter-genotypes`` run times its load as one
+    ``dataset.load_genotype_matrix`` span whose extra is the size of its two
+    inputs, so ``genotype``'s per-layer load metrics keep their meaning while
+    the filter decides its items during the load."""
+    spec = importlib.util.spec_from_file_location("traced", ROOT / "perfbench" / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    tracer = traced.Tracer()
+    for module_name, names in traced.WRAPPED.items():
+        module = importlib.import_module(module_name)
+        for attr, span_name in names.items():
+            monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), span_name))
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    matrix.write_text("snp,bob,eve,kim,sam\nrs1,2,0,2,1\nrs2,1,0,1,2\n", encoding="utf-8")
+    labels.write_text("bob,1\neve,0\nkim,1\nsam,0\n", encoding="utf-8")
+    main = tracer.wrap(importlib.import_module("sigpat.cli").main, "cli.main")
+    assert main(["filter-genotypes", "--input", str(matrix), "--labels", str(labels),
+                 "--output", str(tmp_path / "f.tct")]) == 0
+    loads = [span for span in tracer.spans if span[0] == "dataset.load_genotype_matrix"]
+    assert len(loads) == 1
+    assert loads[0][4] == matrix.stat().st_size + labels.stat().st_size
+    metrics = traced.layer_metrics({"spans": tracer.spans, "missing": []}, None, 0)
+    assert metrics["dataset.load_genotype_matrix.s"][0] > 0
+    assert metrics["measures.association_pvalue.calls"][0] > 0
 
 
 @pytest.mark.parametrize("command, loaded", [
