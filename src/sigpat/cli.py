@@ -9,8 +9,8 @@ pattern and a fixed column order, so runs are comparable byte for byte.
 
 Exit codes: 0 success, 1 bad usage or an instance the oracle refuses,
 2 unreadable or malformed input data or a failed write, 3 an internal
-invariant violation, 141 an output pipe closed by its reader, as when stdout
-goes to ``head``.
+invariant violation, 130 an interrupt (^C), 141 an output pipe closed by its
+reader, as when stdout goes to ``head``.
 """
 
 from __future__ import annotations
@@ -296,12 +296,13 @@ def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    thresholds = _build_thresholds(args)  # so that a refused flag leaves every file as it was
     _check_outputs(args, "output", "stats")
     start = time.perf_counter()
     dataset = _load_dataset(args)
     load_seconds = time.perf_counter() - start
     with _open_out(args.output) as out, _open_out(args.stats) as stats_out:  # before the search
-        records, stats = mine(dataset, _build_thresholds(args))
+        records, stats = mine(dataset, thresholds)
         start = time.perf_counter()
         (write_json if args.output_format == "json" else write_csv)(records, dataset, out)
         write_seconds = time.perf_counter() - start
@@ -316,11 +317,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import check_size, mine_oracle  # only this command loads the oracle
+    thresholds = _build_thresholds(args)
     _check_outputs(args, "output")
     dataset = _load_dataset(args)
     check_size(dataset)  # so that an instance the oracle refuses leaves no --output file
     with _open_out(args.output) as out:
-        records = mine_oracle(dataset, _build_thresholds(args))
+        records = mine_oracle(dataset, thresholds)
         (write_json if args.output_format == "json" else write_csv)(records, dataset, out)
     return 0
 
@@ -402,6 +404,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with contextlib.suppress(OSError):  # drop what stdout holds, so exit cannot retry it
                 sys.stdout.close()
         return 141  # what a shell reports for a SIGPIPE death
+    except KeyboardInterrupt:  # no message or traceback for ^C
+        return 130  # what a shell reports for a SIGINT death
     # a DatasetFormatError is a ValueError; so is a UnicodeEncodeError, raised when
     # stdout's encoding cannot hold an output character
     except (DatasetFormatError, OSError, UnicodeEncodeError) as exc:

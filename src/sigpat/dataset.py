@@ -61,17 +61,21 @@ def _source_name(source: Source) -> str:
 _CHUNK = 65_536
 
 
-def _read_text(source: Source) -> Iterator[str]:
-    """The input as text, a piece at a time: UTF-8 less one leading byte order mark, CRLF
-    and CR read as LF. A path is read as bytes, as a byte stream is; a stream is read to
-    its end with ``read1(_CHUNK)``, or ``read(_CHUNK)`` if it has none, and left open. No
-    other function opens a file."""
+def _lines(source: Source) -> Iterator[tuple[int, str]]:
+    """``(file line, line)`` pairs of the input split at LF, counted from 1; the last
+    line is the text after the last LF, empty when the input ends with one.
+
+    The input is read as UTF-8 less one leading byte order mark, with CRLF and CR read
+    as LF. A path is read as bytes, as a byte stream is; a stream is read to its end
+    with ``read1(_CHUNK)``, or ``read(_CHUNK)`` if it has none, and left open. No other
+    function opens a file."""
     path = isinstance(source, (str, os.PathLike))
     with open(source, "rb") if path else contextlib.nullcontext(source) as fh:
         read = getattr(fh, "read1", fh.read)  # one raw read a piece: one ^D ends a terminal
         utf8 = codecs.getincrementaldecoder("utf-8")()
         newlines = io.IncrementalNewlineDecoder(None, translate=True)
-        fed, lead = 0, ""  # lead: the first character of the text, once read
+        fed, lead, lineno = 0, "", 0  # lead: the first character of the text, once read
+        parts: list[str] = []  # the pieces of a line that spans pieces, joined once
         while True:
             data = read(_CHUNK)
             fed += len(data)
@@ -88,24 +92,15 @@ def _read_text(source: Source) -> Iterator[str]:
                                          f"codec can't decode {where}: {exc.reason})") from None
             if text and not lead:
                 lead, text = text[0], text.removeprefix("\ufeff")
-            yield newlines.decode(text, not data)
+            *lines, rest = newlines.decode(text, not data).split("\n")
+            if lines:
+                lines[0] = "".join([*parts, lines[0]])
+                parts.clear()
+                yield from enumerate(lines, lineno + 1)
+                lineno += len(lines)
+            parts.append(rest)
             if not data:
-                return
-
-
-def _lines(source: Source) -> Iterator[tuple[int, str]]:
-    """``(file line, line)`` pairs of the input split at LF, counted from 1; the last
-    line is the text after the last LF, empty when the input ends with one."""
-    lineno = 0
-    parts: list[str] = []  # the pieces of a line that spans pieces, joined once
-    for piece in _read_text(source):
-        *lines, rest = piece.split("\n")
-        if lines:
-            lines[0] = "".join([*parts, lines[0]])
-            parts.clear()
-            yield from enumerate(lines, lineno + 1)
-            lineno += len(lines)
-        parts.append(rest)
+                break
     yield lineno + 1, "".join(parts)
 
 
@@ -168,14 +163,13 @@ def _csv_rows(source: Source, what: str) -> Iterator[tuple[int, Row]]:
                 yield text
 
     reader = csv.reader(rest())
-    try:
-        for row in reader:
-            if row and not row[0].strip().startswith("#"):
-                yield lineno - 1 + reader.line_num, row
-    except csv.Error as exc:
-        for _ in lines:
-            pass
-        raise DatasetFormatError(f"{what} {_source_name(source)}: {exc}") from None
+    with _read_to_the_end(lines):
+        try:
+            for row in reader:
+                if row and not row[0].strip().startswith("#"):
+                    yield lineno - 1 + reader.line_num, row
+        except csv.Error as exc:
+            raise DatasetFormatError(f"{what} {_source_name(source)}: {exc}") from None
 
 
 def _intern(names: Iterable[str], item_ids: dict[str, int]) -> list[int]:

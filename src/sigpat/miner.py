@@ -148,38 +148,36 @@ class TraceNode(NamedTuple):
 
 
 class _Search:
-    """Search state shared by all roots; rows are (item id, bit row) pairs."""
+    """Search state shared by all roots; ``run``'s rows are (item id, bit row) pairs."""
 
     __slots__ = (
-        "n_case", "n_control", "case_mask", "control_mask", "thresholds",
+        "n_case", "n_control", "case_mask", "control_mask", "rows", "thresholds",
         "records", "trace", "top", "_least", "_scored", "_negs",
     )
 
     def __init__(
-        self, n_case: int, n_control: int, thresholds: Thresholds, trace: list[TraceNode] | None
+        self, dataset: TwoClassDataset, thresholds: Thresholds, trace: list[TraceNode] | None
     ):
-        self.n_case = n_case
-        self.n_control = n_control
-        self.case_mask = (1 << n_case) - 1
-        self.control_mask = ((1 << n_control) - 1) << n_case
+        self.n_case, self.n_control, self.rows = dataset.n_case, dataset.n_control, dataset.rows
+        self.case_mask, self.control_mask = dataset.case_mask, dataset.control_mask
         self.thresholds = thresholds
         self.records: list[PatternRecord] = []
         self.trace = trace
         #: top[a], -1 until ``_top`` computes it
-        self.top = [-1] * (n_case + 1)
+        self.top = [-1] * (dataset.n_case + 1)
         self._least: dict[int, int] = {}
         #: (table, scores) of a passing key, () of a failing one
         self._scored: dict[tuple[int, int], tuple[ContingencyTable, ScoreSet] | tuple[()]] = {}
         #: each emitted control mask, so that records of one control tidset share one int
         self._negs: dict[int, int] = {}
 
-    def search(self, rows: tuple[int, ...]) -> tuple[list[PatternRecord], MineStats]:
-        """Run the search over the item bit rows ``rows``; return ``mine``'s result."""
+    def search(self) -> tuple[list[PatternRecord], MineStats]:
+        """Run the search over the dataset's item bit rows; return ``mine``'s result."""
         import gc  # the search makes no reference cycles, so the collector pauses for it
         start, enabled = time.perf_counter(), gc.isenabled()
         gc.disable()
         try:
-            visited, pruned, duplicate, dead, scans = self.run(tuple(enumerate(rows)))
+            visited, pruned, duplicate, dead, scans = self.run(tuple(enumerate(self.rows)))
         finally:
             if enabled:
                 gc.enable()
@@ -427,4 +425,4 @@ def mine(
     """
     if dataset.n_case < 1 or dataset.n_control < 1:
         raise ValueError("mining needs at least one case and one control transaction")
-    return _Search(dataset.n_case, dataset.n_control, thresholds, trace).search(dataset.rows)
+    return _Search(dataset, thresholds, trace).search()

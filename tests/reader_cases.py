@@ -1,6 +1,6 @@
 """Edge-case inputs and outputs of the commands, run through ``sigpat.cli.main``.
 
-Usage: python tests/reader_cases.py
+Usage: python tests/reader_cases.py [--against PYTHON ...]
 
 Writes each case's input files to a temporary directory, runs its command in
 this interpreter and prints one JSON object that maps each case to its exit
@@ -12,7 +12,9 @@ gives, and the timings in a ``--stats`` file are masked. A case named in
 starts with stdout or stderr closed or read-only, with stdin a pipe, or with
 another stdout encoding. It needs only the standard library, ``/bin/sh`` and
 the ``src`` tree beside it, so that each CPython the package supports can run
-it and the runs can be compared byte for byte.
+it and the runs can be compared byte for byte. Given ``--against``, it runs
+the cases here and under each interpreter named, prints each case whose
+result differs and exits 1 if any does.
 
 The reader cases put their faults next to the boundary of the readers' first
 piece (``_CHUNK`` bytes): invalid UTF-8 past it or split across it, with and
@@ -25,12 +27,13 @@ is read, a matrix of more than three blocks: a fault in a later block, no
 control individuals, or a quoted SNP id holding a comma, which its report
 must quote. The output cases write files, or
 are refused before they write any, as when an output names an input file by
-its path or through a link, or write to a stdout or stderr that is closed or
-cannot encode what they write.
+its path or through a link or a threshold flag is refused, or write to a
+stdout or stderr that is closed or cannot encode what they write.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -196,6 +199,13 @@ def output_cases() -> dict[str, Case]:
         "filter-genotypes report naming the labels": geno(
             HEADER + ROWS, LABELS, "--output", "<dir>/f.tct", "--report", "<dir>/l.csv"),
         "mine stdin input to stdout": (["mine", "--input", "/dev/stdin", "--output", "-"], {}),
+        "mine min-gr -1, existing output": (
+            ["mine", "--input", "<dir>/in.tct", "--output", "<dir>/o.csv", "--min-gr", "-1"],
+            {"in.tct": TABLE, "o.csv": b"keep"}),
+        "mine min-sd inf, new output": tct(TABLE, "--min-sd", "inf", "--output", "<dir>/new.csv"),
+        "oracle min-sd inf, new output": (
+            ["oracle", "--input", "<dir>/in.tct", "--output", "<dir>/new.csv", "--min-sd", "inf"],
+            {"in.tct": TABLE}),
     }
 
 
@@ -261,6 +271,34 @@ def mismatches(expected: dict[str, list], got: dict[str, list]) -> list[str]:
                   if expected.get(name) != got.get(name))
 
 
+def against(pythons: list[str], here: dict[str, list]) -> int:
+    """Print each case whose result under one of ``pythons`` differs from ``here``,
+    then a count per interpreter; 1 if any case differs or an interpreter fails
+    to run them, else 0."""
+    differ = False
+    for python in pythons:
+        # -I: no user site or environment; -B: no bytecode written into src
+        done = subprocess.run([python, "-I", "-B", os.path.abspath(__file__)],
+                              capture_output=True, text=True, timeout=300)
+        if done.returncode:
+            print(f"{python}: exits {done.returncode}: {done.stderr.strip()}")
+            differ = True
+            continue
+        names = mismatches(here, json.loads(done.stdout))
+        for name in names:
+            print(f"{python}: differs: {name}")
+        print(f"{python}: {len(here)} cases, {len(names)} differ")
+        differ = differ or bool(names)
+    return int(differ)
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Run the reader and output cases.")
+    parser.add_argument("--against", nargs="+", default=[], metavar="PYTHON",
+                        help="compare the results here with those under each interpreter")
+    pythons = parser.parse_args().against
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    print(json.dumps(run_cases({**cases(), **output_cases()}), indent=1, sort_keys=True))
+    results = run_cases({**cases(), **output_cases()})
+    if pythons:
+        sys.exit(against(pythons, results))
+    print(json.dumps(results, indent=1, sort_keys=True))

@@ -351,7 +351,7 @@ def reference_mine(
     trace: list[TraceNode] | None = None,
 ) -> tuple[list[PatternRecord], MineStats]:
     """``mine`` over ``ReferenceSearch``: the same roots, order and statistics."""
-    return ReferenceSearch(dataset.n_case, dataset.n_control, thresholds, trace).search(dataset.rows)
+    return ReferenceSearch(dataset, thresholds, trace).search()
 
 
 def whole_text(source: Source) -> str:

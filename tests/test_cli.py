@@ -474,6 +474,44 @@ def test_a_write_to_a_closed_or_narrow_stream_exits_2(name, expected):
     assert written == {}
 
 
+@pytest.mark.parametrize("command", ["mine", "oracle"])
+@pytest.mark.parametrize("flag, message", [
+    (("--min-gr", "-1"), "error: min_gr must be non-negative, got -1.0\n"),
+    (("--min-sd", "inf"), "error: min_sd must be finite, got inf\n"),
+], ids=["min-gr -1", "min-sd inf"])
+def test_a_refused_threshold_leaves_every_file_as_it_was(
+    command, flag, message, table1_path, tmp_path, capsys
+):
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"keep")
+    for output in (kept, tmp_path / "new.csv"):
+        stats = ["--stats", str(tmp_path / "new.json")] if command == "mine" else []
+        rc, out, err = run(capsys, command, "--input", str(table1_path),
+                           "--output", str(output), *stats, *flag)
+        assert (rc, out, err) == (1, "", message)
+        assert kept.read_bytes() == b"keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "table1.tct"]
+
+
+def test_an_interrupt_exits_130_without_a_traceback(table1_path):
+    # the child's search sends itself SIGINT, as ^C at a terminal does
+    code = (f"import signal, sys; sys.path.insert(0, {str(SRC)!r}); import sigpat.cli as cli; "
+            "cli.mine = lambda *args: signal.raise_signal(signal.SIGINT); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, "mine", "--input",
+                           str(table1_path)], capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (130, b"", b"")
+
+
+def test_an_empty_genotype_matrix_exits_2(tmp_path, capsys):
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    matrix.write_text("# only comments\n\n")
+    labels.write_text("bob,1\neve,0\n")
+    rc, out, err = run(capsys, "mine", "--format", "genotype", "--input", str(matrix),
+                       "--labels", str(labels))
+    assert (rc, out, err) == (2, "", "error: genotype matrix: empty input\n")
+
+
 def test_exit_code_internal_invariant(table1_path, capsys, monkeypatch):
     def boom(dataset, thresholds):
         raise InternalInvariantError("duplicate pattern")

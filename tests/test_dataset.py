@@ -103,8 +103,8 @@ def test_load_transactions_splits_lines_at_lf_only(text, case, control):
 
 
 def test_load_transactions_empty_input():
-    with pytest.raises(DatasetFormatError):
-        load_transactions(io.StringIO("# nothing\n"))
+    with pytest.raises(DatasetFormatError, match="^empty dataset: no transactions found$"):
+        load_transactions(io.StringIO("# nothing\n\n \t\n"))
 
 
 def test_load_transactions_utf8_bom(tmp_path):
@@ -152,7 +152,7 @@ def test_from_transactions_ordering():
 
 
 def test_from_transactions_empty():
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(DatasetFormatError, match="^empty dataset: no transactions found$"):
         from_transactions([], [])
 
 
@@ -623,6 +623,22 @@ def test_genotype_errors_name_file_lines():
     for text, message in bad_labels:
         with pytest.raises(DatasetFormatError, match="^" + re.escape(message)):
             _load_text("snp,bob,eve\nrs1,0,1\n", text)
+
+
+#: Inputs whose error is about the whole file, by message: a matrix and its labels.
+WHOLE_FILE_ERRORS = {
+    "genotype matrix: empty input": ("# only comments\n\n# and blank rows\n", "bob,1\n"),
+    "genotype matrix: no individual columns": ("snp\nrs1\n", "bob,1\n"),
+    "genotype matrix: no SNP rows": ("snp,bob,eve\n# none\n\n", "bob,1\neve,0\n"),
+    "labels: no entries found": ("snp,bob\nrs1,0\n", "individual,label\n# none\n"),
+}
+
+
+@pytest.mark.parametrize("message", list(WHOLE_FILE_ERRORS))
+def test_genotype_whole_file_errors(message):
+    matrix, labels = WHOLE_FILE_ERRORS[message]
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        _load_text(matrix, labels)
 
 
 def test_labels_typo_on_the_first_line():

@@ -143,7 +143,7 @@ def scoped_nodes(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
 
 #: The one function of a module that may open a file, so that every input is
 #: decoded one way and every output is opened before the work that fills it.
-OPENERS = {"dataset": "_read_text", "cli": "_open_out"}
+OPENERS = {"dataset": "_lines", "cli": "_open_out"}
 
 
 def stray_file_access(tree: ast.Module, opener: Optional[str]) -> list[str]:
@@ -299,7 +299,7 @@ def test_counters_on_self_detects_and_allows():
 def carriage_returns(tree: ast.Module) -> list[str]:
     """``str`` constants that hold a CR, by line.
 
-    ``dataset._read_text`` reads CRLF and CR as LF through one
+    ``dataset._lines`` reads CRLF and CR as LF through one
     ``io.IncrementalNewlineDecoder``, so no code of the package handles a CR itself."""
     found = {
         (node.lineno, f"line {node.lineno}: {node.value!r}")

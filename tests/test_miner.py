@@ -12,6 +12,7 @@ from sigpat import (
     MineStats,
     Thresholds,
     TraceNode,
+    TwoClassDataset,
     from_transactions,
     mine,
     mine_oracle,
@@ -253,10 +254,10 @@ def test_a_pattern_emitted_twice_is_an_internal_error(table1):
             super()._emit(tpos, tneg, a, c, rows)
 
     records, _ = mine(table1)
-    search = EmitsTwice(table1.n_case, table1.n_control, Thresholds(), None)
+    search = EmitsTwice(table1, Thresholds(), None)
     message = f"closed pattern emitted twice: {records[0].itemset}"
     with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
-        search.search(table1.rows)
+        search.search()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
@@ -274,13 +275,13 @@ def test_search_pauses_the_collector_and_restores_it(table1, enabled):
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        records, _ = Watched(table1.n_case, table1.n_control, Thresholds(), None).search(table1.rows)
+        records, _ = Watched(table1, Thresholds(), None).search()
         assert gc.isenabled() is enabled
         assert records == mine(table1)[0]
         assert gc.isenabled() is enabled
         assert collecting and not any(collecting)  # paused during the search
         with pytest.raises(RuntimeError, match="^emit failed$"):
-            Fails(table1.n_case, table1.n_control, Thresholds(), None).search(table1.rows)
+            Fails(table1, Thresholds(), None).search()
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
@@ -318,7 +319,7 @@ def test_exact_prune_keeps_every_pattern(d, thresholds):
 @example(5, 7, Thresholds(min_sd=1.7e308))
 def test_top_matches_a_naive_scan(n_case, n_control, thresholds):
     # top[a] scans down from the thresholds' caps; a naive scan tries every c
-    search = _Search(n_case, n_control, thresholds, None)
+    search = _Search(TwoClassDataset((), n_case, n_control, (), ()), thresholds, None)
     for a in range(1, n_case + 1):
         passing = [
             c

@@ -10,6 +10,7 @@ import platform
 import random
 import re
 import subprocess
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -284,12 +285,25 @@ def in_process():
     or [pytest.param(None, marks=pytest.mark.skip(reason="no other CPython installed by pyenv"))],
     ids=[version for version, _ in PYTHONS] or ["none"],
 )
-def test_reader_cases_agree_across_pythons(python, in_process):
-    # -I: no user site or environment; -B: no bytecode written into src
-    done = subprocess.run([python, "-I", "-B", DRIVER], capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert reader_cases.mismatches(in_process, json.loads(done.stdout)) == []
+def test_reader_cases_agree_across_pythons(python, in_process, capsys):
+    assert reader_cases.against([python], in_process) == 0, capsys.readouterr().out
+
+
+def test_against_prints_each_case_that_differs(in_process, tmp_path):
+    # an "interpreter" that prints the results of the cases with one changed
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(dict(in_process, **{"tct valid": [9, "", "", {}]})))
+    fake = tmp_path / "python"
+    fake.write_text(f"#!/bin/sh\nexec cat '{results}'\n")
+    fake.chmod(0o755)
+    done = subprocess.run([sys.executable, "-B", DRIVER, "--against", str(fake), sys.executable],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "")
+    n = len(in_process)
+    assert done.stdout.splitlines() == [
+        f"{fake}: differs: tct valid", f"{fake}: {n} cases, 1 differ",
+        f"{sys.executable}: {n} cases, 0 differ",
+    ]
 
 
 def test_reader_case_comparison_catches_one_changed_byte(in_process):
