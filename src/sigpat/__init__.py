@@ -30,13 +30,6 @@ __all__ = [
     "load_genotype_matrix",
     "load_transactions",
     "mine",
-    "mine_oracle",
     "__version__",
 ]
 
-
-def __getattr__(name: str):  # the oracle is imported on first use, which mine never makes
-    if name != "mine_oracle":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .oracle import mine_oracle
-    return mine_oracle

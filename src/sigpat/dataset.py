@@ -227,21 +227,12 @@ def load_transactions(source: Source) -> TwoClassDataset:
 def from_transactions(
     case: Sequence[Iterable[str]],
     control: Sequence[Iterable[str]],
-    external_ids: Sequence[str] | None = None,
 ) -> TwoClassDataset:
-    """Build a dataset from in-memory item-name transactions (cases first),
-    named by distinct ``external_ids`` in the same order or by 1-based position."""
+    """Build a dataset from in-memory item-name transactions, cases first; external
+    ids are 1-based positions."""
     transactions = list(case) + list(control)
-    n = len(transactions)
-    ids = external_ids if external_ids is not None else [str(k + 1) for k in range(n)]
-    if len(ids) != n:
-        raise ValueError(f"{len(ids)} external ids for {n} transactions")
-    if len(set(ids)) != n:
-        seen: set[str] = set()
-        repeated = next(ext for ext in ids if ext in seen or seen.add(ext))  # add gives None
-        raise ValueError(f"duplicate external id {repeated!r}")
     item_ids: dict[str, int] = {}
-    tx = [(ext, _intern(names, item_ids)) for ext, names in zip(ids, transactions)]
+    tx = [(str(k), _intern(names, item_ids)) for k, names in enumerate(transactions, 1)]
     if not tx:
         raise DatasetFormatError("empty dataset: no transactions found")
     return _build(list(item_ids), tx, len(case))

@@ -12,13 +12,14 @@ import time
 
 import pytest
 
-from sigpat import MineStats, Thresholds, TraceNode, mine, mine_oracle
+from sigpat import MineStats, Thresholds, TraceNode, mine
 from sigpat.cli import main
 from sigpat.dataset import generate_synthetic
 from sigpat.measures import ContingencyTable, confidence_intervals, discriminance
+from sigpat.oracle import mine_oracle
 
 from conftest import planted_genotype_matrix, random_dataset, random_thresholds
-from reference import unpruned_mine
+from reference import ista_mine, unpruned_mine
 
 EXACT = 1e-9
 
@@ -205,12 +206,14 @@ def test_07_threshold_workload_trend(report):
     start = time.perf_counter()
     broad, broad_stats = mine(dataset, Thresholds(min_ors=2.0))
     broad_time = time.perf_counter() - start
+    narrow_thresholds = Thresholds(min_ors=2.0, min_lci_ors=2.0)
     start = time.perf_counter()
-    narrow, narrow_stats = mine(dataset, Thresholds(min_ors=2.0, min_lci_ors=2.0))
+    narrow, narrow_stats = mine(dataset, narrow_thresholds)
     narrow_time = time.perf_counter() - start
     ok = (
         len(broad) > 0
         and len(narrow) < 0.5 * len(broad)
+        and narrow == ista_mine(dataset, narrow_thresholds)  # no narrow pattern is missing
         and narrow_stats.nodes_visited < broad_stats.nodes_visited
         and broad_time < 300.0
         and narrow_time < 300.0

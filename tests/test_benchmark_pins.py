@@ -6,7 +6,10 @@ commands run through ``sigpat.cli.main`` in this interpreter, with
 ``--stats`` added to ``mine``. Every output must have the sha256 recorded in
 ``perfbench/baseline.json``, and every ``--stats`` value that is not a time
 must equal the one in ``benchmark_counters.json`` beside this file. A change
-that moves a counter on purpose updates that file.
+that moves a counter on purpose updates that file. Each workload's mined input
+must also give ``reference.ista_mine``'s records, which list every closed tidset
+as an intersection of item rows and run no search, so no pinned output lacks a
+pattern.
 """
 
 import copy
@@ -18,7 +21,10 @@ import sys
 
 import pytest
 
+from sigpat import Thresholds, load_transactions, mine
 from sigpat.cli import main
+
+from reference import ista_mine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
@@ -99,3 +105,16 @@ def test_benchmark_pin_comparison_catches_one_counter_or_one_byte(expected, got,
     changed = copy.deepcopy(got)
     changed["broad"]["outputs"]["patterns.csv"] = hashlib.sha256(rows).hexdigest()
     assert [p.split(":")[0] for p in problems(expected, changed)] == ["broad outputs"]
+
+
+def test_benchmark_workloads_lose_no_pattern(got, work):
+    counts = {}
+    for name, workload in _perfbench("workloads").WORKLOADS.items():
+        dataset = load_transactions(work[name] / workload.mined)  # written by ``got``
+        thresholds = Thresholds(**workload.thresholds)
+        records, _ = mine(dataset, thresholds)
+        want = ista_mine(dataset, thresholds)
+        assert records == want, name
+        assert records[:-1] != want  # the comparison misses no dropped record
+        counts[name] = len(records)
+    assert counts == {"broad": 13_051, "narrow": 1, "genotype": 100}

@@ -156,21 +156,6 @@ def test_from_transactions_empty():
         from_transactions([], [])
 
 
-def test_from_transactions_external_ids():
-    d = from_transactions([["x"]], [["y"]], ["p", "q"])
-    assert d.external_ids == ("p", "q")
-    # one id per transaction: neither a short list nor a long one is taken
-    with pytest.raises(ValueError, match="1 external ids for 2 transactions"):
-        from_transactions([["x"]], [["y"]], ["p"])
-    with pytest.raises(ValueError, match="3 external ids for 2 transactions"):
-        from_transactions([["x"]], [["y"]], ["x", "y", "z"])
-    # and distinct ids: a mined row could not tell two "a" transactions apart
-    with pytest.raises(ValueError, match="duplicate external id 'a'"):
-        from_transactions([["x"], ["x"]], [["x"]], ["a", "a", "b"])
-    with pytest.raises(ValueError, match="duplicate external id 'b'"):
-        from_transactions([["x"]], [["x"], ["y"]], ["b", "c", "b"])
-
-
 def test_dump_transactions_roundtrip(table1):
     again = load_transactions(io.StringIO(dump_transactions(table1)))
     assert again.n_case == table1.n_case

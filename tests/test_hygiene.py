@@ -415,21 +415,23 @@ def test_import_time_nodes_skips_function_bodies():
     ]
 
 
-def fresh_modules(code: str, *argv: str) -> tuple[set[str], set[str]]:
-    """``sys.modules`` before and after ``code`` runs in a fresh interpreter
-    with ``src`` first on the path and ``argv`` as ``sys.argv[1:]``."""
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
-        f"{code}\n"
-        "print(' '.join(sorted(before)))\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
+def fresh_lines(code: str, *argv: str) -> list[str]:
+    """The output lines of ``code`` run in a fresh interpreter with ``src``
+    first on the path and ``argv`` as ``sys.argv[1:]``."""
+    script = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{code}\n"
     # -I: no user site or environment; -B: no bytecode written into src
     args = [sys.executable, "-I", "-B", "-c", script, *argv]
     out = subprocess.run(args, capture_output=True, text=True, check=True, timeout=60)
-    before, after = out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def fresh_modules(code: str, *argv: str) -> tuple[set[str], set[str]]:
+    """``sys.modules`` before and after ``code`` runs, as ``fresh_lines`` runs it."""
+    before, after = fresh_lines(
+        f"before = set(sys.modules)\n{code}\n"
+        "print(' '.join(sorted(before)))\nprint(' '.join(sorted(sys.modules)))",
+        *argv,
+    )
     return set(before.split()), set(after.split())
 
 
@@ -441,16 +443,20 @@ def test_cli_import_adds_no_dataclasses_or_inspect():
 
 
 def test_oracle_is_imported_on_first_use():
-    # the package root still exports mine_oracle, through a module __getattr__
-    _, after = fresh_modules("import sigpat\nassert 'sigpat.oracle' not in sys.modules\n"
-                             "assert sigpat.mine_oracle.__module__ == 'sigpat.oracle'")
-    assert "sigpat.oracle" in after
-    _, after = fresh_modules("from sigpat import *\nmine_oracle")
-    assert "sigpat.oracle" in after
-    import sigpat  # any other missing name is an AttributeError, as on any module
+    # only ``sigpat.oracle`` loads the oracle: neither the root nor its star import does
+    for code in ("import sigpat", "from sigpat import *"):
+        _, after = fresh_modules(code)
+        assert "sigpat.oracle" not in after
 
-    with pytest.raises(AttributeError, match="^module 'sigpat' has no attribute 'nope'$"):
-        getattr(sigpat, "nope")
+
+def test_root_exports_are_plain_imports():
+    """The package root has one export mechanism: right after ``import sigpat``
+    in a fresh interpreter every name in ``__all__`` is bound, and no module
+    ``__getattr__`` supplies names on demand."""
+    lines = fresh_lines("import sigpat\nprint(*sigpat.__all__)\nprint(*vars(sigpat))")
+    exported, bound = (set(line.split()) for line in lines)
+    assert sorted(exported - bound) == []
+    assert "__getattr__" not in bound
 
 
 def test_traced_run_names_resolve():

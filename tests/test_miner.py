@@ -1,8 +1,13 @@
 import gc
+import inspect
+import itertools
+import math
 import pickle
 import random
 import re
 import sys
+import textwrap
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,12 +20,12 @@ from sigpat import (
     TwoClassDataset,
     from_transactions,
     mine,
-    mine_oracle,
 )
 from sigpat.cli import main
 from sigpat.dataset import dump_transactions
 from sigpat.measures import ContingencyTable, check_significance, score_set
 from sigpat.miner import InternalInvariantError, PatternRecord, _Search
+from sigpat.oracle import mine_oracle
 
 from conftest import random_dataset, random_thresholds
 from reference import (
@@ -329,6 +334,41 @@ def test_top_matches_a_naive_scan(n_case, n_control, thresholds):
             )
         ]
         assert search._top(a) == max(passing, default=0)
+
+
+def boundary_checks(search_class) -> Iterator[bool]:
+    """Whether ``search_class._top(a)`` equals a naive scan over c, check by
+    check: every finite score that a table with n1, n2 <= 8 attains is set as
+    each threshold in turn, where a cap computed in floats must land exactly."""
+    fields = dict(zip(Thresholds._fields, ("sd", "gr", "ors", "lci_gr", "lci_ors")))
+    for n1, n2 in itertools.product(range(1, 9), repeat=2):
+        scores = {(a, c): score_set(ContingencyTable(a, n1 - a, c, n2 - c))
+                  for a in range(n1 + 1) for c in range(n2 + 1)}
+        for name, field in fields.items():
+            values = {getattr(s, field) for s in scores.values()}
+            for value in sorted(filter(math.isfinite, values)):
+                thresholds = Thresholds(**{name: value})
+                search = search_class(TwoClassDataset((), n1, n2, (), ()), thresholds, None)
+                for a in range(1, n1 + 1):
+                    passing = (c for c in range(n2, 0, -1)
+                               if check_significance(scores[a, c], thresholds))
+                    yield search._top(a) == next(passing, 0)
+
+
+def test_top_matches_a_naive_scan_at_attained_scores():
+    checks = list(boundary_checks(_Search))
+    assert len(checks) == 38_979 and all(checks)
+
+
+def test_boundary_checks_catch_a_cap_off_by_one():
+    # a copy of _top whose cap has no + 1 slack stops one control count short
+    source = textwrap.dedent(inspect.getsource(_Search._top))
+    slack = "int(max(min(caps), -1)) + 1"
+    assert source.count(slack) == 1
+    namespace = dict(vars(sys.modules[_Search.__module__]))
+    exec(source.replace(slack, "int(max(min(caps), -1))"), namespace)
+    planted = type("Planted", (_Search,), {"_top": namespace["_top"]})
+    assert not all(boundary_checks(planted))
 
 
 def pooled_dataset(seed: int, n_case: int, n_control: int, n_items: int, density: float, pool: int):

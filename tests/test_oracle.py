@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sigpat import Thresholds, from_transactions, mine_oracle
+from sigpat import Thresholds, from_transactions
 from sigpat.dataset import generate_synthetic
-from sigpat.oracle import InstanceTooLargeError, enumerate_closed
+from sigpat.oracle import InstanceTooLargeError, enumerate_closed, mine_oracle
 
 from conftest import random_dataset
 from reference import Tidset, common_items, supporting_tids, tidset_from_masks

@@ -26,10 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigpat import Thresholds, from_transactions, load_genotype_matrix, mine, mine_oracle
+from sigpat import Thresholds, from_transactions, load_genotype_matrix, mine
 from sigpat.cli import COLUMNS, main, write_csv, write_json
 from sigpat.dataset import bit_positions
 from sigpat.measures import ContingencyTable, association_pvalue
+from sigpat.oracle import mine_oracle
 
 
 def _fmt(value):
@@ -148,7 +149,7 @@ def instances(draw):
     density = rng.uniform(0.3, 0.7)
     rows = [[x for x in names if rng.random() < density] for _ in range(n_case + n_control)]
     ext = draw(st.lists(IDS, min_size=len(rows), max_size=len(rows), unique=True))
-    dataset = from_transactions(rows[:n_case], rows[n_case:], ext)
+    dataset = from_transactions(rows[:n_case], rows[n_case:])._replace(external_ids=tuple(ext))
     thresholds = Thresholds(
         min_sd=draw(optional(-0.2, 0.6)),
         min_gr=draw(optional(0.0, 3.0)),
@@ -162,7 +163,8 @@ def instances(draw):
 def two_and_two(names, ids):
     """Two cases and two controls over three names, as an ``instances()`` draw."""
     x, y, z = names
-    return from_transactions([[x, y, z], [x, z]], [[y, z], [x, y]], ids), Thresholds()
+    dataset = from_transactions([[x, y, z], [x, z]], [[y, z], [x, y]])
+    return dataset._replace(external_ids=tuple(ids)), Thresholds()
 
 
 # The CSV writer decides once per run whether joined names, and joined ids, need quoting.
