@@ -195,14 +195,8 @@ def write_json(
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="dataset file to read")
     sub.add_argument(
-        "--format",
-        choices=("tct", "genotype"),
-        default="tct",
-        help="input layout: labelled transactions or a genotype matrix",
-    )
-    sub.add_argument(
         "--labels",
-        help="individual,label CSV; required with --format genotype",
+        help="individual,label CSV; makes --input a genotype matrix",
     )
 
 
@@ -281,9 +275,7 @@ def _build_thresholds(args: argparse.Namespace) -> Thresholds:
 
 
 def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
-    if args.format == "genotype":
-        if not args.labels:
-            raise ValueError("--labels is required with --format genotype")
+    if args.labels is not None:
         dataset = load_genotype_matrix(args.input, args.labels)
     else:
         dataset = load_transactions(args.input)

@@ -274,7 +274,7 @@ def test_an_output_naming_an_input_is_a_usage_error(tmp_path, capsys, monkeypatc
         (mine, "--input", "--output", str(tmp_path / "soft.tct")),
         ((*mine, "--output", os.devnull), "--input", "--stats", str(data)),
         (("oracle", "--input", str(data)), "--input", "--output", str(data)),
-        (("mine", "--format", "genotype", *geno), "--labels", "--output", str(labels)),
+        (("mine", *geno), "--labels", "--output", str(labels)),
         (("filter-genotypes", *geno), "--input", "--output", str(matrix)),
         (("filter-genotypes", *geno, "--output", os.devnull), "--labels", "--report", str(labels)),
     ]
@@ -354,8 +354,6 @@ def test_exit_code_usage(table1_path, capsys):
         (("mine",), "the following arguments are required: --input"),
         (("bogus",), "argument command: invalid choice: 'bogus' "
                      "(choose from 'mine', 'oracle', 'gen', 'filter-genotypes')"),
-        (("mine", "--input", "x", "--format", "genotype"),
-         "--labels is required with --format genotype"),
         (("mine", "--input", data, "--min-sd", "nan"), "min_sd must be finite, got nan"),
         (("mine", "--input", data, "--min-gr", "-1"), "min_gr must be non-negative, got -1.0"),
         ((*gen, "--density", "2", "--seed", "1"), "density must be within [0, 1], got 2.0"),
@@ -363,6 +361,10 @@ def test_exit_code_usage(table1_path, capsys):
         (("filter-genotypes", "--input", "x", "--labels", "y", "--max-pvalue", "2"),
          "--max-pvalue must lie in [0, 1], got 2.0"),
     ]
+    # --labels alone decides how --input is read; no flag names the layout
+    cases += [((command, "--input", data, "--format", layout),
+               f"unrecognized arguments: --format {layout}")
+              for command in ("mine", "oracle") for layout in ("tct", "genotype")]
     for argv, message in cases:
         assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
@@ -507,8 +509,7 @@ def test_an_empty_genotype_matrix_exits_2(tmp_path, capsys):
     matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
     matrix.write_text("# only comments\n\n")
     labels.write_text("bob,1\neve,0\n")
-    rc, out, err = run(capsys, "mine", "--format", "genotype", "--input", str(matrix),
-                       "--labels", str(labels))
+    rc, out, err = run(capsys, "mine", "--input", str(matrix), "--labels", str(labels))
     assert (rc, out, err) == (2, "", "error: genotype matrix: empty input\n")
 
 
@@ -602,8 +603,7 @@ def test_mine_genotype_oversized_labels_field(tmp_path, capsys):
     labels = tmp_path / "l.csv"
     matrix.write_text(GENO_MATRIX, encoding="utf-8")
     labels.write_text(GENO_LABELS + "x" * 200_000 + ",1\n", encoding="utf-8")
-    rc, _, err = run(capsys, "mine", "--format", "genotype", "--input", str(matrix),
-                     "--labels", str(labels))
+    rc, _, err = run(capsys, "mine", "--input", str(matrix), "--labels", str(labels))
     assert rc == 2
     assert "field larger than field limit" in err and str(labels) in err
     assert "Traceback" not in err
@@ -630,7 +630,7 @@ def test_labels_typo_on_the_first_line_exits_2(tmp_path, capsys):
     labels = tmp_path / "l.csv"
     matrix.write_text("snp,bob,eve\nrs1,0,1\n", encoding="utf-8")
     labels.write_text("bob,7\neve,0\n", encoding="utf-8")
-    for command in (("mine", "--format", "genotype"), ("filter-genotypes",)):
+    for command in (("mine",), ("filter-genotypes",)):
         rc, _, err = run(capsys, *command, "--input", str(matrix), "--labels", str(labels))
         assert rc == 2
         assert err == "error: labels line 1: label for 'bob' must be 0 or 1, got '7'\n"
@@ -725,8 +725,7 @@ def test_mine_genotype_format_uses_individual_ids(tmp_path, capsys):
     labels = tmp_path / "l.csv"
     matrix.write_text(GENO_MATRIX, encoding="utf-8")
     labels.write_text(GENO_LABELS, encoding="utf-8")
-    rc, out, _ = run(capsys, "mine", "--input", str(matrix), "--format", "genotype",
-                     "--labels", str(labels))
+    rc, out, _ = run(capsys, "mine", "--input", str(matrix), "--labels", str(labels))
     assert rc == 0
     rows = out.splitlines()[1:]
     assert rows
@@ -734,6 +733,41 @@ def test_mine_genotype_format_uses_individual_ids(tmp_path, capsys):
     assert referenced <= {"bob", "kim", "ana"}
     referenced_controls = {name for row in rows for name in row.split(",")[14].split(";")}
     assert referenced_controls <= {"eve", "sam", "joe"}
+
+
+@pytest.mark.parametrize("command", ["mine", "oracle"])
+def test_labels_make_the_input_a_genotype_matrix(command, table1_path, tmp_path, capsys):
+    # --labels alone picks the reader: a transaction file given labels is read
+    # as a matrix and refused as one, and an empty --labels names a file too
+    labels = tmp_path / "l.csv"
+    labels.write_text(GENO_LABELS, encoding="utf-8")
+    rc, out, err = run(capsys, command, "--input", str(table1_path), "--labels", str(labels))
+    assert (rc, out, err) == (2, "", "error: genotype matrix: no individual columns\n")
+    rc, out, _ = run(capsys, command, "--input", str(table1_path), "--labels", "")
+    assert (rc, out) == (2, "")
+
+
+def test_oracle_reads_a_genotype_matrix_as_mine_does(tmp_path, capsys):
+    # 5 SNPs of 10 individuals give 15 items, within the oracle's cap
+    matrix, labels = tmp_path / "m.csv", tmp_path / "l.csv"
+    matrix.write_text(
+        "snp,ann,ben,cat,dan,eli,fay,gus,hal,ivy,jon\n"
+        "rs1,1,1,0,1,2,1,1,1,1,1\n"
+        "rs2,2,0,2,0,1,0,0,2,1,2\n"
+        "rs3,2,2,0,1,0,2,0,2,1,1\n"
+        "rs4,2,0,1,1,1,2,2,0,2,1\n"
+        "rs5,1,2,1,0,2,0,0,2,1,2\n", encoding="utf-8")
+    labels.write_text("ann,0\nben,1\ncat,0\ndan,1\neli,0\nfay,1\ngus,0\nhal,1\nivy,0\njon,1\n",
+                      encoding="utf-8")
+    args = ("--input", str(matrix), "--labels", str(labels), "--min-ors", "1.5")
+    for layout in ("csv", "json"):
+        mined, reference = (run(capsys, command, *args, "--output-format", layout)
+                            for command in ("mine", "oracle"))
+        assert mined == reference, layout
+        assert mined[0] == 0
+    rows = json.loads(mined[1])
+    assert len(rows) == 7
+    assert {tid for row in rows for tid in row["case_tids"]} <= {"ben", "dan", "fay", "hal", "jon"}
 
 
 def test_mine_empty_transaction_is_silent(tmp_path):

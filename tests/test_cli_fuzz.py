@@ -95,8 +95,7 @@ def test_genotype_commands_fuzzed(files):
         for argv in (
             ("filter-genotypes", "--input", str(m), "--labels", str(lab), "--output", str(out),
              "--report", str(Path(tmp) / "report.csv")),
-            ("mine", "--format", "genotype", "--input", str(m), "--labels", str(lab),
-             "--output", str(out)),
+            ("mine", "--input", str(m), "--labels", str(lab), "--output", str(out)),
         ):
             rc, err = run_cli(*argv)
             assert rc in (0, 1, 2), (argv[0], rc, err)
