@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import subprocess
 import sys
@@ -94,6 +95,29 @@ def test_foreign_imports_detects_and_allows():
         "    import scipy.stats\n"
     )
     assert foreign_imports(tree) == ["line 2: numpy", "line 7: scipy.stats"]
+
+
+def test_traced_names_exist():
+    """Every function the benchmark's traced run wraps is still there to wrap.
+
+    ``perfbench/traced.py`` replaces these module attributes with span
+    wrappers and passes the writers' first argument to ``len``; a name it
+    cannot find silently drops its per-layer metrics.
+    """
+    source = (ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8")
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    )
+    assert wrapped
+    for module_name, names in wrapped.items():
+        module = importlib.import_module(module_name)
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert missing == [], module_name
+    cli = importlib.import_module("sigpat.cli")
+    for writer in (cli.write_csv, cli.write_json):
+        assert list(inspect.signature(writer).parameters) == ["records", "dataset", "out"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -436,29 +460,22 @@ def test_root_exports_are_plain_imports():
 
 
 def test_traced_run_names_resolve():
-    """Every function the benchmark's traced run wraps is still there to wrap.
+    """Every name ``perfbench/traced.py`` wraps resolves on the imported modules.
 
-    ``perfbench/traced.py`` replaces these module attributes with span
-    wrappers and passes the writers' first argument to ``len``; a name it
-    cannot find drops its per-layer metrics, which the run reports as absent
-    (``miner.confidence_intervals`` is kept for it alone). Loading
+    The traced run reports a per-layer metric as absent when its name does
+    not resolve; ``miner.confidence_intervals`` is kept for it alone. Loading
     ``traced.py`` imports no sigpat module, so its ``WRAPPED`` is read first.
     """
     traced = str(ROOT / "perfbench" / "traced.py")
     code = (
-        "import importlib, importlib.util, inspect\n"
+        "import importlib, importlib.util\n"
         f"spec = importlib.util.spec_from_file_location('traced', {traced!r})\n"
         "traced = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(traced)\n"
         "assert not [m for m in sys.modules if m.startswith('sigpat')]\n"
-        "assert traced.WRAPPED\n"
         "for module, names in traced.WRAPPED.items():\n"
         "    module = importlib.import_module(module)\n"
         "    assert all(callable(getattr(module, n, None)) for n in names), names\n"
-        "cli = sys.modules['sigpat.cli']\n"
-        "for writer in (cli.write_csv, cli.write_json):\n"
-        "    params = list(inspect.signature(writer).parameters)\n"
-        "    assert params == ['records', 'dataset', 'out'], params\n"
     )
     _, after = fresh_modules(code)
     assert {"sigpat.cli", "sigpat.miner"} <= after
