@@ -192,41 +192,31 @@ def write_json(
     out.write("\n]\n")
 
 
-def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="dataset file to read")
-    sub.add_argument(
-        "--labels",
-        help="individual,label CSV; makes --input a genotype matrix",
-    )
-
-
-def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--min-sd", type=float, help="least support difference")
-    sub.add_argument("--min-gr", type=float, help="least growth rate")
-    sub.add_argument("--min-ors", type=float, help="least odds ratio")
-    sub.add_argument("--min-lci-gr", type=float,
-                     help="growth rate 95%% confidence lower bound must exceed this")
-    sub.add_argument("--min-lci-ors", type=float,
-                     help="odds ratio 95%% confidence lower bound must exceed this")
-
-
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", default="-", help="destination file, - for stdout")
-    sub.add_argument(
-        "--output-format", choices=("csv", "json"), default="csv", help="row encoding"
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sigpat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    mine_p = commands.add_parser(
-        "mine", help="enumerate significant discriminative closed patterns"
+    shared = argparse.ArgumentParser(add_help=False)  # mine's and oracle's flags; never parses
+    shared.add_argument("--input", required=True, help="dataset file to read")
+    shared.add_argument(
+        "--labels",
+        help="individual,label CSV; makes --input a genotype matrix",
     )
-    _add_input_flags(mine_p)
-    _add_threshold_flags(mine_p)
-    _add_output_flags(mine_p)
+    shared.add_argument("--min-sd", type=float, help="least support difference")
+    shared.add_argument("--min-gr", type=float, help="least growth rate")
+    shared.add_argument("--min-ors", type=float, help="least odds ratio")
+    shared.add_argument("--min-lci-gr", type=float,
+                        help="growth rate 95%% confidence lower bound must exceed this")
+    shared.add_argument("--min-lci-ors", type=float,
+                        help="odds ratio 95%% confidence lower bound must exceed this")
+    shared.add_argument("--output", default="-", help="destination file, - for stdout")
+    shared.add_argument(
+        "--output-format", choices=("csv", "json"), default="csv", help="row encoding"
+    )
+
+    mine_p = commands.add_parser(
+        "mine", parents=[shared], help="enumerate significant discriminative closed patterns"
+    )
     mine_p.add_argument(
         "--stats",
         metavar="PATH",
@@ -235,11 +225,8 @@ def build_parser() -> _Parser:
     mine_p.set_defaults(func=_cmd_mine)
 
     oracle_p = commands.add_parser(
-        "oracle", help="brute-force reference output for a small dataset"
+        "oracle", parents=[shared], help="brute-force reference output for a small dataset"
     )
-    _add_input_flags(oracle_p)
-    _add_threshold_flags(oracle_p)
-    _add_output_flags(oracle_p)
     oracle_p.set_defaults(func=_cmd_oracle)
 
     gen_p = commands.add_parser("gen", help="write a random transaction dataset")
@@ -287,7 +274,7 @@ def _load_dataset(args: argparse.Namespace) -> TwoClassDataset:
     return dataset
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _cmd_mine(args: argparse.Namespace) -> None:
     thresholds = _build_thresholds(args)  # so that a refused flag leaves every file as it was
     _check_outputs(args, "output", "stats")
     start = time.perf_counter()
@@ -304,10 +291,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             json.dump({"schema": 1, **stats._asdict(), "load_seconds": load_seconds,
                        "write_seconds": write_seconds}, stats_out, indent=2)
             stats_out.write("\n")
-    return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> None:
     from .oracle import check_size, mine_oracle  # only this command loads the oracle
     thresholds = _build_thresholds(args)
     _check_outputs(args, "output")
@@ -316,14 +302,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     with _open_out(args.output) as out:
         records = mine_oracle(dataset, thresholds)
         (write_json if args.output_format == "json" else write_csv)(records, dataset, out)
-    return 0
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> None:
     dataset = generate_synthetic(args.cases, args.controls, args.items, args.density, args.seed)
     with _open_out(args.output) as out:
         out.write(dump_transactions(dataset))
-    return 0
 
 
 def _validate_fraction(value: Optional[float], flag: str) -> None:
@@ -331,7 +315,7 @@ def _validate_fraction(value: Optional[float], flag: str) -> None:
         raise ValueError(f"{flag} must lie in [0, 1], got {value}")
 
 
-def _cmd_filter(args: argparse.Namespace) -> int:
+def _cmd_filter(args: argparse.Namespace) -> None:
     _validate_fraction(args.max_pvalue, "--max-pvalue")
     _validate_fraction(args.max_control_support, "--max-control-support")
     _check_outputs(args, "output", "report")
@@ -366,13 +350,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         out.write(text)
         if report is not None:
             report.write("item,p_value,control_support,kept\n")
-            joined = "".join(snps)  # holds , " or \n when some item name does
-            field = str if _csv_field(joined) == joined else _csv_field
-            names = (field(f"{snp}_{v}") for snp in snps for v in range(3))
+            names = (_csv_field(f"{snp}_{v}") for snp in snps for v in range(3))
             report.writelines(map(str.__add__, names, report_cols))
             report.write(f"# total_kept {len(filtered.items)}\n")
             report.write(f"# total_dropped {len(report_cols) - len(filtered.items)}\n")
-    return 0
 
 
 def _fail(message: str, code: int) -> int:
@@ -390,7 +371,8 @@ def _fail(message: str, code: int) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except BrokenPipeError:  # no message: the reader is gone, as in ``sigpat mine | head``
         if sys.stdout is not None:
             with contextlib.suppress(OSError):  # drop what stdout holds, so exit cannot retry it

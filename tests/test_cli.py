@@ -11,7 +11,7 @@ import pytest
 
 import reader_cases
 from sigpat import mine
-from sigpat.cli import COLUMNS, main
+from sigpat.cli import COLUMNS, build_parser, main
 from sigpat.dataset import _BLOCK, bit_positions
 from sigpat.miner import InternalInvariantError, MineStats
 
@@ -340,11 +340,25 @@ def test_mine_negative_threshold_rejected(table1_path, capsys):
     rc, _, err = run(capsys, "mine", "--input", str(table1_path), "--min-gr", "-1")
     assert rc == 1
     assert "min_gr" in err
-    # a negative --min-sd is valid, in exponent form too, with or without "="
-    expected = run(capsys, "mine", "--input", str(table1_path), "--min-sd", "-0.001")
-    assert expected[0] == 0
-    for argv in (("--min-sd=-1e-3",), ("--min-sd", "-1e-3"), ("--min-sd", "-1.E-3")):
-        assert run(capsys, "mine", "--input", str(table1_path), *argv) == expected, argv
+    # a negative --min-sd is valid, in exponent form too, with or without "=", for
+    # both commands that take the shared flags
+    for command in ("mine", "oracle"):
+        expected = run(capsys, command, "--input", str(table1_path), "--min-sd", "-0.001")
+        assert expected[0] == 0
+        for argv in (("--min-sd=-1e-3",), ("--min-sd", "-1e-3"), ("--min-sd", "-1.E-3")):
+            assert run(capsys, command, "--input", str(table1_path), *argv) == expected, argv
+
+
+def test_oracle_takes_every_flag_of_mine_but_stats():
+    commands = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+
+    def flags(command):
+        return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+                for a in commands.choices[command]._actions]
+
+    mine_flags = flags("mine")
+    assert [f[0] for f in mine_flags].count(["--stats"]) == 1
+    assert flags("oracle") == [f for f in mine_flags if f[0] != ["--stats"]]
 
 
 def test_exit_code_usage(table1_path, capsys):

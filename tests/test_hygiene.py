@@ -488,6 +488,7 @@ def test_traced_filter_genotypes_records_one_load_span(tmp_path, monkeypatch):
     the filter decides its items during the load."""
     spec = importlib.util.spec_from_file_location("traced", ROOT / "perfbench" / "traced.py")
     traced = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # so perfbench/ stays as it is
     spec.loader.exec_module(traced)
     tracer = traced.Tracer()
     for module_name, names in traced.WRAPPED.items():
